@@ -1,11 +1,12 @@
 """Stress-curve models: symmetric 4PL sigmoid and quartic polynomial.
 
-The sigmoid y = d + (a - d)/(1 + (x/c)^b) is fitted by damped Gauss-Newton
-(Levenberg-Marquardt) from many starting points: a heuristic set around the
-data envelope plus deterministic seeds from a coarse (b, c) grid on which
-the linear parameters (a, d) are profiled out in closed form. The grid
-matters because the RSS landscape is multimodal and has a flat power-law
-ridge as c grows large; single-start solvers stall far from the optimum.
+The sigmoid y = d + (a - d)/(1 + (x/c)^b) is linear in the asymptotes
+(a, d), so they are solved in closed form at every (b, c) and the fit is a
+2-D search over (log b, log c): variable projection (Golub & Pereyra 1973;
+O'Leary & Rust 2013). The best points of a coarse log-spaced (b, c) grid
+start damped Gauss-Newton descents with Kaufman's projected Jacobian. The
+grid matters because the RSS landscape is multimodal and has a flat
+power-law ridge as c grows large, where the optimum sits on the c bound.
 
 The quartic is an ordinary least-squares solve on a scaled monomial basis.
 Model ranking uses AIC in the full Gaussian form n*ln(2*pi*rss/n) + n + 2k,
@@ -32,6 +33,11 @@ from .errors import (
 
 _EXP_CLAMP = 700.0
 _EXACT_FIT_REL = 1e-12
+# In (log b, log c), a coordinate this close to a bound counts as on it. A
+# Gauss-Newton step clipped at a bound a hair away keeps only the other
+# coordinate's component, which need not lower the RSS, and the descent
+# stalls short of the optimum on the bound.
+_BOUND_SNAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -73,18 +79,17 @@ class QuarticModel:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Iteration, convergence, restart, and bound settings for fit_4pl.
+    """Iteration, convergence and bound settings for fit_4pl.
 
-    multistart_count is the number of heuristic starts (envelope guesses
-    plus seeded random perturbations); profiled (b, c) grid seeds are added
-    on top and are fully deterministic. c is bounded by
-    [c_min, c_max_factor * max x]; the factor must be generous because
-    near-power-law data pushes c orders of magnitude past the sample range.
+    max_iterations is the Gauss-Newton budget of each start; tolerance is
+    the relative RSS drop below which a step counts as converged. b lies in
+    [b_min, b_max] and c in [c_min, c_max_factor * max x]; the factor is
+    generous because near-power-law data pushes c orders of magnitude past
+    the sample range, and such a series converges with c on this bound.
     """
 
     max_iterations: int = 500
     tolerance: float = 1e-12
-    multistart_count: int = 16
     b_min: float = 0.01
     b_max: float = 50.0
     c_min: float = 0.1
@@ -95,8 +100,6 @@ class FitOptions:
             raise ValidationError("max_iterations must be >= 1")
         if not self.tolerance > 0:
             raise ValidationError("tolerance must be > 0")
-        if self.multistart_count < 1:
-            raise ValidationError("multistart_count must be >= 1")
         if not (0 < self.b_min < self.b_max):
             raise ValidationError("need 0 < b_min < b_max")
         if not (0 < self.c_min and self.c_max_factor > 0):
@@ -131,13 +134,12 @@ def _as_xy(points) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _sigmoid_t(xs: np.ndarray, b: float, c: float) -> np.ndarray:
-    """(x/c)^b with x = 0 mapping to 0, overflow clamped."""
-    t = np.zeros_like(xs)
+def _sigmoid_t(xs: np.ndarray, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """t = (x/c)^b, overflow clamped, and b*ln(x/c); both are 0 at x = 0."""
     pos = xs > 0
-    with np.errstate(over="ignore"):
-        t[pos] = np.exp(np.clip(b * np.log(xs[pos] / c), -_EXP_CLAMP, _EXP_CLAMP))
-    return t
+    log_t = b * np.log(np.where(pos, xs, c) / c)
+    t = np.where(pos, np.exp(np.clip(log_t, -_EXP_CLAMP, _EXP_CLAMP)), 0.0)
+    return t, log_t
 
 
 def eval_4pl(model: FourPLModel, x) -> np.ndarray | float:
@@ -149,7 +151,7 @@ def eval_4pl(model: FourPLModel, x) -> np.ndarray | float:
         raise ValidationError("sigmoid evaluation requires x >= 0")
     if model.b <= 0 and np.any(xs == 0):
         raise UndefinedAtZero(f"x = 0 with slope b = {model.b}")
-    t = _sigmoid_t(xs, model.b, model.c)
+    t, _ = _sigmoid_t(xs, model.b, model.c)
     y = model.d + (model.a - model.d) / (1.0 + t)
     return float(y[0]) if scalar else y
 
@@ -240,148 +242,122 @@ def fit_quartic(points, options: FitOptions | None = None) -> FitResult:
 
 # ---------------------------------------------------------------------- 4PL
 
-def _residual_rss(params: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, float]:
-    a, b, c, d = params
-    t = _sigmoid_t(xs, b, c)
-    r = d + (a - d) / (1.0 + t) - ys
-    return r, float(np.dot(r, r))
+def _basis(xs: np.ndarray, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sigmoid columns u = 1/(1 + t), w = t/(1 + t) and log t, t = (x/c)^b.
 
-
-def _jacobian(params: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    a, b, c, d = params
-    t = _sigmoid_t(xs, b, c)
+    w is built from t, not as 1 - u: for t near 1e-14, 1 - u keeps about two
+    significant digits. b and c broadcast against xs.
+    """
+    t, log_t = _sigmoid_t(xs, b, c)
     u = 1.0 / (1.0 + t)
-    v = 1.0 - u
-    logx = np.zeros_like(xs)
-    pos = xs > 0
-    logx[pos] = np.log(xs[pos] / c)
-    jac = np.empty((len(xs), 4))
-    jac[:, 0] = u
-    jac[:, 1] = -(a - d) * u * v * logx
-    jac[:, 2] = (a - d) * u * v * b / c
-    jac[:, 3] = v
-    return jac
+    return u, t * u, log_t
 
 
-def _clip_params(params: np.ndarray, options: FitOptions, c_max: float) -> np.ndarray:
-    out = params.copy()
-    out[1] = min(max(out[1], options.b_min), options.b_max)
-    out[2] = min(max(out[2], options.c_min), c_max)
-    return out
+def _linear_fit(u: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares (p, q) in v = p*u + q*w along the last axis.
+
+    The 2x2 normal equations are solved by Cramer's rule, which is exact up
+    to round-off whatever the scales of u and w; NaN where the two columns
+    are parallel to within 1e-6 rad.
+    """
+    with np.errstate(all="ignore"):
+        g11 = np.sum(u * u, axis=-1)
+        g12 = np.sum(u * w, axis=-1)
+        g22 = np.sum(w * w, axis=-1)
+        h1 = np.sum(u * v, axis=-1)
+        h2 = np.sum(w * v, axis=-1)
+        det = g11 * g22 - g12 * g12
+        ok = det > 1e-12 * g11 * g22
+        p = np.where(ok, (g22 * h1 - g12 * h2) / det, np.nan)
+        q = np.where(ok, (g11 * h2 - g12 * h1) / det, np.nan)
+    return p, q
 
 
-def _levmar(
-    start: np.ndarray,
+def _grid_starts(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    count: int = 6,
+) -> list[np.ndarray]:
+    """(log b, log c) of the best (a, d)-profiled points of a log-spaced grid."""
+    bs = np.geomspace(lower[0], upper[0], 24)
+    cs = np.geomspace(lower[1], upper[1], 48)
+    bb, cc = (g.ravel()[:, None] for g in np.meshgrid(bs, cs, indexing="ij"))
+    u, w, _ = _basis(xs, bb, cc)
+    a, d = _linear_fit(u, w, ys)
+    with np.errstate(all="ignore"):
+        rss = np.sum((a[:, None] * u + d[:, None] * w - ys) ** 2, axis=1)
+    rss = np.where(np.isfinite(rss), rss, np.inf)
+    order = np.argsort(rss, kind="stable")[:count]
+    return [np.log([bb[i, 0], cc[i, 0]]) for i in order if np.isfinite(rss[i])]
+
+
+def _descend(
+    theta: np.ndarray,
     xs: np.ndarray,
     ys: np.ndarray,
     options: FitOptions,
-    c_max: float,
+    lower: np.ndarray,
+    upper: np.ndarray,
 ) -> tuple[np.ndarray, float, bool, int]:
-    params = _clip_params(start, options, c_max)
-    _, rss = _residual_rss(params, xs, ys)
-    lam = 1e-3
+    """Damped Gauss-Newton in theta = (log b, log c) from one start.
+
+    (a, d) are solved in closed form at every theta, and the Jacobian is
+    Kaufman's: the theta-derivative of the model projected off the span of
+    u and w. theta is clipped to the box; a coordinate on a bound whose
+    gradient points outward is held there for that step. A step is halved
+    until the RSS drops; a relative drop within the tolerance, or no drop
+    after 40 halvings, ends the search as converged.
+    """
+    lo, hi = np.log(lower), np.log(upper)
+
+    def evaluate(theta):
+        b, c = np.clip(np.exp(theta), lower, upper)
+        u, w, log_t = _basis(xs, b, c)
+        a, d = _linear_fit(u, w, ys)
+        r = a * u + d * w - ys
+        rss = float(r @ r)
+        return (rss if math.isfinite(rss) else math.inf), (a, b, c, d, u, w, log_t, r)
+
+    rss, state = evaluate(theta)
     converged = False
     iterations = 0
     for iterations in range(1, options.max_iterations + 1):
-        r, _ = _residual_rss(params, xs, ys)
-        jac = _jacobian(params, xs)
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        improved = False
-        for _ in range(40):
-            damp = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-12))
-            try:
-                step = np.linalg.solve(damp, -jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = _clip_params(params + step, options, c_max)
-            _, trial_rss = _residual_rss(trial, xs, ys)
+        a, b, _, d, u, w, log_t, r = state
+        slope = (a - d) * u * w
+        deriv = np.stack([-slope * log_t, b * slope])
+        p, q = _linear_fit(u, w, deriv)
+        jac = (deriv - p[:, None] * u - q[:, None] * w).T
+        grad = jac.T @ r
+        outward = np.where(grad > 0, lo, hi)
+        held = (grad != 0) & (np.abs(theta - outward) <= _BOUND_SNAP)
+        step = np.zeros(2)
+        if not held.all():
+            step[~held] = np.linalg.lstsq(jac[:, ~held], -r, rcond=None)[0]
+        for halving in range(40):
+            trial = np.where(held, outward, np.clip(theta + 0.5**halving * step, lo, hi))
+            trial_rss, trial_state = evaluate(trial)
             if trial_rss < rss:
-                drop = rss - trial_rss
-                params, rss = trial, trial_rss
-                lam = max(lam / 3.0, 1e-12)
-                improved = True
-                if drop <= options.tolerance * max(rss, 1e-300):
-                    converged = True
+                converged = rss - trial_rss <= options.tolerance * trial_rss
+                theta, rss, state = trial, trial_rss, trial_state
                 break
-            lam *= 10.0
-            if lam > 1e14:
-                break
-        if converged or not improved:
-            if not improved:
-                converged = True
+        else:
+            converged = True
+        if converged:
             break
-    return params, rss, converged, iterations
-
-
-def _profile_seeds(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    options: FitOptions,
-    c_max: float,
-    count: int = 6,
-) -> list[np.ndarray]:
-    """Best (a, d)-profiled points of a log-spaced (b, c) grid."""
-    bs = np.geomspace(options.b_min, options.b_max, 24)
-    cs = np.geomspace(options.c_min, c_max, 48)
-    bb, cc = np.meshgrid(bs, cs, indexing="ij")
-    bb, cc = bb.ravel(), cc.ravel()
-    pos = xs > 0
-    logx = np.log(xs[pos])
-    with np.errstate(over="ignore"):
-        t = np.zeros((len(bb), len(xs)))
-        t[:, pos] = np.exp(
-            np.clip(bb[:, None] * (logx[None, :] - np.log(cc[:, None])), -_EXP_CLAMP, _EXP_CLAMP)
-        )
-    u = 1.0 / (1.0 + t)
-    w = 1.0 - u
-    g11 = np.sum(u * u, axis=1)
-    g12 = np.sum(u * w, axis=1)
-    g22 = np.sum(w * w, axis=1)
-    h1 = u @ ys
-    h2 = w @ ys
-    det = g11 * g22 - g12 * g12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = (g22 * h1 - g12 * h2) / det
-        d = (g11 * h2 - g12 * h1) / det
-        fitted = a[:, None] * u + d[:, None] * w
-        rss = np.sum((fitted - ys[None, :]) ** 2, axis=1)
-    rss = np.where((det > 1e-12) & np.isfinite(rss), rss, np.inf)
-    order = np.argsort(rss, kind="stable")[:count]
-    return [np.array([a[i], bb[i], cc[i], d[i]]) for i in order if np.isfinite(rss[i])]
-
-
-def _heuristic_seeds(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    options: FitOptions,
-) -> list[np.ndarray]:
-    ymin, ymax = float(ys.min()), float(ys.max())
-    xpos = xs[xs > 0]
-    cmed = float(np.median(xpos)) if len(xpos) else options.c_min
-    base_b = [0.5, 1.0, 2.0, 5.0]
-    seeds = [np.array([ymin, b0, cmed, ymax]) for b0 in base_b]
-    rng = np.random.default_rng(520)
-    while len(seeds) < options.multistart_count:
-        b0 = base_b[len(seeds) % len(base_b)]
-        spread = max(ymax - ymin, 1e-6)
-        seeds.append(
-            np.array(
-                [
-                    ymin + 0.2 * spread * rng.standard_normal(),
-                    b0 * 2.0 ** rng.standard_normal(),
-                    cmed * 10.0 ** rng.uniform(-1.0, 3.0),
-                    ymax + 0.2 * spread * rng.standard_normal(),
-                ]
-            )
-        )
-    return seeds[: options.multistart_count]
+    a, b, c, d = state[:4]
+    return np.array([a, b, c, d]), rss, converged, iterations
 
 
 def fit_4pl(points, options: FitOptions | None = None) -> FitResult:
-    """Best least-squares sigmoid over all starts; lowest RSS wins, ties by
-    start order. converged=False means no start met the tolerance."""
+    """Least-squares sigmoid by variable projection over (log b, log c).
+
+    Each of the best profiled grid points starts one damped Gauss-Newton
+    descent; the lowest RSS wins, ties by start order. b and c lie inside
+    the FitOptions box exactly. converged and iterations are the winning
+    start's: converged=False means it used up max_iterations.
+    """
     opts = options if options is not None else FitOptions()
     xs, ys = _as_xy(points)
     if len(xs) < 4:
@@ -391,12 +367,15 @@ def fit_4pl(points, options: FitOptions | None = None) -> FitResult:
     if np.any(xs < 0):
         raise ValidationError("sigmoid fit requires x >= 0")
     c_max = max(opts.c_min * 10.0, opts.c_max_factor * float(xs.max()))
-    seeds = _heuristic_seeds(xs, ys, opts) + _profile_seeds(xs, ys, opts, c_max)
+    lower = np.array([opts.b_min, opts.c_min])
+    upper = np.array([opts.b_max, c_max])
     best = None
-    for seed in seeds:
-        params, rss, converged, iterations = _levmar(seed, xs, ys, opts, c_max)
+    for theta in _grid_starts(xs, ys, lower, upper):
+        params, rss, converged, iterations = _descend(theta, xs, ys, opts, lower, upper)
         if best is None or rss < best[1]:
             best = (params, rss, converged, iterations)
+    if best is None:
+        raise ValidationError("no point of the (b, c) grid gives a finite fit")
     params, rss, converged, iterations = best
     model = FourPLModel(*(float(v) for v in params))
     return _finish(model, ys, rss, k=4, converged=converged, iterations=iterations)

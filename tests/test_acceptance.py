@@ -6,7 +6,6 @@ numbers live in published_series.
 """
 
 import json
-import math
 import time
 
 import numpy as np
@@ -26,6 +25,7 @@ from published_series import (
     gameplay_points,
     relaxation_points,
 )
+from profiled_oracle import profiled_grid_optimum
 
 ALPHA = core.DEFAULT_BANDS["alpha"]
 BETA = core.DEFAULT_BANDS["beta"]
@@ -42,11 +42,6 @@ BETA = core.DEFAULT_BANDS["beta"]
 # reach, so the row must leave here if the reference is ever corrected.
 UNREACHABLE_SIGMOID_R2_ROW = ("puzzle", "high_pitch", "gamer")
 
-# Search box of the profiled-grid oracle; wider than the FitOptions bounds
-# (b <= 50, c <= 1e6 * max x) so that the oracle does not share them.
-ORACLE_B_RANGE = (1e-2, 2e3)
-ORACLE_C_RANGE = (1e-2, 1e8)
-
 
 def one_channel_epoch(x, fs):
     ch = (core.ChannelInfo("Cz", (0.0, 0.0), "eeg"),)
@@ -54,62 +49,6 @@ def one_channel_epoch(x, fs):
         samples=np.asarray(x, dtype=np.float64)[None, :],
         t_start=0.0, t_end=len(x) / fs, sampling_rate=fs, channels=ch,
     )
-
-
-def profiled_4pl_rss(xs, ys, log_b, log_c):
-    """RSS of the best 4PL at each (log b, log c), with (a, d) in closed form.
-
-    With u = 1/(1 + (x/c)^b) the model is y = d + (a - d)*u, a straight line
-    in u, so its least-squares RSS is that of regressing y on u.
-    """
-    log_x = np.log(np.where(xs > 0, xs, 1.0))
-    t = np.exp(np.clip(np.exp(log_b)[..., None] * (log_x - log_c[..., None]), -700.0, 700.0))
-    u = np.where(xs > 0, 1.0 / (1.0 + t), 1.0)
-    uc = u - u.mean(axis=-1, keepdims=True)
-    yc = ys - ys.mean()
-    suu = np.sum(uc * uc, axis=-1)
-    slope = np.divide(uc @ yc, suu, out=np.zeros_like(suu), where=suu > 0)
-    resid = yc - slope[..., None] * uc
-    return np.sum(resid * resid, axis=-1)
-
-
-def profiled_grid_optimum(points):
-    """Global least-squares 4PL optimum on `points`, as (rss, r_squared).
-
-    Independent of regress: (a, d) are profiled out in closed form (variable
-    projection, Golub & Pereyra 1973), which leaves a 2-D search over log b
-    and log c. A dense 240 x 480 grid over the oracle box picks the basins;
-    from each of its eight best points an 11 x 11 local grid follows the
-    minimum, halving its span in a coordinate while the best point lies
-    inside and doubling it while the best point sits on the window's edge.
-    """
-    xs, ys = (np.asarray(v, dtype=np.float64) for v in zip(*points))
-    lo = np.log([ORACLE_B_RANGE[0], ORACLE_C_RANGE[0]])
-    hi = np.log([ORACLE_B_RANGE[1], ORACLE_C_RANGE[1]])
-    shape = np.array([240, 480])
-    grid = np.meshgrid(*(np.linspace(lo[k], hi[k], shape[k]) for k in range(2)), indexing="ij")
-    coarse = profiled_4pl_rss(xs, ys, *grid)
-    steps = np.linspace(-1.0, 1.0, 11)
-    best = math.inf
-    for flat in np.argsort(coarse, axis=None)[:8]:
-        centre = np.array([g.flat[flat] for g in grid])
-        half = (hi - lo) / (shape - 1)
-        value = coarse.flat[flat]
-        for _ in range(1000):
-            if np.all(half < 1e-10):
-                break
-            axes = [np.clip(centre[k] + half[k] * steps, lo[k], hi[k]) for k in range(2)]
-            local = profiled_4pl_rss(xs, ys, *np.meshgrid(*axes, indexing="ij"))
-            i, j = np.unravel_index(np.argmin(local), local.shape)
-            value = local[i, j]
-            centre = np.array([axes[0][i], axes[1][j]])
-            first = np.array([ax[0] for ax in axes])
-            last = np.array([ax[-1] for ax in axes])
-            on_edge = ((centre == first) & (first > lo)) | ((centre == last) & (last < hi))
-            half = np.where(on_edge, np.minimum(2.0 * half, hi - lo), 0.5 * half)
-        best = min(best, float(value))
-    tss = float(np.sum((ys - ys.mean()) ** 2))
-    return best, 1.0 - best / tss
 
 
 def test_criterion_1_quartic_interpolation():
@@ -134,7 +73,7 @@ def test_criterion_2_sigmoid_reproduction():
     puzzle = regress.fit_4pl(gameplay_points("puzzle", "gamer"))
     strategic = regress.fit_4pl(gameplay_points("strategic", "non_gamer"))
     elapsed = time.perf_counter() - t0
-    assert elapsed < 5.0, f"multistart fits took {elapsed:.3f}s, limit 5s"
+    assert elapsed < 5.0, f"two sigmoid fits took {elapsed:.3f}s, limit 5s"
     # reference values carry four decimals; compare at that resolution
     want_r2, want_aic = GAMEPLAY_SIGMOID[("puzzle", "gamer")][4:]
     assert round(puzzle.r_squared, 4) >= want_r2, (

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from barstress import cli, core, ingest, spectral, synth
+from barstress import cli, core, ingest, regress, spectral, synth
 
 ALPHA = core.DEFAULT_BANDS["alpha"]
 BETA = core.DEFAULT_BANDS["beta"]
@@ -93,9 +93,14 @@ class TestExitCodes:
         rc = run("synth", "--spec", str(spec), "--out", str(tmp_path / "o"))
         assert rc == cli.EXIT_VALIDATION
 
-    def test_ridge_fit_reports_divergence_with_output(self, tmp_path):
-        # near-linear growth drives the sigmoid parameters to the bound;
-        # the command flags it but still writes what it found
+    def test_ridge_fit_reports_divergence_with_output(self, tmp_path, monkeypatch):
+        # a fit that uses up its iteration budget is flagged, but the command
+        # still writes what it found
+        fit_4pl = regress.fit_4pl
+        monkeypatch.setattr(
+            cli.regress, "fit_4pl",
+            lambda points: fit_4pl(points, regress.FitOptions(max_iterations=1)),
+        )
         pts = tmp_path / "points.csv"
         rows = [(0.0, 0.701), (15.0, 1.084), (30.0, 1.295), (45.0, 1.742), (60.0, 2.149)]
         pts.write_text("\n".join(f"{x},{y}" for x, y in rows) + "\n")
@@ -104,6 +109,7 @@ class TestExitCodes:
         assert rc == cli.EXIT_DIVERGED
         doc = json.loads((out / "fit_4pl.json").read_text())
         assert doc["converged"] is False
+        assert doc["iterations"] == 1
         assert doc["r_squared"] > 0.99
 
 

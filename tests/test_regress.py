@@ -14,10 +14,29 @@ from barstress.errors import (
     ValidationError,
     ZeroTotalVariance,
 )
+from profiled_oracle import profiled_grid_optimum
 from published_series import (
+    GAMEPLAY_SERIES,
     GAMEPLAY_SIGMOID,
+    RELAXATION_SERIES,
     gameplay_points,
+    relaxation_points,
 )
+
+PUBLISHED_SERIES = [("gameplay", *key) for key in GAMEPLAY_SERIES] + [
+    ("relaxation", *key) for key in RELAXATION_SERIES
+]
+
+
+def published_points(series):
+    protocol, *key = series
+    return gameplay_points(*key) if protocol == "gameplay" else relaxation_points(*key)
+
+
+def fit_box(points, opts):
+    """The (b, c) box fit_4pl searches under opts, as (b_range, c_range)."""
+    c_max = max(opts.c_min * 10.0, opts.c_max_factor * max(x for x, _ in points))
+    return (opts.b_min, opts.b_max), (opts.c_min, c_max)
 
 
 def exact_quartic_lsq(points):
@@ -226,16 +245,46 @@ class TestFit4pl:
         assert fit.r_squared >= printed_r2 - 5e-5
 
     def test_flat_ridge_reports_iteration_exhaustion(self):
-        # near-linear data pushes c toward the bound; at the default budget
-        # the tolerance is never met and the flag must say so, while a
-        # larger budget converges to the same quality
+        # near-linear data puts the optimum on the power-law ridge (c -> inf);
+        # a budget too small to get there must say so, the default one reaches
+        # the c bound and converges there
         pts = gameplay_points("combinational", "non_gamer")
-        capped = regress.fit_4pl(pts)
+        capped = regress.fit_4pl(pts, regress.FitOptions(max_iterations=1))
         assert not capped.converged
-        assert capped.iterations == 500
-        roomy = regress.fit_4pl(pts, regress.FitOptions(max_iterations=2000))
-        assert roomy.converged
-        assert roomy.r_squared == pytest.approx(capped.r_squared, abs=1e-6)
+        assert capped.iterations == 1
+        opts = regress.FitOptions()
+        fit = regress.fit_4pl(pts, opts)
+        assert fit.converged
+        assert fit.model.c == opts.c_max_factor * 60.0
+        assert fit.rss <= 1.0335215e-2
+
+    @pytest.mark.parametrize("series", PUBLISHED_SERIES, ids="/".join)
+    def test_reaches_profiled_grid_optimum(self, series):
+        points = published_points(series)
+        opts = regress.FitOptions()
+        b_range, c_range = fit_box(points, opts)
+        oracle_rss, _ = profiled_grid_optimum(points, b_range, c_range)
+        fit = regress.fit_4pl(points, opts)
+        assert fit.rss <= oracle_rss * (1.0 + 1e-6)
+        assert b_range[0] <= fit.model.b <= b_range[1]
+        assert c_range[0] <= fit.model.c <= c_range[1]
+        # the reported RSS is that of the returned model, evaluated in a form
+        # free of cancellation when c is huge: (a + d*t)/(1 + t)
+        m = fit.model
+        xs, ys = (np.array(v) for v in zip(*points))
+        t = (xs / m.c) ** m.b
+        assert fit.rss == pytest.approx(np.sum(((m.a + m.d * t) / (1.0 + t) - ys) ** 2), rel=1e-12)
+
+    def test_optimum_on_slope_bound(self):
+        # a sharp late rise puts the optimum on b = b_max; a step clipped at
+        # that bound must not stall the descent short of it
+        points = [(6.0, 0.7913), (27.0, 0.7933), (36.0, 0.7832), (46.5, 0.8843), (57.0, 1.0589)]
+        opts = regress.FitOptions()
+        oracle_rss, _ = profiled_grid_optimum(points, *fit_box(points, opts))
+        fit = regress.fit_4pl(points, opts)
+        assert fit.rss <= oracle_rss * (1.0 + 1e-6)
+        assert fit.model.b == pytest.approx(opts.b_max)
+        assert fit.converged
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
@@ -244,6 +293,12 @@ class TestFit4pl:
     def test_degenerate_x(self):
         with pytest.raises(DegenerateX):
             regress.fit_4pl([(5.0, v) for v in (1, 2, 3, 4)])
+
+    def test_no_finite_fit_rejected(self):
+        # the squared residuals overflow at every (b, c) of the start grid
+        pts = [(0.0, 1e200), (1.0, -1e200), (2.0, 3e200), (3.0, -2e200), (4.0, 1e199)]
+        with pytest.raises(ValidationError):
+            regress.fit_4pl(pts)
 
     def test_negative_x_rejected(self):
         with pytest.raises(ValidationError):
