@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
+import mmap
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,6 +27,7 @@ import numpy as np
 
 from . import core, ingest, regress, spectral, synth, topo
 from .errors import (
+    EmptyProtocol,
     InvalidConfig,
     MissingArtifacts,
     PipelineError,
@@ -86,7 +90,9 @@ class RunConfig:
                 return b
         raise InvalidConfig(f"band {name!r} is not defined in the config")
 
-    def load_montage(self) -> core.Montage:
+    @functools.cached_property
+    def montage(self) -> core.Montage:
+        """The configured montage, loaded on first use."""
         return ingest.load_montage(self.montage_name)
 
 
@@ -250,15 +256,46 @@ def _say(cfg: RunConfig, message: str):
         print(message)
 
 
-def _load_recording(cfg: RunConfig, path_str: str | None) -> core.Recording:
+def _edf_epochs(
+    cfg: RunConfig, data, protocol: core.SessionProtocol
+) -> list[core.Epoch]:
+    """One windowed read_edf per epoch time, each cut by slice_epochs."""
+    if not protocol.epoch_times:
+        raise EmptyProtocol("protocol has no epoch times")
+    window_len = cfg.welch.window_len
+    return [
+        epoch
+        for t in protocol.epoch_times
+        for epoch in core.slice_epochs(
+            ingest.read_edf(data, cfg.montage, window=(t, t + window_len)),
+            replace(protocol, epoch_times=(t,)),
+            window_len,
+        )
+    ]
+
+
+def _load_epochs(
+    cfg: RunConfig, path_str: str | None, protocol: core.SessionProtocol
+) -> list[core.Epoch]:
+    """The protocol's epochs of the recording at path_str.
+
+    An EDF file is memory-mapped and only the data records under the
+    epochs are decoded; a CSV file is parsed whole.
+    """
     if not path_str:
         raise InvalidConfig("no input recording configured (input.recording)")
     path = Path(path_str)
-    data = path.read_bytes()
-    montage = cfg.load_montage()
-    if path.suffix.lower() == ".edf":
-        return ingest.read_edf(data, montage)
-    return ingest.read_csv(data, cfg.csv_layout, cfg.sampling_rate, montage)
+    if path.suffix.lower() != ".edf":
+        recording = ingest.read_csv(
+            path.read_bytes(), cfg.csv_layout, cfg.sampling_rate, cfg.montage
+        )
+        return core.slice_epochs(recording, protocol, cfg.welch.window_len)
+    with path.open("rb") as f:
+        if os.fstat(f.fileno()).st_size == 0:
+            # mmap rejects an empty file; the parser reports it as truncated.
+            return _edf_epochs(cfg, b"", protocol)
+        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            return _edf_epochs(cfg, data, protocol)
 
 
 def _write_all(files: dict[Path, bytes]):
@@ -282,10 +319,9 @@ def _measure_baseline(cfg: RunConfig) -> float | None:
         return cfg.baseline_bar
     if not cfg.baseline_recording:
         return None
-    rec = _load_recording(cfg, cfg.baseline_recording)
     proto = core.SessionProtocol(phase="baseline")
-    series = spectral.bar_timeseries(
-        rec,
+    series = spectral.bar_series(
+        _load_epochs(cfg, cfg.baseline_recording, proto),
         proto,
         cfg.welch,
         cfg.band(cfg.numerator),
@@ -298,13 +334,13 @@ def _measure_baseline(cfg: RunConfig) -> float | None:
 # ----------------------------------------------------------------- commands
 
 def cmd_psd(cfg: RunConfig) -> int:
-    recording = _load_recording(cfg, cfg.recording)
-    epochs = core.slice_epochs(recording, cfg.protocol, cfg.welch.window_len)
+    epochs = _load_epochs(cfg, cfg.recording, cfg.protocol)
+    channels = epochs[0].channels
     psds = [spectral.welch_psd(ep, cfg.welch) for ep in epochs]
     out = Path(cfg.out_dir)
     files: dict[Path, bytes] = {}
     if "csv" in cfg.formats:
-        for row, ch in enumerate(recording.channels):
+        for row, ch in enumerate(channels):
             header = "frequency_hz," + ",".join(
                 f"epoch_{ep.t_start:g}s" for ep in epochs
             )
@@ -323,7 +359,7 @@ def cmd_psd(cfg: RunConfig) -> int:
                     "t_start": ep.t_start,
                     "power": {
                         ch.label: [float(v) for v in p.power[i]]
-                        for i, ch in enumerate(recording.channels)
+                        for i, ch in enumerate(channels)
                     },
                 }
                 for ep, p in zip(epochs, psds)
@@ -332,14 +368,13 @@ def cmd_psd(cfg: RunConfig) -> int:
         files[out / "psd.json"] = json.dumps(doc, indent=2).encode()
     _write_all(files)
     _sidecar(out, "psd")
-    _say(cfg, f"wrote PSD for {len(recording.channels)} channels, {len(epochs)} epochs")
+    _say(cfg, f"wrote PSD for {len(channels)} channels, {len(epochs)} epochs")
     return EXIT_OK
 
 
 def _bar_series(cfg: RunConfig, baseline: float | None) -> spectral.BarSeries:
-    recording = _load_recording(cfg, cfg.recording)
-    return spectral.bar_timeseries(
-        recording,
+    return spectral.bar_series(
+        _load_epochs(cfg, cfg.recording, cfg.protocol),
         cfg.protocol,
         cfg.welch,
         cfg.band(cfg.numerator),
@@ -488,9 +523,8 @@ def _epoch_vector(cfg: RunConfig, psd: spectral.PsdEstimate, montage: core.Monta
 
 
 def cmd_topo(cfg: RunConfig) -> int:
-    recording = _load_recording(cfg, cfg.recording)
-    montage = cfg.load_montage()
-    epochs = core.slice_epochs(recording, cfg.protocol, cfg.welch.window_len)
+    montage = cfg.montage
+    epochs = _load_epochs(cfg, cfg.recording, cfg.protocol)
     vectors = [
         _epoch_vector(cfg, spectral.welch_psd(ep, cfg.welch), montage) for ep in epochs
     ]

@@ -236,9 +236,12 @@ def slice_epochs(
 ) -> list[Epoch]:
     """Cut one window of window_len seconds per protocol epoch time.
 
-    Epoch times are seconds from phase start; the recording's start_offset
-    shifts them into sample indices. Windows must fit entirely inside the
-    recording.
+    Epoch times are seconds from phase start. Sample indices count from
+    session start: an epoch at t starts at round(t * fs), and the recording
+    holds samples from round(start_offset * fs) on. Rounding t and the
+    offset separately cuts the same samples from a recording that starts
+    mid-session as from one that starts at zero. Windows must fit entirely
+    inside the recording.
     """
     if not protocol.epoch_times:
         raise EmptyProtocol("protocol has no epoch times")
@@ -246,18 +249,24 @@ def slice_epochs(
         raise EpochOutOfRange(f"window_len must be > 0, got {window_len}")
     fs = recording.sampling_rate
     win = int(round(window_len * fs))
-    n = recording.n_samples
+    first = int(round(recording.start_offset * fs))
+    end = first + recording.n_samples
     epochs = []
     for t in protocol.epoch_times:
-        start = int(round((t - recording.start_offset) * fs))
-        if start < 0 or start + win > n:
+        start = int(round(t * fs))
+        if start < first:
+            raise EpochOutOfRange(
+                f"epoch at {t} s starts at sample {start}, before the "
+                f"recording's first sample {first}"
+            )
+        if start + win > end:
             raise EpochOutOfRange(
                 f"epoch at {t} s needs samples [{start}, {start + win}) "
-                f"but recording has {n}"
+                f"but recording has {end}"
             )
         epochs.append(
             Epoch(
-                samples=recording.samples[:, start : start + win],
+                samples=recording.samples[:, start - first : start - first + win],
                 t_start=t,
                 t_end=t + window_len,
                 sampling_rate=fs,

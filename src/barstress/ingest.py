@@ -22,6 +22,7 @@ from .core import ChannelInfo, Montage, Recording, standard_montage
 from .errors import (
     BadMagic,
     DigitalRangeDegenerate,
+    EpochOutOfRange,
     InvalidHeaderField,
     InvalidMontage,
     MalformedRow,
@@ -331,41 +332,79 @@ def parse_edf_header(data: bytes) -> EdfHeader:
     )
 
 
-def read_edf(data: bytes, montage: Montage) -> Recording:
+def _decode_records(
+    data, hdr: EdfHeader, first: int, stop: int, signals: list[int]
+) -> np.ndarray:
+    """Physical values of data records [first, stop), one row per signal
+    index in signals, decoded from their byte offsets.
+
+    Kept apart from read_edf so that no view into data outlives this call;
+    a memory-mapped file can then be closed while an error propagates.
+    """
+    ns, spr = hdr.signal_count, hdr.samples_per_record[0]
+    out = np.empty((len(signals), stop - first, spr))
+    digital = np.frombuffer(
+        data,
+        dtype="<i2",
+        count=(stop - first) * ns * spr,
+        offset=hdr.header_bytes + first * ns * spr * 2,
+    ).reshape(stop - first, ns, spr)
+    for row, i in enumerate(signals):
+        scale = (hdr.physical_max[i] - hdr.physical_min[i]) / (
+            hdr.digital_max[i] - hdr.digital_min[i]
+        )
+        # Cast before subtracting: int16 minus a digital_min of -32768 wraps.
+        values = out[row]
+        values[...] = digital[:, i, :]
+        values -= hdr.digital_min[i]
+        values *= scale
+        values += hdr.physical_min[i]
+    return out.reshape(len(signals), (stop - first) * spr)
+
+
+def read_edf(data, montage: Montage, window: tuple[float, float] | None = None) -> Recording:
     """Parse EDF bytes into a Recording in physical units (microvolts).
 
+    data is any byte buffer: bytes, or a read-only mmap of the file.
     Digital values map linearly onto [physical_min, physical_max]; records
     concatenate in order. All signals must share one sampling rate.
+
+    window=(t_start, t_end), in seconds from the first sample, decodes only
+    the data records that hold the samples core.slice_epochs cuts for an
+    epoch of t_end - t_start seconds at t_start, clipped to the file; the
+    Recording's start_offset is the first decoded record's time. Header
+    and payload-length checks cover the whole file whatever the window.
     """
     hdr = parse_edf_header(data)
     ns = hdr.signal_count
     spr = hdr.samples_per_record[0]
     expected = hdr.record_count * ns * spr * 2
-    payload = data[hdr.header_bytes :]
-    if len(payload) < expected:
+    if len(data) - hdr.header_bytes < expected:
         raise TruncatedData(
-            f"need {expected} data bytes, got {len(payload)}"
+            f"need {expected} data bytes, got {len(data) - hdr.header_bytes}"
         )
-    digital = (
-        np.frombuffer(payload[:expected], dtype="<i2")
-        .reshape(hdr.record_count, ns, spr)
-        .astype(np.float64)
-    )
-    samples = np.empty((ns, hdr.record_count * spr), dtype=np.float64)
-    for i in range(ns):
-        scale = (hdr.physical_max[i] - hdr.physical_min[i]) / (
-            hdr.digital_max[i] - hdr.digital_min[i]
-        )
-        samples[i] = (
-            hdr.physical_min[i]
-            + (digital[:, i, :].reshape(-1) - hdr.digital_min[i]) * scale
-        )
-
     mapping = _map_columns(list(hdr.labels), montage)
-    channels = tuple(info for _, info in mapping)
-    ordered = samples[[col for col, _ in mapping], :]
     fs = spr / hdr.record_duration
-    return Recording(channels=channels, samples=ordered, sampling_rate=fs)
+
+    first, stop = 0, hdr.record_count
+    if window is not None:
+        t_start, t_end = window
+        if not (math.isfinite(t_start) and math.isfinite(t_end) and 0 <= t_start <= t_end):
+            raise EpochOutOfRange(f"window {window} needs 0 <= t_start <= t_end")
+        lo = int(round(t_start * fs))
+        # Round half up with slack for the round-off in t_end - t_start, so
+        # the window covers slice_epochs' round(window_len * fs) samples.
+        hi = lo + math.floor((t_end - t_start) * fs + 0.5 + 1e-6)
+        first = min(lo // spr, hdr.record_count)
+        stop = min(-(-hi // spr), hdr.record_count)
+
+    samples = _decode_records(data, hdr, first, stop, [col for col, _ in mapping])
+    return Recording(
+        channels=tuple(info for _, info in mapping),
+        samples=samples,
+        sampling_rate=fs,
+        start_offset=first * hdr.record_duration,
+    )
 
 
 def _fit_decimal(value: float, size: int) -> str:

@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BandDefinition, ChannelInfo, Epoch, Recording, SessionProtocol, slice_epochs
+from .core import (
+    DEFAULT_BANDS,
+    BandDefinition,
+    ChannelInfo,
+    Epoch,
+    Recording,
+    SessionProtocol,
+    slice_epochs,
+)
 from .errors import (
     BandOutOfRange,
     EmptySegment,
@@ -266,6 +274,29 @@ def relative_increase(current: float, baseline: float) -> float:
     return (current - baseline) / current
 
 
+def bar_series(
+    epochs: list[Epoch],
+    protocol: SessionProtocol,
+    welch_config: WelchConfig = WelchConfig(),
+    numerator: BandDefinition | None = None,
+    denominator: BandDefinition | None = None,
+    baseline: float = math.nan,
+    channels=None,
+) -> BarSeries:
+    """One band ratio per epoch, the epochs being the protocol's in order.
+
+    Defaults to beta over alpha. baseline is carried, not computed: pass
+    the value measured from the baseline-phase recording.
+    """
+    num = numerator if numerator is not None else DEFAULT_BANDS["beta"]
+    den = denominator if denominator is not None else DEFAULT_BANDS["alpha"]
+    points = tuple(
+        (ep.t_start, band_ratio(welch_psd(ep, welch_config), num, den, channels))
+        for ep in epochs
+    )
+    return BarSeries(points=points, protocol=protocol, baseline=baseline)
+
+
 def bar_timeseries(
     recording: Recording,
     protocol: SessionProtocol,
@@ -275,21 +306,11 @@ def bar_timeseries(
     baseline: float = math.nan,
     channels=None,
 ) -> BarSeries:
-    """One band ratio per protocol epoch time.
-
-    Defaults to beta over alpha. baseline is carried, not computed: pass
-    the value measured from the baseline-phase recording.
-    """
-    from .core import DEFAULT_BANDS
-
-    num = numerator if numerator is not None else DEFAULT_BANDS["beta"]
-    den = denominator if denominator is not None else DEFAULT_BANDS["alpha"]
+    """bar_series over the protocol's epochs cut from a whole recording."""
     epochs = slice_epochs(recording, protocol, welch_config.window_len)
-    points = []
-    for ep in epochs:
-        psd = welch_psd(ep, welch_config)
-        points.append((ep.t_start, band_ratio(psd, num, den, channels)))
-    return BarSeries(points=tuple(points), protocol=protocol, baseline=baseline)
+    return bar_series(
+        epochs, protocol, welch_config, numerator, denominator, baseline, channels
+    )
 
 
 def bar_series_to_csv(series: BarSeries, include_increase: bool = False) -> str:

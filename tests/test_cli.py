@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from barstress import cli, core, ingest, regress, spectral, synth
+from edf_records import split_records
 
 ALPHA = core.DEFAULT_BANDS["alpha"]
 BETA = core.DEFAULT_BANDS["beta"]
@@ -45,6 +46,34 @@ def session_csv(tmp_path_factory, montage_30):
     path = tmp_path_factory.mktemp("data") / "session.csv"
     path.write_bytes(ingest.write_csv(rec))
     return path
+
+
+def edf_and_decoded_csv(directory, name, duration, seed, montage):
+    """A synthetic recording as an EDF with 1 s data records, and the CSV of
+    that EDF's full read_edf decode (CSV floats round-trip exactly)."""
+    rec = synth.synth_eeg(
+        synth.SynthSpec(
+            duration=duration, sampling_rate=500.0, montage=montage,
+            band_targets=((ALPHA, 4.329), (BETA, 3.034)), seed=seed,
+        )
+    )
+    blob = split_records(ingest.write_edf(rec), 500)
+    edf, csv = directory / f"{name}.edf", directory / f"{name}.csv"
+    edf.write_bytes(blob)
+    csv.write_bytes(ingest.write_csv(ingest.read_edf(blob, montage)))
+    return edf, csv
+
+
+@pytest.fixture(scope="session")
+def session_edf(tmp_path_factory, montage_30):
+    """40 s recording with 1 s EDF records, plus its decoded CSV."""
+    return edf_and_decoded_csv(tmp_path_factory.mktemp("edf"), "session", 40.0, 105, montage_30)
+
+
+@pytest.fixture(scope="session")
+def rest_edf(tmp_path_factory, montage_30):
+    """12 s baseline recording with 1 s EDF records, plus its decoded CSV."""
+    return edf_and_decoded_csv(tmp_path_factory.mktemp("edf"), "rest", 12.0, 106, montage_30)
 
 
 def write_config(tmp_path, doc):
@@ -111,6 +140,98 @@ class TestExitCodes:
         assert doc["converged"] is False
         assert doc["iterations"] == 1
         assert doc["r_squared"] > 0.99
+
+
+# Non-zero epoch times: a record boundary, mid-record, half a sample past
+# 21 s, and a window that ends on the file's last sample.
+EDF_EPOCHS = [2.0, 12.5, 21.001, 30.0]
+
+
+def outputs(out):
+    return {
+        p.relative_to(out): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name != "run_meta.json"
+    }
+
+
+class TestEdfInput:
+    """EDF input is read epoch by epoch; every output must equal the one
+    made from the full decode, which the CLI reads whole from CSV."""
+
+    @pytest.mark.parametrize("command", ["psd", "bar", "topo"])
+    def test_outputs_match_full_decode(self, tmp_path, session_edf, rest_edf, command):
+        for kind, i in (("edf", 0), ("csv", 1)):
+            cfg = write_config(
+                tmp_path,
+                {
+                    "input": {"baseline_recording": str(rest_edf[i])},
+                    "protocol": {"phase": "during_gameplay", "epoch_times": EDF_EPOCHS},
+                },
+            )
+            rc = run(command, "--config", str(cfg), "--input", str(session_edf[i]),
+                     "--out", str(tmp_path / kind), "--quiet")
+            assert rc == 0
+        got, want = outputs(tmp_path / "edf"), outputs(tmp_path / "csv")
+        assert len(got) > 1 and got == want
+
+    def test_decodes_only_records_under_epochs(self, tmp_path, session_edf, monkeypatch):
+        decoded = []
+        read_edf = ingest.read_edf
+
+        def counting(data, montage, window=None):
+            rec = read_edf(data, montage, window=window)
+            decoded.append(rec.n_samples)
+            return rec
+
+        monkeypatch.setattr(ingest, "read_edf", counting)
+        cfg = write_config(tmp_path, {"protocol": {"epoch_times": EDF_EPOCHS}})
+        assert run("bar", "--config", str(cfg), "--input", str(session_edf[0]),
+                   "--out", str(tmp_path / "o"), "--quiet") == 0
+        # 10 s windows of 1 s records: 10 records, or 11 off a boundary;
+        # 21.001 s is sample 10500.5, which rounds to 10500, a boundary
+        assert decoded == [5000, 5500, 5000, 5000]
+
+    def test_montage_loaded_once(self, tmp_path, session_edf, rest_edf, monkeypatch):
+        calls = []
+        load_montage = ingest.load_montage
+        monkeypatch.setattr(
+            ingest, "load_montage", lambda name: calls.append(name) or load_montage(name)
+        )
+        cfg = write_config(
+            tmp_path,
+            {
+                "input": {"baseline_recording": str(rest_edf[0])},
+                "protocol": {"epoch_times": EDF_EPOCHS},
+            },
+        )
+        for command in ("topo", "bar"):
+            calls.clear()
+            assert run(command, "--config", str(cfg), "--input", str(session_edf[0]),
+                       "--out", str(tmp_path / command), "--quiet") == 0
+            assert calls == ["standard-30"]
+
+    def test_epoch_past_end_reports_session_samples(self, tmp_path, session_edf, capsys):
+        cfg = write_config(tmp_path, {"protocol": {"epoch_times": [2.0, 35.0]}})
+        rc = run("bar", "--config", str(cfg), "--input", str(session_edf[0]),
+                 "--out", str(tmp_path / "o"), "--quiet")
+        assert rc == cli.EXIT_VALIDATION
+        assert (
+            "epoch at 35.0 s needs samples [17500, 22500) but recording has 20000"
+            in capsys.readouterr().err
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_file_is_truncated_header(self, tmp_path, capsys):
+        empty = tmp_path / "empty.edf"
+        empty.write_bytes(b"")
+        rc = run("bar", "--input", str(empty), "--out", str(tmp_path / "o"), "--quiet")
+        assert rc == cli.EXIT_VALIDATION
+        assert "need 256 header bytes, got 0" in capsys.readouterr().err
+
+    def test_missing_file_is_io_error(self, tmp_path):
+        rc = run("topo", "--input", str(tmp_path / "nope.edf"), "--out", str(tmp_path / "o"))
+        assert rc == cli.EXIT_IO
 
 
 class TestSynthCommand:

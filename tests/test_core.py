@@ -190,6 +190,21 @@ class TestSliceEpochs:
         (ep,) = core.slice_epochs(rec, proto, window_len=1.0)
         assert ep.samples[0, 0] == 0.0
         assert ep.t_start == 5.0
+        early = core.SessionProtocol(phase="baseline", epoch_times=(4.0,))
+        with pytest.raises(EpochOutOfRange, match="before the recording's first sample 500"):
+            core.slice_epochs(rec, early, window_len=1.0)
+
+    def test_mid_session_recording_cuts_same_samples(self, make_recording):
+        # half-sample epoch times must round the same way with or without
+        # the offset of a recording that starts at a whole sample
+        data = np.random.default_rng(2).normal(size=(2, 3000))
+        whole = make_recording(data, sampling_rate=500.0)
+        tail = make_recording(data[:, 1000:], sampling_rate=500.0, start_offset=2.0)
+        for k in range(2000, 5500):
+            proto = core.SessionProtocol(phase="baseline", epoch_times=(k / 1000.0,))
+            (a,) = core.slice_epochs(whole, proto, window_len=0.5)
+            (b,) = core.slice_epochs(tail, proto, window_len=0.5)
+            assert a.samples.tobytes() == b.samples.tobytes(), k
 
     def test_concatenating_adjacent_epochs_reproduces_source(self, make_recording):
         rng = np.random.default_rng(42)

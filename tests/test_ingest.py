@@ -1,4 +1,6 @@
 import json
+import math
+import mmap
 import struct
 
 import numpy as np
@@ -10,6 +12,7 @@ from barstress import core, ingest
 from barstress.errors import (
     BadMagic,
     DigitalRangeDegenerate,
+    EpochOutOfRange,
     IngestError,
     InvalidHeaderField,
     InvalidMontage,
@@ -295,6 +298,114 @@ class TestReadEdf:
         assert rec.samples[0, 0] == pytest.approx(200.0, abs=1.0)
 
 
+def random_edf(records, spr, record_duration, seed=0):
+    """Three signals, stored out of montage order, with random digital
+    values that include both ends of the 16-bit range."""
+    rng = np.random.default_rng(seed)
+    signals = []
+    for label, phys in (("C", (-50, 250)), ("A", (-200, 200)), ("B", (0.5, 3.25))):
+        data = rng.integers(-32768, 32768, size=(records, spr))
+        data[0, 0], data[-1, -1] = -32768, 32767
+        signals.append(simple_signal(label, data.tolist(), phys=phys))
+    return edf_bytes(signals, record_duration=record_duration, records=records)
+
+
+def window_epoch(blob, montage, t, window_len):
+    """The epoch at t cut from a windowed read and from the full decode."""
+    proto = core.SessionProtocol(phase="baseline", epoch_times=(t,))
+    part = ingest.read_edf(blob, montage, window=(t, t + window_len))
+    (got,) = core.slice_epochs(part, proto, window_len)
+    (want,) = core.slice_epochs(ingest.read_edf(blob, montage), proto, window_len)
+    return part, got, want
+
+
+# 500 Hz throughout; the 0.001 s steps are half a sample.
+WINDOWS = [
+    (3.0, 2.0),  # record boundary
+    (4.3, 2.0),  # mid-record
+    (5.001, 2.0),  # half-sample time
+    (6.503, 1.5),
+    (18.0, 2.0),  # ends on the last sample
+    (19.998, 0.002),  # the last sample alone
+]
+
+
+class TestReadEdfWindow:
+    montage = small_montage("A", "B", "C")
+
+    @pytest.mark.parametrize("records, spr, duration", [(20, 500, "1"), (40, 250, "0.5")])
+    @pytest.mark.parametrize("t, window_len", WINDOWS)
+    def test_epoch_bit_identical_to_full_decode(self, records, spr, duration, t, window_len):
+        blob = random_edf(records, spr, duration)
+        part, got, want = window_epoch(blob, self.montage, t, window_len)
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert got.channels == want.channels
+        assert (got.t_start, got.t_end) == (want.t_start, want.t_end)
+        first_record = int(round(t * 500.0)) // spr
+        assert part.start_offset == first_record * float(duration)
+        assert part.n_samples <= (int(round(window_len * 500.0)) // spr + 2) * spr
+
+    def test_every_half_sample_start(self):
+        blob = random_edf(4, 50, "0.1")
+        full = ingest.read_edf(blob, self.montage)
+        for k in range(0, 2 * (200 - 75)):
+            t = k / 1000.0
+            proto = core.SessionProtocol(phase="baseline", epoch_times=(t,))
+            part = ingest.read_edf(blob, self.montage, window=(t, t + 0.15))
+            (got,) = core.slice_epochs(part, proto, 0.15)
+            (want,) = core.slice_epochs(full, proto, 0.15)
+            assert got.samples.tobytes() == want.samples.tobytes(), t
+
+    @pytest.mark.parametrize("t, window_len", [(0.0, 10.0), (1.5, 3.0), (6.001, 2.0), (8.0, 2.0)])
+    def test_single_record_file(self, montage, t, window_len):
+        rng = np.random.default_rng(3)
+        rec = core.Recording(
+            samples=rng.normal(scale=30.0, size=(30, 5000)),
+            sampling_rate=500.0,
+            channels=montage.electrodes,
+        )
+        blob = ingest.write_edf(rec)
+        part, got, want = window_epoch(blob, montage, t, window_len)
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert part.start_offset == 0.0 and part.n_samples == 5000
+
+    def test_memory_map_reads_like_bytes(self, tmp_path):
+        blob = random_edf(20, 500, "1")
+        path = tmp_path / "r.edf"
+        path.write_bytes(blob)
+        with path.open("rb") as f, mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            mapped = ingest.read_edf(mm, self.montage, window=(4.3, 6.3))
+        direct = ingest.read_edf(blob, self.montage, window=(4.3, 6.3))
+        assert mapped.samples.tobytes() == direct.samples.tobytes()
+        assert mapped.start_offset == direct.start_offset == 4.0
+
+    @pytest.mark.parametrize("window", [(0.0, 1.0), (19.0, 20.0), (50.0, 60.0), None])
+    def test_truncated_payload_whatever_the_window(self, window):
+        blob = random_edf(20, 500, "1")
+        with pytest.raises(TruncatedData):
+            ingest.read_edf(blob[:-3], self.montage, window=window)
+
+    @pytest.mark.parametrize("t", [15.0, 19.5, 25.0])
+    def test_past_end_reports_session_indices(self, t):
+        blob = random_edf(20, 500, "1")
+        proto = core.SessionProtocol(phase="baseline", epoch_times=(t,))
+        part = ingest.read_edf(blob, self.montage, window=(t, t + 10.0))
+        with pytest.raises(EpochOutOfRange) as windowed:
+            core.slice_epochs(part, proto, 10.0)
+        with pytest.raises(EpochOutOfRange) as whole:
+            core.slice_epochs(ingest.read_edf(blob, self.montage), proto, 10.0)
+        start = int(round(t * 500.0))
+        assert str(windowed.value) == str(whole.value) == (
+            f"epoch at {t} s needs samples [{start}, {start + 5000}) "
+            "but recording has 10000"
+        )
+
+    @pytest.mark.parametrize("window", [(-1.0, 2.0), (3.0, 2.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_bad_window_rejected(self, window):
+        with pytest.raises(EpochOutOfRange):
+            ingest.read_edf(random_edf(2, 500, "1"), self.montage, window=window)
+
+
 class TestWriteEdf:
     def test_round_trip_within_one_quantum(self, montage):
         rng = np.random.default_rng(7)
@@ -384,6 +495,21 @@ def test_edf_parser_total_on_arbitrary_bytes(blob):
 
 
 @settings(max_examples=200, deadline=None)
+@given(
+    st.binary(max_size=2048),
+    st.floats(min_value=0.0, max_value=1e6),
+    st.floats(min_value=0.0, max_value=1e6),
+)
+def test_windowed_edf_parser_total_on_arbitrary_bytes(blob, a, b):
+    m = small_montage("A", "B")
+    try:
+        rec = ingest.read_edf(blob, m, window=(min(a, b), max(a, b)))
+        assert rec.sampling_rate > 0
+    except IngestError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.binary(max_size=1024))
 def test_csv_parser_total_on_arbitrary_bytes(blob):
     m = small_montage("A", "B")
@@ -407,5 +533,26 @@ def test_edf_parser_total_under_targeted_mutation(offset, junk):
     m = small_montage("A", "B")
     try:
         ingest.read_edf(bytes(blob), m)
+    except IngestError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=6000),
+    st.binary(min_size=1, max_size=4),
+    st.floats(min_value=0.0, max_value=5.0),
+    st.floats(min_value=0.0, max_value=5.0),
+)
+def test_windowed_edf_parser_total_under_targeted_mutation(offset, junk, a, b):
+    sig_a = simple_signal("A", [[0, 1, 2], [3, 4, 5]])
+    sig_b = simple_signal("B", [[6, 7, 8], [9, 10, 11]])
+    blob = bytearray(edf_bytes([sig_a, sig_b], records=2))
+    end = min(offset, len(blob))
+    blob[end : end + len(junk)] = junk
+    m = small_montage("A", "B")
+    try:
+        rec = ingest.read_edf(bytes(blob), m, window=(min(a, b), max(a, b)))
+        assert rec.sampling_rate > 0
     except IngestError:
         pass
