@@ -162,6 +162,11 @@ class Recording:
     samples is a read-only (n_channels, n_samples) float64 array; row order
     matches channels. start_offset is seconds from session start to the
     first sample.
+
+    samples is copied unless it already is a read-only, C-contiguous
+    float64 ndarray that owns its data, which no caller can write through
+    a view; a producer that builds such an array hands it over without a
+    second full-size copy.
     """
 
     channels: tuple[ChannelInfo, ...]
@@ -171,7 +176,15 @@ class Recording:
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
-        arr = np.array(self.samples, dtype=np.float64, copy=True)
+        arr = self.samples
+        if not (
+            type(arr) is np.ndarray
+            and arr.dtype == np.float64
+            and arr.flags.c_contiguous
+            and not arr.flags.writeable
+            and arr.base is None
+        ):
+            arr = np.array(arr, dtype=np.float64, copy=True)
         if arr.ndim != 2:
             raise InvalidRecording(f"samples must be 2-D, got shape {arr.shape}")
         if arr.shape[0] != len(self.channels):

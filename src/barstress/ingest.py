@@ -35,6 +35,11 @@ from .errors import (
 
 MONTAGE_DIR_ENV = "BARSTRESS_MONTAGE_DIR"
 
+# Rows write_csv formats per block: large enough to amortise the per-block
+# numpy calls, small enough that the block's Python floats and strings stay
+# a few MB.
+_CSV_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class CsvLayout:
@@ -102,30 +107,14 @@ def _map_columns(labels: list[str], montage: Montage) -> list[tuple[int, Channel
     return [(col_of[lab], by_label[lab]) for lab in order]
 
 
-def read_csv(
-    data: bytes | str,
-    layout: CsvLayout,
-    sampling_rate: float,
-    montage: Montage,
-) -> Recording:
-    """Parse a delimited text recording into a Recording.
+def _parse_rows(
+    lines: list[str], delim: str, header_labels: list[str] | None
+) -> np.ndarray:
+    """(rows, columns) float64 values of the data lines, or a typed error.
 
-    Values are microvolts. A time column, when declared, is checked for
-    strict monotonicity and then dropped; sampling_rate is authoritative.
-    Columns are reordered to montage order using the header when present,
-    otherwise they are taken to already be in montage order.
+    The reference parser: every field goes through float(), and the first
+    offending row or field is named in the error.
     """
-    text = _decode_text(data)
-    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
-    delim = layout.delimiter
-
-    header_labels: list[str] | None = None
-    if layout.has_header:
-        if not lines:
-            raise MalformedRow("empty input but layout declares a header")
-        header_labels = [f.strip() for f in lines[0].split(delim)]
-        lines = lines[1:]
-
     rows = [ln.split(delim) for ln in lines]
     width = len(rows[0]) if rows else (len(header_labels) if header_labels else 0)
     for i, r in enumerate(rows):
@@ -138,26 +127,95 @@ def read_csv(
             f"header has {len(header_labels)} fields but rows have {width}"
         )
 
-    if rows:
-        try:
-            values = np.asarray(rows, dtype=object).astype(np.float64)
-        except (ValueError, TypeError):
-            for i, r in enumerate(rows):
-                for j, f in enumerate(r):
-                    try:
-                        float(f)
-                    except ValueError:
-                        raise NonNumericSample(
-                            f"row {i} column {j}: {f.strip()!r}"
-                        ) from None
-            raise NonNumericSample("unparseable numeric field")
-        if not np.isfinite(values).all():
-            i, j = np.argwhere(~np.isfinite(values))[0]
-            raise NonNumericSample(f"row {i} column {j} is not finite")
-    else:
-        values = np.empty((0, width), dtype=np.float64)
+    if not rows:
+        return np.empty((0, width), dtype=np.float64)
+    try:
+        values = np.asarray(rows, dtype=object).astype(np.float64)
+    except (ValueError, TypeError):
+        for i, r in enumerate(rows):
+            for j, f in enumerate(r):
+                try:
+                    float(f)
+                except ValueError:
+                    raise NonNumericSample(
+                        f"row {i} column {j}: {f.strip()!r}"
+                    ) from None
+        raise NonNumericSample("unparseable numeric field")
+    if not np.isfinite(values).all():
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise NonNumericSample(f"row {i} column {j} is not finite")
+    return values
+
+
+def _load_rows(
+    lines: list[str], delim: str, header_labels: list[str] | None
+) -> np.ndarray | None:
+    """The values of the data lines from numpy's C parser, or None when
+    _parse_rows must decide.
+
+    loadtxt rejects some fields float() accepts (1_0, non-ASCII digits)
+    and skips lines it sees as blank, but accepts no field float()
+    rejects, so a result of the right shape holds the same values.
+    """
+    if not lines:
+        return None
+    try:
+        values = np.loadtxt(
+            lines,
+            delimiter=delim,
+            comments=None,
+            quotechar=None,
+            dtype=np.float64,
+            ndmin=2,
+        )
+    except ValueError:
+        return None
+    if (
+        len(values) != len(lines)
+        or (header_labels is not None and len(header_labels) != values.shape[1])
+        or not np.isfinite(values).all()
+    ):
+        return None
+    return values
+
+
+def read_csv(
+    data: bytes | str,
+    layout: CsvLayout,
+    sampling_rate: float,
+    montage: Montage,
+) -> Recording:
+    """Parse a delimited text recording into a Recording.
+
+    Values are microvolts. A time column, when declared, is checked for
+    strict monotonicity and then dropped; sampling_rate is authoritative.
+    Columns are reordered to montage order using the header when present,
+    otherwise they are taken to already be in montage order.
+
+    Blank and whitespace-only lines are skipped. The data lines are parsed
+    by numpy's C loadtxt; when it fails, skips a line, finds a non-finite
+    value or a width other than the header's, they are parsed again field
+    by field with float(), which returns the values or raises the typed
+    error naming the first bad row or field.
+    """
+    text = _decode_text(data)
+    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
+    delim = layout.delimiter
+
+    header_labels: list[str] | None = None
+    if layout.has_header:
+        if not lines:
+            raise MalformedRow("empty input but layout declares a header")
+        header_labels = [f.strip() for f in lines[0].split(delim)]
+        lines = lines[1:]
+
+    values = _load_rows(lines, delim, header_labels)
+    if values is None:
+        values = _parse_rows(lines, delim, header_labels)
+    width = values.shape[1]
 
     col_labels = header_labels
+    data_cols = list(range(width))
     if layout.time_column is not None:
         t = layout.time_column
         if t >= width:
@@ -165,46 +223,51 @@ def read_csv(
         times = values[:, t]
         if len(times) > 1 and not np.all(np.diff(times) > 0):
             raise MalformedRow("time column is not strictly increasing")
-        values = np.delete(values, t, axis=1)
+        del data_cols[t]
         if col_labels is not None:
             col_labels = col_labels[:t] + col_labels[t + 1 :]
 
     if col_labels is not None:
         mapping = _map_columns(col_labels, montage)
     else:
-        if values.shape[1] != len(montage.electrodes):
+        if len(data_cols) != len(montage.electrodes):
             raise MalformedRow(
-                f"{values.shape[1]} data columns but montage "
+                f"{len(data_cols)} data columns but montage "
                 f"{montage.name!r} has {len(montage.electrodes)} electrodes"
             )
         mapping = list(enumerate(montage.electrodes))
 
     channels = tuple(info for _, info in mapping)
-    samples = values[:, [col for col, _ in mapping]].T
+    samples = values.T[[data_cols[col] for col, _ in mapping]]
+    samples.flags.writeable = False
     return Recording(channels=channels, samples=samples, sampling_rate=sampling_rate)
 
 
 def write_csv(recording: Recording, layout: CsvLayout = CsvLayout()) -> bytes:
     """Serialize a Recording as delimited text; read_csv inverts it.
 
-    Floats are printed with repr, which round-trips exactly.
+    Floats are printed with repr, which round-trips exactly. Rows are
+    formatted a block at a time into one buffer.
     """
     delim = layout.delimiter
     out = io.StringIO()
     n = recording.n_samples
-    fs = recording.sampling_rate
     tcol = layout.time_column
     labels = list(recording.labels)
     if tcol is not None:
-        labels.insert(min(tcol, len(labels)), "time_s")
+        tcol = min(tcol, len(labels))
+        labels.insert(tcol, "time_s")
+        times = np.arange(n) / recording.sampling_rate
     if layout.has_header:
         out.write(delim.join(labels) + "\n")
+    # One %-template per row, repeated over a block: "%r" is repr.
+    row_format = delim.replace("%", "%%").join(["%r"] * len(labels)) + "\n"
     cols = recording.samples.T
-    for i in range(n):
-        fields = [repr(float(v)) for v in cols[i]]
+    for start in range(0, n, _CSV_BLOCK_ROWS):
+        block = cols[start : start + _CSV_BLOCK_ROWS]
         if tcol is not None:
-            fields.insert(min(tcol, len(fields)), repr(i / fs))
-        out.write(delim.join(fields) + "\n")
+            block = np.insert(block, tcol, times[start : start + _CSV_BLOCK_ROWS], axis=1)
+        out.write(row_format * len(block) % tuple(block.ravel().tolist()))
     return out.getvalue().encode("utf-8")
 
 
@@ -336,13 +399,14 @@ def _decode_records(
     data, hdr: EdfHeader, first: int, stop: int, signals: list[int]
 ) -> np.ndarray:
     """Physical values of data records [first, stop), one row per signal
-    index in signals, decoded from their byte offsets.
+    index in signals, decoded from their byte offsets into a new read-only
+    array.
 
     Kept apart from read_edf so that no view into data outlives this call;
     a memory-mapped file can then be closed while an error propagates.
     """
     ns, spr = hdr.signal_count, hdr.samples_per_record[0]
-    out = np.empty((len(signals), stop - first, spr))
+    out = np.empty((len(signals), (stop - first) * spr))
     digital = np.frombuffer(
         data,
         dtype="<i2",
@@ -354,12 +418,13 @@ def _decode_records(
             hdr.digital_max[i] - hdr.digital_min[i]
         )
         # Cast before subtracting: int16 minus a digital_min of -32768 wraps.
-        values = out[row]
+        values = out[row].reshape(stop - first, spr)
         values[...] = digital[:, i, :]
         values -= hdr.digital_min[i]
         values *= scale
         values += hdr.physical_min[i]
-    return out.reshape(len(signals), (stop - first) * spr)
+    out.flags.writeable = False
+    return out
 
 
 def read_edf(data, montage: Montage, window: tuple[float, float] | None = None) -> Recording:

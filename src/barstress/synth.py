@@ -7,6 +7,13 @@ from the band edges, which keeps their energy inside the band under the
 default segmentation's spectral smearing. Channels draw independent
 phases from per-channel child seeds, so output is reproducible sample
 for sample given the spec.
+
+Oscillators on the 0.25 Hz grid make the noiseless signal repeat exactly
+every 4 s, so the oscillator banks are evaluated over one 4 s period and
+tiled to the full length before the noise is added. The banks are
+evaluated over the whole length instead when 4 s is not a whole number
+of samples, or when a band too narrow for the grid falls back to an
+off-grid center frequency.
 """
 
 from __future__ import annotations
@@ -101,14 +108,17 @@ def synth_eeg(spec: SynthSpec) -> Recording:
     n = int(round(spec.duration * spec.sampling_rate))
     if n < 1:
         raise ValidationError("duration shorter than one sample")
-    t = np.arange(n) / spec.sampling_rate
+    bands = [(oscillator_frequencies(band), power) for band, power in spec.band_targets]
+    period = spec.sampling_rate / _OSC_SPACING
+    on_grid = all(np.all(freqs % _OSC_SPACING == 0) for freqs, _ in bands)
+    span = min(n, int(period)) if on_grid and period.is_integer() else n
+    t = np.arange(span) / spec.sampling_rate
     electrodes = spec.montage.electrodes
-    samples = np.zeros((len(electrodes), n))
+    samples = np.empty((len(electrodes), n))
     for ch in range(len(electrodes)):
         rng = np.random.default_rng([spec.seed, ch])
-        sig = np.zeros(n)
-        for band, power in spec.band_targets:
-            freqs = oscillator_frequencies(band)
+        sig = np.zeros(span)
+        for freqs, power in bands:
             phases = rng.uniform(0.0, 2.0 * np.pi, len(freqs))
             if power > 0:
                 amp = math.sqrt(2.0 * power / len(freqs))
@@ -116,10 +126,11 @@ def synth_eeg(spec: SynthSpec) -> Recording:
                     np.sin(2.0 * np.pi * freqs[:, None] * t[None, :] + phases[:, None]),
                     axis=0,
                 )
+        samples[ch] = np.resize(sig, n)
         if spec.noise_floor > 0:
             sd = math.sqrt(spec.noise_floor * spec.sampling_rate / 2.0)
-            sig += rng.normal(0.0, sd, n)
-        samples[ch] = sig
+            samples[ch] += rng.normal(0.0, sd, n)
+    samples.flags.writeable = False
     return Recording(
         channels=electrodes, samples=samples, sampling_rate=spec.sampling_rate
     )

@@ -118,6 +118,33 @@ class TestRecording:
         assert rec.labels == ("Fp1", "Fp2")
         assert not rec.samples.flags.writeable
 
+    def test_caller_writes_do_not_reach_samples(self, montage):
+        chans = montage.electrodes[:2]
+        data = np.zeros((2, 6))
+        rec = core.Recording(samples=data, sampling_rate=1.0, channels=chans)
+        data[0, 0] = 1.0
+        assert rec.samples[0, 0] == 0.0
+        assert data.flags.writeable
+        # A read-only view is not enough: its writable base stays reachable.
+        view = data[:, :]
+        view.flags.writeable = False
+        rec = core.Recording(samples=view, sampling_rate=1.0, channels=chans)
+        data[0, 1] = 2.0
+        assert rec.samples[0, 1] == 0.0
+        for other in (data.astype(np.float32), np.asfortranarray(data)):
+            other.flags.writeable = False
+            rec = core.Recording(samples=other, sampling_rate=1.0, channels=chans)
+            assert rec.samples is not other
+            assert rec.samples.dtype == np.float64
+
+    def test_read_only_owner_taken_without_copy(self, montage):
+        data = np.zeros((2, 6))
+        data.flags.writeable = False
+        rec = core.Recording(
+            samples=data, sampling_rate=1.0, channels=montage.electrodes[:2]
+        )
+        assert rec.samples is data
+
     def test_rejects_non_finite(self, make_recording):
         bad = np.zeros((2, 10))
         bad[1, 3] = np.nan

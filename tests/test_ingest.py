@@ -2,6 +2,7 @@ import json
 import math
 import mmap
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from barstress.errors import (
     TruncatedHeader,
     UnknownChannelLabel,
 )
+from handover import handed_samples
 
 
 def small_montage(*labels):
@@ -196,6 +198,165 @@ class TestWriteCsv:
         assert blob.startswith(b"time_s,A\n")
         back = ingest.read_csv(blob, layout, 10.0, m)
         np.testing.assert_array_equal(back.samples, rec.samples)
+
+
+def read_csv_reference(blob, layout, fs, montage):
+    """read_csv with numpy's loadtxt bypassed: every line goes through
+    the field-by-field parser."""
+    with mock.patch.object(ingest, "_load_rows", return_value=None):
+        return ingest.read_csv(blob, layout, fs, montage)
+
+
+def csv_outcome(read, *args):
+    """Labels, shape and sample bytes of a parse, or its error type and message."""
+    try:
+        rec = read(*args)
+    except PipelineError as exc:
+        return type(exc), str(exc)
+    return rec.labels, rec.samples.shape, rec.samples.tobytes()
+
+
+CSV_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+CSV_JUNK = st.sampled_from([
+    "", " ", "abc", "nan", "-inf", "1e400", "1_0", "\u0661.\u0665", " 2 ", "\t3",
+    "0x10", "+.5", "5.", "1e5", "1,5", "1;5", "1|5", "1 5", "\xa07", "\x00", "'1'", '"1"',
+])
+
+
+@st.composite
+def csv_documents(draw):
+    """A CSV text with mostly valid rows; a row now and then carries a
+    junk field or one field too few or too many."""
+    delim = draw(st.sampled_from([",", ";", " ", "|"]))
+    has_header = draw(st.booleans())
+    time_column = draw(st.none() | st.integers(0, 3))
+    width = draw(st.integers(1, 4))
+    labels = draw(st.permutations(["A", "B", "C", "D"]))[:width]
+    rows = []
+    for i in range(draw(st.integers(0, 6))):
+        row = draw(st.lists(CSV_NUMBERS, min_size=width, max_size=width))
+        if time_column is not None and time_column < width and draw(st.integers(0, 4)):
+            row[time_column] = repr(0.1 * i)
+        if draw(st.integers(0, 7)) == 0:
+            row[draw(st.integers(0, width - 1))] = draw(CSV_JUNK)
+        if draw(st.integers(0, 9)) == 0:
+            row = row[:-1] if draw(st.booleans()) else row + ["1"]
+        rows.append(delim.join(row))
+    lines = ([delim.join(labels)] if has_header else []) + rows
+    blanks = st.sampled_from(["", " ", "\t", delim * 2 if delim == " " else ""])
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(blanks))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ending.join(lines) + draw(st.sampled_from(["", ending]))
+    layout = ingest.CsvLayout(
+        delimiter=delim, has_header=has_header, time_column=time_column
+    )
+    channels = sorted(lab for i, lab in enumerate(labels) if i != time_column) or ["A"]
+    return text.encode("utf-8"), layout, small_montage(*channels)
+
+
+class TestReadCsvFastPath:
+    @settings(max_examples=400, deadline=None)
+    @given(csv_documents())
+    def test_same_outcome_as_reference_parser(self, doc):
+        blob, layout, m = doc
+        assert csv_outcome(ingest.read_csv, blob, layout, 50.0, m) == csv_outcome(
+            read_csv_reference, blob, layout, 50.0, m
+        )
+
+    @pytest.mark.parametrize(
+        "text, delimiter, expected",
+        [
+            ("A,B\n1_0,2\n", ",", [[10.0], [2.0]]),
+            ("A,B\n\u0661.\u0665,2\n", ",", [[1.5], [2.0]]),
+            ("A,B\n1,2\n \t \n3,4\n", ",", [[1.0, 3.0], [2.0, 4.0]]),
+            ("A B\n1  2\n", " ", MalformedRow),
+            ("A B\n1 2\n3  4\n", " ", MalformedRow),
+        ],
+    )
+    def test_fallback_cases(self, text, delimiter, expected):
+        m = small_montage("A", "B")
+        layout = ingest.CsvLayout(delimiter=delimiter)
+        blob = text.encode("utf-8")
+        got = csv_outcome(ingest.read_csv, blob, layout, 10.0, m)
+        assert got == csv_outcome(read_csv_reference, blob, layout, 10.0, m)
+        if isinstance(expected, type):
+            assert got[0] is expected
+        else:
+            assert got[2] == np.array(expected).tobytes()
+
+    def test_fast_path_declines_what_it_cannot_decide(self):
+        header = ["A", "B"]
+        assert ingest._load_rows(["1_0,2"], ",", header) is None
+        assert ingest._load_rows(["1,nan"], ",", header) is None
+        assert ingest._load_rows(["1,2,3"], ",", header) is None
+        assert ingest._load_rows(["1  2"], " ", header) is None
+        np.testing.assert_array_equal(
+            ingest._load_rows(["1,2", "3,4"], ",", header), [[1, 2], [3, 4]]
+        )
+
+    @pytest.mark.parametrize(
+        "blob, layout",
+        [
+            (b"B,A\n1,2\n3,4\n", ingest.CsvLayout()),
+            (b"B,t,A\n1,0,2\n3,1,4\n", ingest.CsvLayout(time_column=1)),
+        ],
+    )
+    def test_samples_handed_over_without_copy(self, blob, layout):
+        rec, handed = handed_samples(
+            ingest, ingest.read_csv, blob, layout, 10.0, small_montage("A", "B")
+        )
+        assert rec.labels == ("A", "B")
+        assert rec.samples is handed
+
+
+def write_csv_reference(recording, layout):
+    """write_csv as one repr per value, row by row."""
+    lines = []
+    labels = list(recording.labels)
+    if layout.time_column is not None:
+        labels.insert(min(layout.time_column, len(labels)), "time_s")
+    if layout.has_header:
+        lines.append(layout.delimiter.join(labels))
+    for i, row in enumerate(recording.samples.T):
+        fields = [repr(float(v)) for v in row]
+        if layout.time_column is not None:
+            fields.insert(
+                min(layout.time_column, len(fields)), repr(i / recording.sampling_rate)
+            )
+        lines.append(layout.delimiter.join(fields))
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+class TestWriteCsvBlocks:
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            ingest.CsvLayout(),
+            ingest.CsvLayout(time_column=0),
+            ingest.CsvLayout(delimiter=";", time_column=1),
+            ingest.CsvLayout(delimiter="%", has_header=False, time_column=9),
+        ],
+    )
+    def test_bytes_equal_per_value_repr(self, layout):
+        m = small_montage("A", "B", "C")
+        n = 2 * ingest._CSV_BLOCK_ROWS + 3
+        rng = np.random.default_rng(12)
+        samples = np.stack([
+            rng.uniform(0.5e-5, 2e-5, n) * rng.choice([-1, 1], n),
+            rng.uniform(0.5e16, 2e16, n),
+            rng.normal(scale=40.0, size=n),
+        ])
+        samples[:, :6] = [
+            [1e-5, 9.999999999999999e-06, 1.0000000000000001e-05, 1e-4, -0.0, 5e-324],
+            [1e16, 9999999999999998.0, 1.0000000000000002e16, 1e15, 1e17, 0.0],
+            [0.1, 1 / 3, 2.0**60, -1e-7, 123.456, 1.7976931348623157e308],
+        ]
+        rec = core.Recording(samples=samples, sampling_rate=500.0, channels=m.electrodes)
+        assert ingest.write_csv(rec, layout) == write_csv_reference(rec, layout)
 
 
 class TestParseEdfHeader:
@@ -378,6 +539,13 @@ class TestReadEdfWindow:
         direct = ingest.read_edf(blob, self.montage, window=(4.3, 6.3))
         assert mapped.samples.tobytes() == direct.samples.tobytes()
         assert mapped.start_offset == direct.start_offset == 4.0
+
+    @pytest.mark.parametrize("window", [None, (4.3, 6.3)])
+    def test_samples_handed_over_without_copy(self, window):
+        rec, handed = handed_samples(
+            ingest, ingest.read_edf, random_edf(20, 50, "1"), self.montage, window
+        )
+        assert rec.samples is handed
 
     @pytest.mark.parametrize("window", [(0.0, 1.0), (19.0, 20.0), (50.0, 60.0), None])
     def test_truncated_payload_whatever_the_window(self, window):

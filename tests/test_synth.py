@@ -1,8 +1,12 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from barstress import core, regress, spectral, synth
 from barstress.errors import BandAboveNyquist, ValidationError
+from handover import handed_samples
 
 ALPHA = core.DEFAULT_BANDS["alpha"]
 BETA = core.DEFAULT_BANDS["beta"]
@@ -17,6 +21,29 @@ def ten_second_spec(montage, alpha_power=4.329, beta_power=3.034, seed=0, **kw):
         seed=seed,
         **kw,
     )
+
+
+def direct_reference(spec):
+    """synth_eeg's signal with every oscillator evaluated over the whole
+    length, no tiling: phases band by band, then the noise."""
+    n = int(round(spec.duration * spec.sampling_rate))
+    t = np.arange(n) / spec.sampling_rate
+    out = np.zeros((len(spec.montage.electrodes), n))
+    for ch in range(len(out)):
+        rng = np.random.default_rng([spec.seed, ch])
+        for band, power in spec.band_targets:
+            freqs = synth.oscillator_frequencies(band)
+            phases = rng.uniform(0.0, 2.0 * np.pi, len(freqs))
+            if power > 0:
+                amp = math.sqrt(2.0 * power / len(freqs))
+                out[ch] += amp * np.sum(
+                    np.sin(2.0 * np.pi * freqs[:, None] * t[None, :] + phases[:, None]),
+                    axis=0,
+                )
+        if spec.noise_floor > 0:
+            sd = math.sqrt(spec.noise_floor * spec.sampling_rate / 2.0)
+            out[ch] += rng.normal(0.0, sd, n)
+    return out
 
 
 def first_epoch(recording):
@@ -127,6 +154,59 @@ class TestSynthEeg:
                 synth.SynthSpec(duration=1e-4, sampling_rate=500.0,
                                 montage=montage, band_targets=())
             )
+
+
+class TestPeriodicSynthesis:
+    def test_tiled_matches_direct_reference(self, montage):
+        # Three 4 s periods and a partial one.
+        spec = replace(ten_second_spec(montage, seed=11), duration=12.5)
+        rec = synth.synth_eeg(spec)
+        assert rec.samples.shape == (30, 6250)
+        np.testing.assert_allclose(rec.samples, direct_reference(spec), rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(rec.samples[:, :2000], rec.samples[:, 2000:4000])
+        np.testing.assert_array_equal(rec.samples[:, 250:2250], rec.samples[:, 6250 - 2000:])
+
+    def test_noise_added_after_tiling(self, montage):
+        spec = synth.SynthSpec(
+            duration=12.5, sampling_rate=500.0, montage=montage,
+            band_targets=((ALPHA, 4.329), (BETA, 3.034)), noise_floor=0.2, seed=3,
+        )
+        np.testing.assert_allclose(
+            synth.synth_eeg(spec).samples, direct_reference(spec), rtol=0, atol=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "bands, fs",
+        [
+            # 8.0-8.9 Hz is too narrow for the grid: one oscillator at 8.45 Hz.
+            (((core.BandDefinition("sliver", 8.0, 8.9), 1.0), (ALPHA, 4.329)), 500.0),
+            # 4 s is 1000.4 samples at 250.1 Hz.
+            (((ALPHA, 4.329), (BETA, 3.034)), 250.1),
+        ],
+    )
+    def test_aperiodic_signal_is_direct_reference(self, montage, bands, fs):
+        spec = synth.SynthSpec(
+            duration=12.5, sampling_rate=fs, montage=montage, band_targets=bands, seed=5,
+        )
+        np.testing.assert_array_equal(synth.synth_eeg(spec).samples, direct_reference(spec))
+
+    def test_samples_handed_over_without_copy(self, montage):
+        rec, handed = handed_samples(synth, synth.synth_eeg, ten_second_spec(montage))
+        assert rec.samples is handed
+
+    def test_rng_draw_order(self, montage):
+        spec = synth.SynthSpec(
+            duration=3.0, sampling_rate=500.0, montage=montage,
+            band_targets=((ALPHA, 0.0), (BETA, 0.0)), noise_floor=0.5, seed=8,
+        )
+        sd = math.sqrt(0.5 * 500.0 / 2.0)
+        expected = []
+        for ch in range(len(montage.electrodes)):
+            rng = np.random.default_rng([8, ch])
+            rng.uniform(0.0, 2.0 * np.pi, len(synth.oscillator_frequencies(ALPHA)))
+            rng.uniform(0.0, 2.0 * np.pi, len(synth.oscillator_frequencies(BETA)))
+            expected.append(rng.normal(0.0, sd, 1500))
+        np.testing.assert_array_equal(synth.synth_eeg(spec).samples, expected)
 
 
 class TestTrajectory:
