@@ -304,6 +304,36 @@ def _write_all(files: dict[Path, bytes]):
         path.write_bytes(blob)
 
 
+class _FloatText(list):
+    """Floats already formatted by repr, spliced into JSON as numbers."""
+
+
+# json.dumps spells the non-finite floats as these JavaScript constants.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_indent2(obj, level: int = 0) -> str:
+    """The text of json.dumps(obj, indent=2), with _FloatText lists spliced in.
+
+    The stdlib encoder runs in pure Python whenever indent is set; this
+    writer only walks the containers and leaves each number list as one
+    join. obj holds dicts with string keys, lists and JSON scalars.
+    """
+    if isinstance(obj, _FloatText):
+        items, brackets = map(_JSON_NONFINITE.get, obj, obj), "[]"
+    elif isinstance(obj, list):
+        items, brackets = (_json_indent2(v, level + 1) for v in obj), "[]"
+    elif isinstance(obj, dict):
+        items = (f"{json.dumps(k)}: {_json_indent2(v, level + 1)}" for k, v in obj.items())
+        brackets = "{}"
+    else:
+        return json.dumps(obj)
+    if not obj:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * level}{brackets[1]}"
+
+
 def _sidecar(out_dir: Path, command: str):
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -337,35 +367,32 @@ def cmd_psd(cfg: RunConfig) -> int:
     epochs = _load_epochs(cfg, cfg.recording, cfg.protocol)
     channels = epochs[0].channels
     psds = [spectral.welch_psd(ep, cfg.welch) for ep in epochs]
+    # Every value is formatted once; the CSVs and psd.json share the text.
+    freq_txt = list(map(repr, psds[0].frequencies.tolist()))
+    power_txt = [[list(map(repr, row)) for row in p.power.tolist()] for p in psds]
     out = Path(cfg.out_dir)
     files: dict[Path, bytes] = {}
     if "csv" in cfg.formats:
+        header = "frequency_hz," + ",".join(f"epoch_{ep.t_start:g}s" for ep in epochs)
         for row, ch in enumerate(channels):
-            header = "frequency_hz," + ",".join(
-                f"epoch_{ep.t_start:g}s" for ep in epochs
-            )
-            lines = [header]
-            freqs = psds[0].frequencies
-            for i, f in enumerate(freqs):
-                vals = ",".join(repr(float(p.power[row, i])) for p in psds)
-                lines.append(f"{f!r},{vals}")
+            columns = [freq_txt] + [txt[row] for txt in power_txt]
+            lines = [header, *map(",".join, zip(*columns))]
             files[out / f"psd_{ch.label}.csv"] = ("\n".join(lines) + "\n").encode()
     if "json" in cfg.formats:
         doc = {
             "schema_version": SCHEMA_VERSION,
-            "frequencies_hz": [float(f) for f in psds[0].frequencies],
+            "frequencies_hz": _FloatText(freq_txt),
             "epochs": [
                 {
                     "t_start": ep.t_start,
                     "power": {
-                        ch.label: [float(v) for v in p.power[i]]
-                        for i, ch in enumerate(channels)
+                        ch.label: _FloatText(txt[i]) for i, ch in enumerate(channels)
                     },
                 }
-                for ep, p in zip(epochs, psds)
+                for ep, txt in zip(epochs, power_txt)
             ],
         }
-        files[out / "psd.json"] = json.dumps(doc, indent=2).encode()
+        files[out / "psd.json"] = _json_indent2(doc).encode()
     _write_all(files)
     _sidecar(out, "psd")
     _say(cfg, f"wrote PSD for {len(channels)} channels, {len(epochs)} epochs")

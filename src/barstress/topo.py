@@ -2,15 +2,18 @@
 
 Per-electrode scalars are spread over an N x N grid covering the unit disc
 by inverse-distance-squared weighting, which is exact at electrode sites
-and never leaves the value range of its inputs. Cells outside the disc
-carry NaN and stay out of every statistic. Rasters are written as binary
-PPM (diverging blue-to-red palette) or PGM, byte-deterministic.
+and never leaves the value range of its inputs. The weights depend only on
+the electrode positions and the resolution, so they are built once per
+montage and resolution (the last pair is kept) and each map is one
+matrix-vector product; the maps are bit-identical to building them per
+call. Cells outside the disc carry NaN and stay out of every statistic.
+Rasters are written as binary PPM (diverging blue-to-red palette) or PGM,
+byte-deterministic.
 """
 
 from __future__ import annotations
 
-import io
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,31 +90,61 @@ def grid_coordinates(resolution: int) -> tuple[np.ndarray, np.ndarray]:
     return np.meshgrid(x, y, indexing="xy")
 
 
+@dataclass(frozen=True)
+class _ScalpOperator:
+    """Inverse-distance operator of one montage at one resolution.
+
+    inside marks the disc cells; among them, snapped cells (hit) copy
+    electrode site[k], and the others take (w @ v) / s.
+    """
+
+    inside: np.ndarray
+    hit: np.ndarray
+    site: np.ndarray
+    w: np.ndarray
+    s: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def _scalp_operator(positions: bytes, resolution: int) -> _ScalpOperator:
+    pos = np.frombuffer(positions, dtype=np.float64).reshape(-1, 2)
+    gx, gy = grid_coordinates(resolution)
+    inside = gx * gx + gy * gy <= 1.0 + 1e-12
+    # Squared cell-electrode distances as dx^2 + dy^2: the same sums as
+    # reducing over the coordinate axis, without a (cells, sites, 2) temporary.
+    d2 = (gx[inside][:, None] - pos[:, 0]) ** 2 + (gy[inside][:, None] - pos[:, 1]) ** 2
+    near = d2 < _NODE_SNAP**2
+    hit = near.any(axis=1)
+    with np.errstate(divide="ignore"):
+        w = 1.0 / d2[~hit]
+    op = _ScalpOperator(
+        inside=inside, hit=hit, site=np.argmax(near[hit], axis=1), w=w, s=w.sum(axis=1)
+    )
+    for arr in vars(op).values():
+        arr.flags.writeable = False
+    return op
+
+
 def interpolate_scalp(vector: TopoVector, montage: Montage, resolution: int = 64) -> TopoGrid:
     """Inverse-distance-squared interpolation over the unit disc.
 
     A cell within snapping distance of an electrode takes that electrode's
     value exactly. palette_range records the vector's own span, padded by
     half a unit when the vector is constant so rendering stays defined.
+    The weights are built once per montage and resolution; each map is one
+    matrix-vector product.
     """
     pos = montage.positions()
     if len(vector) != len(pos):
         raise LengthMismatch(
             f"{len(vector)} values for {len(pos)} EEG electrodes in {montage.name!r}"
         )
-    gx, gy = grid_coordinates(resolution)
-    inside = gx * gx + gy * gy <= 1.0 + 1e-12
-    pts = np.stack([gx[inside], gy[inside]], axis=1)
-    d2 = np.sum((pts[:, None, :] - pos[None, :, :]) ** 2, axis=2)
-    vals = np.empty(len(pts))
-    near = d2 < _NODE_SNAP**2
-    hit = near.any(axis=1)
-    vals[hit] = vector.values[np.argmax(near[hit], axis=1)]
-    with np.errstate(divide="ignore"):
-        w = 1.0 / d2[~hit]
-    vals[~hit] = (w @ vector.values) / w.sum(axis=1)
-    grid = np.full(gx.shape, np.nan)
-    grid[inside] = vals
+    op = _scalp_operator(pos.tobytes(), resolution)
+    vals = np.empty(op.hit.size)
+    vals[op.hit] = vector.values[op.site]
+    vals[~op.hit] = (op.w @ vector.values) / op.s
+    grid = np.full(op.inside.shape, np.nan)
+    grid[op.inside] = vals
     vmin = float(vector.values.min())
     vmax = float(vector.values.max())
     if vmin == vmax:
@@ -163,12 +196,10 @@ def render_topomap(grid: TopoGrid, palette: str = "blue_red") -> bytes:
 
 def grid_to_csv(grid: TopoGrid) -> str:
     """Row-major CSV of the grid; masked cells are empty fields."""
-    out = io.StringIO()
-    for row in grid.values:
-        out.write(
-            ",".join("" if not math.isfinite(v) else repr(float(v)) for v in row) + "\n"
-        )
-    return out.getvalue()
+    mask = grid.mask
+    rows = np.where(mask, "%r", "").tolist()
+    template = "\n".join(map(",".join, rows)) + "\n"
+    return template % tuple(grid.values[mask].tolist())
 
 
 def similarity_matrix(vectors: list[TopoVector]) -> np.ndarray:

@@ -1,8 +1,12 @@
 import json
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barstress import cli, core, ingest, regress, spectral, synth
 from edf_records import split_records
@@ -467,6 +471,129 @@ class TestPsdCommand:
         freqs = doc["frequencies_hz"]
         assert freqs[0] == 0.0 and freqs[-1] == 250.0 and len(freqs) == 1001
         assert len(doc["epochs"][0]["power"]) == 30
+
+
+# Edge values for the writers: zero both ways, the smallest subnormal, a
+# tiny normal, values on either side where repr turns to exponent notation.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-300, 1e16, 2.5e-06, 1.0]
+psd_values = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+@st.composite
+def psd_sets(draw, n_freq=st.integers(1, 5), n_epochs=st.integers(1, 3)):
+    """(epochs, psds) as cmd_psd sees them after its Welch calls."""
+    nf, ne = draw(n_freq), draw(n_epochs)
+    labels = draw(st.lists(st.sampled_from(["Fp1", "Cz", "O\u0308z", "T7"]),
+                           min_size=1, max_size=3, unique=True))
+    chans = tuple(core.ChannelInfo(lb, (0.0, 0.0)) for lb in labels)
+    freqs = np.array(draw(st.lists(psd_values, min_size=nf, max_size=nf)))
+    starts = st.one_of(st.integers(0, 3600), st.floats(0.0, 3600.0))
+    epochs, psds = [], []
+    for _ in range(ne):
+        t = draw(starts)
+        epochs.append(core.Epoch(np.zeros((len(chans), 1)), t, t + 10.0, 500.0, chans))
+        power = draw(st.lists(psd_values, min_size=nf * len(chans), max_size=nf * len(chans)))
+        psds.append(spectral.PsdEstimate(
+            freqs, np.reshape(power, (len(chans), nf)), spectral.WelchConfig(), chans
+        ))
+    return epochs, psds
+
+
+def reference_psd_files(epochs, psds):
+    """Per-value writer: repr of each float, json.dumps(indent=2) for psd.json."""
+    channels = epochs[0].channels
+    header = "frequency_hz," + ",".join(f"epoch_{ep.t_start:g}s" for ep in epochs)
+    files = {}
+    for row, ch in enumerate(channels):
+        lines = [header] + [
+            ",".join([repr(float(f))] + [repr(float(p.power[row, i])) for p in psds])
+            for i, f in enumerate(psds[0].frequencies)
+        ]
+        files[f"psd_{ch.label}.csv"] = ("\n".join(lines) + "\n").encode()
+    doc = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "frequencies_hz": [float(f) for f in psds[0].frequencies],
+        "epochs": [
+            {
+                "t_start": ep.t_start,
+                "power": {ch.label: [float(v) for v in p.power[i]] for i, ch in enumerate(channels)},
+            }
+            for ep, p in zip(epochs, psds)
+        ],
+    }
+    files["psd.json"] = json.dumps(doc, indent=2).encode()
+    return files
+
+
+def run_psd_writer(epochs, psds):
+    """cmd_psd's output files for the given epochs and spectra."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "_load_epochs", return_value=epochs), \
+            mock.patch.object(cli.spectral, "welch_psd", side_effect=psds):
+        assert cli.cmd_psd(cli.RunConfig(recording="in.csv", out_dir=tmp, quiet=True)) == 0
+        return {p.name: p.read_bytes() for p in Path(tmp).iterdir() if p.name != "run_meta.json"}
+
+
+class TestPsdWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(psd_sets())
+    def test_bytes_equal_per_value_reference(self, data):
+        assert run_psd_writer(*data) == reference_psd_files(*data)
+
+    @settings(max_examples=10, deadline=None)
+    @given(psd_sets(n_freq=st.just(1), n_epochs=st.just(1)))
+    def test_one_frequency_one_epoch(self, data):
+        assert run_psd_writer(*data) == reference_psd_files(*data)
+
+    def test_non_finite_values_spelled_as_json_dumps(self):
+        chans = (core.ChannelInfo("Cz", (0.0, 0.0)),)
+        ep = core.Epoch(np.zeros((1, 1)), 0.0, 10.0, 500.0, chans)
+        psd = spectral.PsdEstimate(
+            np.array([0.0, 5e-324, 1e16]), np.array([[np.nan, np.inf, -np.inf]]),
+            spectral.WelchConfig(), chans,
+        )
+        files = run_psd_writer([ep], [psd])
+        assert files == reference_psd_files([ep], [psd])
+        assert b"NaN,\n" in files["psd.json"] and b"-Infinity\n" in files["psd.json"]
+        assert files["psd_Cz.csv"].splitlines()[1:] == [b"0.0,nan", b"5e-324,inf", b"1e+16,-inf"]
+
+
+# Columns of text, not numbers, in the CSVs the CLI writes.
+TEXT_COLUMNS = {"phase", "game_type", "gamer_type", "music_type"}
+
+
+class TestCsvFieldsParse:
+    def test_every_numeric_field_parses(self, tmp_path, session_csv):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, {
+            "baseline_bar": 0.701,
+            "protocol": {"phase": "during_gameplay", "epoch_times": [0.0, 10.0, 20.0, 30.0]},
+        })
+        common = ("--config", str(cfg), "--input", str(session_csv), "--out", str(out), "--quiet")
+        for command in ("psd", "bar", "topo"):
+            assert run(command, *common) == 0
+        assert run("fit", "--out", str(out), "--quiet") == 0
+        headed = ["psd_*.csv", "bar_series.csv", "bar_points.csv", "fit_*_curve.csv"]
+        bare = ["topo_*.csv", "similarity.csv"]
+        checked = 0
+        for pattern in headed + bare:
+            paths = sorted(out.glob(pattern))
+            assert paths, pattern
+            for path in paths:
+                rows = [ln.split(",") for ln in path.read_text().splitlines()]
+                header = rows.pop(0) if pattern in headed else [None] * len(rows[0])
+                for row in rows:
+                    assert len(row) == len(header), path.name
+                    for name, field in zip(header, row):
+                        if name in TEXT_COLUMNS or (pattern == "topo_*.csv" and field == ""):
+                            continue
+                        float(field)  # raises ValueError on text such as np.float64(0.25)
+                        checked += 1
+        assert checked > 30 * 1001 * 4
+        freqs = json.loads((out / "psd.json").read_text())["frequencies_hz"]
+        for path in out.glob("psd_*.csv"):
+            column = [float(ln.split(",", 1)[0]) for ln in path.read_text().splitlines()[1:]]
+            assert column == freqs
 
 
 class TestTopoCommand:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,62 @@ class TestInterpolation:
         assert g.resolution == 64
         assert g.values.shape == (64, 64)
         assert g.mask.sum() > 0.7 * 64 * 64
+
+
+def reference_interpolation(values, montage, resolution):
+    """The per-call interpolation formula, rebuilt from scratch every time."""
+    pos = montage.positions()
+    gx, gy = topo.grid_coordinates(resolution)
+    inside = gx * gx + gy * gy <= 1.0 + 1e-12
+    pts = np.stack([gx[inside], gy[inside]], axis=1)
+    d2 = np.sum((pts[:, None, :] - pos[None, :, :]) ** 2, axis=2)
+    vals = np.empty(len(pts))
+    near = d2 < topo._NODE_SNAP**2
+    hit = near.any(axis=1)
+    vals[hit] = values[np.argmax(near[hit], axis=1)]
+    with np.errstate(divide="ignore"):
+        w = 1.0 / d2[~hit]
+    vals[~hit] = (w @ values) / w.sum(axis=1)
+    grid = np.full(gx.shape, np.nan)
+    grid[inside] = vals
+    return grid
+
+
+class TestScalpOperator:
+    def test_alternating_montages_and_resolutions(self, montage):
+        # resolution 5 snaps cells onto the small montage's sites
+        small = site_montage((0.5, 0.5), (-0.5, 0.0), (0.0, -0.5), (0.1, 0.7))
+        rng = np.random.default_rng(30)
+        plan = [(montage, 33), (small, 33), (small, 5), (montage, 5), (montage, 33),
+                (small, 5), (small, 33), (montage, 5)]
+        for m, res in plan:
+            values = rng.uniform(-2.0, 3.0, size=len(m.positions()))
+            g = topo.interpolate_scalp(topo.TopoVector(values=values), m, resolution=res)
+            np.testing.assert_array_equal(g.values, reference_interpolation(values, m, res))
+
+    def test_built_once_per_montage_and_resolution(self, montage):
+        rng = np.random.default_rng(31)
+        topo._scalp_operator.cache_clear()
+        for _ in range(3):
+            v = topo.TopoVector(values=rng.uniform(0.5, 2.0, size=30))
+            topo.interpolate_scalp(v, montage, resolution=24)
+        info = topo._scalp_operator.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_cached_arrays_read_only(self, montage):
+        op = topo._scalp_operator(montage.positions().tobytes(), 12)
+        arrays = [op.inside, op.hit, op.site, op.w, op.s]
+        assert all(not a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            op.w[0, 0] = 0.0
+
+    def test_errors_survive_a_cached_operator(self, montage):
+        v = topo.TopoVector(values=np.ones(30))
+        topo.interpolate_scalp(v, montage, resolution=8)
+        with pytest.raises(InvalidConfig):
+            topo.interpolate_scalp(v, montage, resolution=1)
+        with pytest.raises(LengthMismatch):
+            topo.interpolate_scalp(topo.TopoVector(values=np.ones(29)), montage, resolution=8)
 
 
 class TestSimilarity:
@@ -230,3 +288,25 @@ class TestCsvExport:
             [[np.nan if c == "" else float(c) for c in row] for row in cells]
         )
         np.testing.assert_array_equal(back[g.mask], g.values[g.mask])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=7).flatmap(
+            lambda n: st.lists(
+                st.one_of(
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e16, -1e-5, 0.1]),
+                ),
+                min_size=n * n,
+                max_size=n * n,
+            )
+        )
+    )
+    def test_bytes_equal_per_value_repr(self, cells):
+        n = math.isqrt(len(cells))
+        g = topo.TopoGrid(resolution=n, values=np.reshape(cells, (n, n)), palette_range=(0, 1))
+        expected = "".join(
+            ",".join(repr(float(v)) if math.isfinite(v) else "" for v in row) + "\n"
+            for row in g.values
+        )
+        assert topo.grid_to_csv(g) == expected
