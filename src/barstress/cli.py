@@ -20,7 +20,9 @@ import math
 import mmap
 import os
 import sys
-from dataclasses import dataclass, replace
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,24 +37,7 @@ from .errors import (
 )
 
 SCHEMA_VERSION = 1
-
-_TOP_KEYS = {
-    "schema_version",
-    "input",
-    "sampling_rate",
-    "csv",
-    "montage",
-    "welch",
-    "bands",
-    "ratio",
-    "channels",
-    "protocol",
-    "baseline_bar",
-    "out_dir",
-    "formats",
-    "topo",
-    "seed",
-}
+FORMATS = ("csv", "json", "ppm")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -78,7 +63,7 @@ class RunConfig:
     protocol: core.SessionProtocol = core.SessionProtocol(phase="baseline")
     baseline_bar: float | None = None
     out_dir: str = "out"
-    formats: tuple[str, ...] = ("csv", "json", "ppm")
+    formats: tuple[str, ...] = FORMATS
     topo_resolution: int = 64
     topo_scalar: str = "bar"
     seed: int = 0
@@ -96,157 +81,169 @@ class RunConfig:
         return ingest.load_montage(self.montage_name)
 
 
-def _require(doc: dict, context: str) -> dict:
-    if not isinstance(doc, dict):
-        raise InvalidConfig(f"{context} must be a JSON object, got {type(doc).__name__}")
-    return doc
+# Every key of the config document: dotted key -> (RunConfig location, JSON
+# type). A key left out keeps its dataclass default.
+CONFIG_KEYS = {
+    "schema_version": (None, int),
+    "input.recording": ("recording", str | None),
+    "input.baseline_recording": ("baseline_recording", str | None),
+    "input.points": ("points", str | None),
+    "sampling_rate": ("sampling_rate", float),
+    "csv.delimiter": ("csv_layout.delimiter", str),
+    "csv.has_header": ("csv_layout.has_header", bool),
+    "csv.time_column": ("csv_layout.time_column", int | None),
+    "montage": ("montage_name", str),
+    "welch.window_len": ("welch.window_len", float),
+    "welch.segment_count": ("welch.segment_count", int),
+    "welch.overlap_fraction": ("welch.overlap_fraction", float),
+    "welch.taper": ("welch.taper", str),
+    "welch.fft_size": ("welch.fft_size", int | None),
+    "bands": ("bands", dict[str, tuple[float, float]]),
+    "ratio.numerator": ("numerator", str),
+    "ratio.denominator": ("denominator", str),
+    "channels": ("channels", list[str] | None),
+    "protocol.phase": ("protocol.phase", str),
+    "protocol.game_type": ("protocol.game_type", str),
+    "protocol.gamer_type": ("protocol.gamer_type", str),
+    "protocol.music_type": ("protocol.music_type", str),
+    "protocol.epoch_times": ("protocol.epoch_times", list[float] | None),
+    "baseline_bar": ("baseline_bar", float | None),
+    "out_dir": ("out_dir", str),
+    "formats": ("formats", list[str]),
+    "topo.resolution": ("topo_resolution", int),
+    "topo.scalar": ("topo_scalar", str),
+    "seed": ("seed", int),
+}
+_CONFIG_TYPES = {key: tp for key, (_, tp) in CONFIG_KEYS.items()}
+
+
+def _typed(key: str, value, tp):
+    """value checked against the JSON type tp and converted to Python.
+
+    null passes only for `X | None`, a JSON integer for float, a bool for
+    no number; lists become tuples, and tuple[...] takes just that many items.
+    """
+    if isinstance(tp, types.UnionType):
+        return None if value is None else _typed(key, value, tp.__args__[0])
+    origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
+    json_kind = {float: (int, float), tuple: list}.get(origin, origin)
+    if (
+        not isinstance(value, json_kind)
+        or (isinstance(value, bool) and origin is not bool)
+        or (origin is tuple and len(value) != len(args))
+    ):
+        what = f"a list of {len(args)}" if origin is tuple else origin.__name__
+        raise InvalidConfig(f"{key} must be {what}, got {type(value).__name__} {value!r}")
+    if origin in (list, tuple):
+        items = args * len(value) if origin is list else args
+        return tuple(_typed(f"{key}[{i}]", v, t) for i, (v, t) in enumerate(zip(value, items)))
+    if origin is dict and args:
+        return {k: _typed(f"{key}.{k}", v, args[1]) for k, v in value.items()}
+    try:
+        return float(value) if origin is float else value
+    except OverflowError:
+        raise InvalidConfig(f"{key} is out of range: {value!r}") from None
+
+
+def _checked(doc, table: dict, context: str, path: str = "", required=()) -> dict:
+    """The values of doc by dotted key, each checked against its type in table.
+
+    Every key of doc must be a key of table or a section holding some, and
+    every required key must be there. Errors name keys with path prefixed.
+    """
+    sections = {k.rsplit(".", 1)[0] for k in table if "." in k}
+    values: dict = {}
+
+    def walk(node, prefix: str):
+        if not isinstance(node, dict):
+            raise InvalidConfig(f"{path + prefix or context} must be an object, got {node!r}")
+        for k, v in node.items():
+            key = f"{prefix}.{k}" if prefix else k
+            if key in table:
+                values[key] = _typed(path + key, v, table[key])
+            elif key in sections:
+                walk(v, key)
+            else:
+                raise InvalidConfig(f"unknown {context} key {path + key!r}")
+
+    walk(doc, "")
+    missing = [path + k for k in required if k not in values]
+    if missing:
+        raise InvalidConfig(f"{context} needs {missing}")
+    return values
 
 
 def config_from_dict(doc: dict) -> RunConfig:
     """Validate and materialize a config document."""
-    doc = _require(doc, "config")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-    version = doc.get("schema_version", SCHEMA_VERSION)
+    values = _checked(doc, _CONFIG_TYPES, "config")
+    version = values.pop("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise InvalidConfig(f"unsupported schema_version {version!r}")
-
-    inp = _require(doc.get("input", {}), "input")
-    csv_doc = _require(doc.get("csv", {}), "csv")
-    welch_doc = _require(doc.get("welch", {}), "welch")
-    ratio_doc = _require(doc.get("ratio", {}), "ratio")
-    proto_doc = _require(doc.get("protocol", {}), "protocol")
-    topo_doc = _require(doc.get("topo", {}), "topo")
-
-    try:
-        layout = ingest.CsvLayout(
-            delimiter=csv_doc.get("delimiter", ","),
-            has_header=bool(csv_doc.get("has_header", True)),
-            time_column=csv_doc.get("time_column"),
-        )
-        welch = spectral.WelchConfig(
-            window_len=float(welch_doc.get("window_len", 10.0)),
-            segment_count=int(welch_doc.get("segment_count", 4)),
-            overlap_fraction=float(welch_doc.get("overlap_fraction", 0.5)),
-            taper=welch_doc.get("taper", "hamming"),
-            fft_size=welch_doc.get("fft_size"),
-        )
-        bands_doc = doc.get("bands")
-        if bands_doc is None:
-            bands = tuple(core.DEFAULT_BANDS.values())
-        else:
-            bands = tuple(
-                core.BandDefinition(name, float(edges[0]), float(edges[1]))
-                for name, edges in _require(bands_doc, "bands").items()
-            )
-        times = proto_doc.get("epoch_times")
-        protocol = core.SessionProtocol(
-            phase=proto_doc.get("phase", "baseline"),
-            game_type=proto_doc.get("game_type", "none"),
-            gamer_type=proto_doc.get("gamer_type", "non_gamer"),
-            music_type=proto_doc.get("music_type", "none"),
-            epoch_times=tuple(times) if times is not None else None,
-        )
-        channels = doc.get("channels")
-        baseline = doc.get("baseline_bar")
-        return RunConfig(
-            recording=inp.get("recording"),
-            baseline_recording=inp.get("baseline_recording"),
-            points=inp.get("points"),
-            sampling_rate=float(doc.get("sampling_rate", 500.0)),
-            csv_layout=layout,
-            montage_name=doc.get("montage", "standard-30"),
-            welch=welch,
-            bands=bands,
-            numerator=ratio_doc.get("numerator", "beta"),
-            denominator=ratio_doc.get("denominator", "alpha"),
-            channels=tuple(channels) if channels is not None else None,
-            protocol=protocol,
-            baseline_bar=float(baseline) if baseline is not None else None,
-            out_dir=str(doc.get("out_dir", "out")),
-            formats=tuple(doc.get("formats", ("csv", "json", "ppm"))),
-            topo_resolution=int(topo_doc.get("resolution", 64)),
-            topo_scalar=topo_doc.get("scalar", "bar"),
-            seed=int(doc.get("seed", 0)),
-        )
-    except (TypeError, ValueError, IndexError) as exc:
-        raise InvalidConfig(f"bad config value: {exc}") from None
+    bad = set(values.get("formats", ())) - set(FORMATS)
+    if bad:
+        raise InvalidConfig(f"formats: unknown output formats {sorted(bad)}")
+    if "bands" in values:
+        values["bands"] = tuple(core.BandDefinition(k, *v) for k, v in values["bands"].items())
+    tree: dict = {}
+    for key, value in values.items():
+        _set_path(tree, CONFIG_KEYS[key][0], value)
+    for head, given in tree.items():
+        if isinstance(given, dict):
+            # Fields left out take the nested dataclass's own defaults, not the
+            # filled-in values of RunConfig's default (its protocol already holds
+            # baseline's epoch times); a field with no default takes RunConfig's.
+            default = getattr(RunConfig, head)
+            unset = {f.name: getattr(default, f.name) for f in fields(default) if f.default is MISSING}
+            tree[head] = type(default)(**{**unset, **given})
+    return RunConfig(**tree)
 
 
 def _set_path(doc: dict, dotted: str, value):
-    keys = dotted.split(".")
-    node = doc
-    for k in keys[:-1]:
-        nxt = node.get(k)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[k] = nxt
-        node = nxt
-    node[keys[-1]] = value
+    """Set doc at the dotted path to value, replacing the subtree there."""
+    *parents, last = dotted.split(".")
+    for k in parents:
+        if not isinstance(doc.get(k), dict):
+            doc[k] = {}
+        doc = doc[k]
+    doc[last] = value
 
 
-def _parse_overrides(extras: list[str]) -> dict:
-    doc: dict = {}
-    i = 0
-    while i < len(extras):
-        tok = extras[i]
-        if not tok.startswith("--") or "." not in tok:
-            raise InvalidConfig(f"unrecognized argument {tok!r}")
-        if "=" in tok:
-            key, raw = tok[2:].split("=", 1)
-        else:
-            if i + 1 >= len(extras):
-                raise InvalidConfig(f"override {tok!r} is missing a value")
-            key, raw = tok[2:], extras[i + 1]
-            i += 1
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        _set_path(doc, key, value)
-        i += 1
-    return doc
-
-
-def _merge(base: dict, extra: dict) -> dict:
-    out = dict(base)
-    for k, v in extra.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = v
-    return out
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InvalidConfig(f"{what} is not valid JSON: {exc}") from None
 
 
 def load_config(args, extras: list[str]) -> RunConfig:
-    doc: dict = {}
-    if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
+    """The config file, then each --dotted.key override in extras (values
+    parse as JSON, else stay strings), then the named flags."""
+    doc = _read_json(args.config, "config") if args.config else {}
+    if not isinstance(doc, dict):
+        raise InvalidConfig(f"config must be an object, got {doc!r}")
+    tokens = iter(extras)
+    for tok in tokens:
+        if not tok.startswith("--") or "." not in tok:
+            raise InvalidConfig(f"unrecognized argument {tok!r}")
+        key, eq, raw = tok[2:].partition("=")
+        if not eq and (raw := next(tokens, None)) is None:
+            raise InvalidConfig(f"override {tok!r} is missing a value")
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"config is not valid JSON: {exc}") from None
-    doc = _merge(doc, _parse_overrides(extras))
-    cfg = config_from_dict(doc)
-    updates: dict = {"quiet": bool(args.quiet)}
-    if args.out:
-        updates["out_dir"] = args.out
-    if args.format:
-        updates["formats"] = tuple(f.strip() for f in args.format.split(",") if f.strip())
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "input", None):
-        updates["recording"] = args.input
-    if getattr(args, "points", None):
-        updates["points"] = args.points
-    if getattr(args, "scalar", None):
-        updates["topo_scalar"] = args.scalar
-    cfg = replace(cfg, **updates)
-    bad = set(cfg.formats) - {"csv", "json", "ppm"}
-    if bad:
-        raise InvalidConfig(f"unknown output formats: {sorted(bad)}")
-    return cfg
+            _set_path(doc, key, json.loads(raw))
+        except json.JSONDecodeError:
+            _set_path(doc, key, raw)
+    flags = {
+        "out_dir": args.out,
+        "formats": args.format and [f.strip() for f in args.format.split(",") if f.strip()],
+        "seed": args.seed,
+        "input.recording": getattr(args, "input", None),
+        "input.points": getattr(args, "points", None),
+        "topo.scalar": getattr(args, "scalar", None),
+    }
+    for key, value in flags.items():
+        if value not in (None, ""):  # a flag left out or given empty sets nothing
+            _set_path(doc, key, value)
+    return replace(config_from_dict(doc), quiet=bool(args.quiet))
 
 
 # ------------------------------------------------------------------ helpers
@@ -343,6 +340,21 @@ def _sidecar(out_dir: Path, command: str):
     (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
 
 
+def _bar_series(
+    cfg: RunConfig, path: str | None, protocol: core.SessionProtocol, baseline: float | None = None
+) -> spectral.BarSeries:
+    """The configured band ratio at each protocol epoch of the recording at path."""
+    return spectral.bar_series(
+        _load_epochs(cfg, path, protocol),
+        protocol,
+        cfg.welch,
+        cfg.band(cfg.numerator),
+        cfg.band(cfg.denominator),
+        baseline=math.nan if baseline is None else baseline,
+        channels=cfg.channels,
+    )
+
+
 def _measure_baseline(cfg: RunConfig) -> float | None:
     """Baseline ratio from config, or measured from the baseline recording."""
     if cfg.baseline_bar is not None:
@@ -350,15 +362,7 @@ def _measure_baseline(cfg: RunConfig) -> float | None:
     if not cfg.baseline_recording:
         return None
     proto = core.SessionProtocol(phase="baseline")
-    series = spectral.bar_series(
-        _load_epochs(cfg, cfg.baseline_recording, proto),
-        proto,
-        cfg.welch,
-        cfg.band(cfg.numerator),
-        cfg.band(cfg.denominator),
-        channels=cfg.channels,
-    )
-    return float(np.mean(series.ratios))
+    return float(np.mean(_bar_series(cfg, cfg.baseline_recording, proto).ratios))
 
 
 # ----------------------------------------------------------------- commands
@@ -399,21 +403,9 @@ def cmd_psd(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _bar_series(cfg: RunConfig, baseline: float | None) -> spectral.BarSeries:
-    return spectral.bar_series(
-        _load_epochs(cfg, cfg.recording, cfg.protocol),
-        cfg.protocol,
-        cfg.welch,
-        cfg.band(cfg.numerator),
-        cfg.band(cfg.denominator),
-        baseline=math.nan if baseline is None else baseline,
-        channels=cfg.channels,
-    )
-
-
 def cmd_bar(cfg: RunConfig) -> int:
     baseline = _measure_baseline(cfg)
-    series = _bar_series(cfg, baseline)
+    series = _bar_series(cfg, cfg.recording, cfg.protocol, baseline)
     out = Path(cfg.out_dir)
     files: dict[Path, bytes] = {}
     if "csv" in cfg.formats:
@@ -530,23 +522,18 @@ def cmd_fit(cfg: RunConfig, model_kind: str) -> int:
 
 
 def _epoch_vector(cfg: RunConfig, psd: spectral.PsdEstimate, montage: core.Montage) -> topo.TopoVector:
-    labels = [c.label for c in psd.channels if c.kind == "eeg"]
-    wanted = [e.label for e in montage.eeg_electrodes]
-    if labels != wanted:
+    rows = [i for i, c in enumerate(psd.channels) if c.kind == "eeg"]
+    if [psd.channels[i].label for i in rows] != [e.label for e in montage.eeg_electrodes]:
         raise InvalidConfig("recording channels do not cover the montage")
+
+    def power(name: str) -> np.ndarray:
+        return spectral.band_power_per_channel(psd, cfg.band(name))[rows]
+
     if cfg.topo_scalar == "bar":
-        num = spectral.band_power_per_channel(psd, cfg.band(cfg.numerator))
-        den = spectral.band_power_per_channel(psd, cfg.band(cfg.denominator))
-        rows = [i for i, c in enumerate(psd.channels) if c.kind == "eeg"]
-        return topo.TopoVector(num[rows] / den[rows])
+        return topo.TopoVector(power(cfg.numerator) / power(cfg.denominator))
     if cfg.topo_scalar.startswith("band:"):
-        band = cfg.band(cfg.topo_scalar.split(":", 1)[1])
-        per = spectral.band_power_per_channel(psd, band)
-        rows = [i for i, c in enumerate(psd.channels) if c.kind == "eeg"]
-        return topo.TopoVector(per[rows])
-    raise InvalidConfig(
-        f"topo scalar must be 'bar' or 'band:<name>', got {cfg.topo_scalar!r}"
-    )
+        return topo.TopoVector(power(cfg.topo_scalar.split(":", 1)[1]))
+    raise InvalidConfig(f"topo scalar must be 'bar' or 'band:<name>', got {cfg.topo_scalar!r}")
 
 
 def cmd_topo(cfg: RunConfig) -> int:
@@ -584,41 +571,43 @@ def cmd_topo(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _synth_spec_from_doc(doc: dict, cfg: RunConfig) -> tuple[synth.SynthSpec, list[str]]:
-    doc = _require(doc, "synth spec")
-    try:
-        montage = ingest.load_montage(doc.get("montage", cfg.montage_name))
-        bands = []
-        for entry in doc.get("bands", []):
-            band = core.BandDefinition(
-                entry["name"], float(entry["f_low"]), float(entry["f_high"])
-            )
-            bands.append((band, float(entry["power"])))
-        seed = int(doc.get("seed", cfg.seed))
-        spec = synth.SynthSpec(
-            duration=float(doc.get("duration_s", 0.0)),
-            sampling_rate=float(doc.get("sampling_rate", cfg.sampling_rate)),
-            montage=montage,
-            band_targets=tuple(bands),
-            noise_floor=float(doc.get("noise_floor", 0.0)),
-            seed=seed,
-        )
-        outputs = list(doc.get("outputs", ["csv"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidConfig(f"bad synth spec: {exc}") from None
+# Every key of a synth spec and its JSON type. Keys left out take the
+# SynthSpec defaults, or the run config's sampling rate, montage and seed.
+SYNTH_KEYS = {
+    "duration_s": float,
+    "sampling_rate": float,
+    "montage": str,
+    "bands": list[dict],
+    "noise_floor": float,
+    "seed": int,
+    "outputs": list[str],
+}
+SYNTH_BAND_KEYS = {"name": str, "f_low": float, "f_high": float, "power": float}
+
+
+def _synth_spec_from_doc(doc: dict, cfg: RunConfig) -> tuple[synth.SynthSpec, tuple[str, ...]]:
+    values = _checked(doc, SYNTH_KEYS, "synth spec", required=["duration_s"])
+    bands = []
+    for i, entry in enumerate(values.get("bands", ())):
+        b = _checked(entry, SYNTH_BAND_KEYS, "synth spec", f"bands[{i}].", SYNTH_BAND_KEYS)
+        bands.append((core.BandDefinition(b["name"], b["f_low"], b["f_high"]), b["power"]))
+    outputs = values.get("outputs", ("csv",))
     bad = set(outputs) - {"csv", "edf"}
     if bad:
         raise InvalidConfig(f"synth outputs must be csv/edf, got {sorted(bad)}")
+    spec = synth.SynthSpec(
+        duration=values["duration_s"],
+        sampling_rate=values.get("sampling_rate", cfg.sampling_rate),
+        montage=ingest.load_montage(values.get("montage", cfg.montage_name)),
+        band_targets=tuple(bands),
+        noise_floor=values.get("noise_floor", synth.SynthSpec.noise_floor),
+        seed=values.get("seed", cfg.seed),
+    )
     return spec, outputs
 
 
 def cmd_synth(cfg: RunConfig, spec_path: str) -> int:
-    text = Path(spec_path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"synth spec is not valid JSON: {exc}") from None
-    spec, outputs = _synth_spec_from_doc(doc, cfg)
+    spec, outputs = _synth_spec_from_doc(_read_json(spec_path, "synth spec"), cfg)
     recording = synth.synth_eeg(spec)
     out = Path(cfg.out_dir)
     files: dict[Path, bytes] = {}

@@ -200,34 +200,43 @@ def welch_psd(epoch: Epoch, config: WelchConfig = WelchConfig()) -> PsdEstimate:
     return PsdEstimate(frequencies=freqs, power=power, config=config, channels=epoch.channels)
 
 
-def _band_slice(psd: PsdEstimate, band: BandDefinition) -> tuple[np.ndarray, np.ndarray]:
-    f = psd.frequencies
-    lo, hi = band.f_low, band.f_high
-    if lo < f[0] or hi > f[-1] * (1.0 + 1e-12):
-        raise BandOutOfRange(
-            f"band {band.name!r} [{lo}, {hi}] outside spectrum [{f[0]}, {f[-1]}]"
-        )
-    inner = f[(f > lo) & (f < hi)]
-    xs = np.concatenate(([lo], inner, [min(hi, f[-1])]))
-    return xs, f
-
-
-def _trapezoid(ys: np.ndarray, xs: np.ndarray) -> float:
-    return float(np.sum((ys[1:] + ys[:-1]) * np.diff(xs)) * 0.5)
+def _interp_rows(f: np.ndarray, power: np.ndarray, x: float) -> np.ndarray:
+    """np.interp(x, f, row) for every row of power, in np.interp's arithmetic."""
+    j = int(np.searchsorted(f, x, side="right")) - 1
+    if j == f.size - 1 or f[j] == x:
+        return power[:, j]
+    left, right = power[:, j], power[:, j + 1]
+    slope = (right - left) / (f[j + 1] - f[j])
+    # On a NaN, np.interp retries from the right node, then takes a flat pair's value.
+    y = slope * (x - f[j]) + left
+    y = np.where(np.isnan(y), slope * (x - f[j + 1]) + right, y)
+    return np.where(np.isnan(y) & (left == right), left, y)
 
 
 def band_power_per_channel(psd: PsdEstimate, band: BandDefinition) -> np.ndarray:
     """Trapezoidal band-power integral per channel, in uV^2.
 
     Band edges off the grid are handled by linear interpolation of the
-    density at the exact edge frequencies.
+    density at the exact edge frequencies. All channels share one trapezoid
+    over a C-ordered (channels, nodes) array, so each row sums its terms in
+    the order a one-row trapezoid would.
     """
-    xs, f = _band_slice(psd, band)
-    out = np.empty(psd.power.shape[0])
-    for i, row in enumerate(psd.power):
-        ys = np.interp(xs, f, row)
-        out[i] = _trapezoid(ys, xs)
-    return out
+    f = np.asarray(psd.frequencies, dtype=np.float64)
+    lo, hi = band.f_low, band.f_high
+    if lo < f[0] or hi > f[-1] * (1.0 + 1e-12):
+        raise BandOutOfRange(
+            f"band {band.name!r} [{lo}, {hi}] outside spectrum [{f[0]}, {f[-1]}]"
+        )
+    # The nodes: both edges and the grid points between; f_high just past
+    # the last frequency repeats it.
+    inner = (f > lo) & (f < hi)
+    xs = np.concatenate(([lo], f[inner], [min(hi, f[-1])]))
+    power = np.asarray(psd.power, dtype=np.float64)
+    ys = np.empty((power.shape[0], xs.size))
+    ys[:, 0] = _interp_rows(f, power, xs[0])
+    ys[:, 1:-1] = power[:, inner]
+    ys[:, -1] = _interp_rows(f, power, xs[-1])
+    return np.sum((ys[:, 1:] + ys[:, :-1]) * np.diff(xs), axis=1) * 0.5
 
 
 def _select_rows(psd: PsdEstimate, channels) -> list[int]:

@@ -1,5 +1,8 @@
 import json
+import re
 import tempfile
+import types
+import typing
 from pathlib import Path
 from unittest import mock
 
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barstress import cli, core, ingest, regress, spectral, synth
+from barstress.errors import InvalidConfig, PipelineError
 from edf_records import split_records
 
 ALPHA = core.DEFAULT_BANDS["alpha"]
@@ -295,6 +299,37 @@ class TestSynthCommand:
         proto = core.SessionProtocol(phase="baseline", epoch_times=(0.0,))
         est = spectral.welch_psd(core.slice_epochs(rec, proto)[0])
         assert spectral.band_ratio(est, BETA, ALPHA) == pytest.approx(0.701, rel=0.05)
+
+    @pytest.mark.parametrize("change, key", [
+        ({"noise_flor": 0.1}, "unknown synth spec key 'noise_flor'"),
+        ({"outputs": "edf"}, "outputs must be"),
+        ({"seed": 1.5}, "seed must be"),
+        ({"duration_s": "10"}, "duration_s must be"),
+        ({"bands": {"alpha": 1.0}}, "bands must be"),
+        ({"bands": [{"name": "alpha", "f_low": 8.0, "f_high": 13.0}]},
+         "synth spec needs ['bands[0].power']"),
+        ({"bands": [{"name": "alpha", "f_low": "8", "f_high": 13.0, "power": 1.0}]},
+         "bands[0].f_low must be"),
+        ({"bands": [{"name": "a", "f_low": 8.0, "f_high": 13.0, "power": 1.0, "pwr": 1}]},
+         "unknown synth spec key 'bands[0].pwr'"),
+    ])
+    def test_bad_spec_names_its_key(self, tmp_path, capsys, change, key):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**self.spec_doc(seed=5), **change}))
+        assert run("synth", "--spec", str(spec), "--out", str(tmp_path / "o")) == cli.EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_integer_numbers_written_as_floats(self, tmp_path):
+        doc = {**self.spec_doc(seed=5), "duration_s": 10, "sampling_rate": 500}
+        doc["bands"] = [{"name": "alpha", "f_low": 8, "f_high": 13, "power": 4}]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run("synth", "--spec", str(spec), "--out", str(out), "--quiet") == 0
+        meta = (out / "synth_meta.json").read_text()
+        for text in ('"duration_s": 10.0', '"sampling_rate": 500.0', '"f_low": 8.0', '"power": 4.0'):
+            assert text in meta
 
 
 class TestBarCommand:
@@ -714,3 +749,172 @@ class TestReportCommand:
         doc = json.loads((out / "report.json").read_text())
         assert doc["fits"] is None
         assert doc["ranking"] is None
+
+
+# JSON values of every kind, a little nested.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+# Values near valid ones, so the dataclass checks behind the types run too.
+plausible_values = st.sampled_from([
+    0, 1, -1, 2, 0.5, 1.0, 64, 1e308, 10**400, "", ",", "hann", "baseline", "during_gameplay",
+    "after_gameplay", "low_pitch", "none", "csv", "bar", [], [0.0], [900, 1800], [5, 1],
+    ["csv", "ppm"], ["xml"], ["Fz"], {"alpha": [8, 13]}, {"x": [1, 1]}, {"x": [1]}, True, None,
+])
+# Table keys, sections, and keys that no table holds.
+doc_keys = st.sampled_from(
+    [*cli.CONFIG_KEYS, "input", "welch", "protocol", "bands.alpha",
+     "welch.tapr", "bogus", "protocol.phase.x", "topo.scalar.name"]
+)
+WELL_TYPED = {
+    float: st.floats() | st.integers(), int: st.integers(), str: st.text(max_size=6),
+    bool: st.booleans(), type(None): st.none(),
+}
+
+
+def well_typed(tp):
+    """JSON values of the table type tp; the values may still be invalid."""
+    if tp in WELL_TYPED:
+        return WELL_TYPED[tp]
+    args = typing.get_args(tp)
+    if isinstance(tp, types.UnionType):
+        return st.one_of(*map(well_typed, args))
+    if typing.get_origin(tp) is list:
+        return st.lists(well_typed(args[0]), max_size=4)
+    if typing.get_origin(tp) is tuple:
+        return st.tuples(*map(well_typed, args)).map(list)
+    return st.dictionaries(st.text(max_size=6), well_typed(args[1]), max_size=3)
+
+
+def doc_entry(key):
+    values = json_values | plausible_values
+    if key in cli.CONFIG_KEYS:
+        values |= well_typed(cli.CONFIG_KEYS[key][1])
+    return st.tuples(st.just(key), values)
+
+# Each input exits 2 with the dotted key it names in its error.
+BAD_CONFIGS = [
+    (["--welch.tapr", "hann"], None, "unknown config key 'welch.tapr'"),
+    (["--protocol.epoch_times", '"12"'], None, "protocol.epoch_times must be"),
+    (["--topo.resolution", "64.5"], None, "topo.resolution must be"),
+    (["--csv.has_header", '"false"'], None, "csv.has_header must be"),
+    (["--welch.fft_size", "2048.5"], None, "welch.fft_size must be"),
+    (["--topo.scalar", "5"], None, "topo.scalar must be"),
+    ([], {"input": {"recording": 5}}, "input.recording must be"),
+    ([], {"montage": 5}, "montage must be"),
+    ([], {"formats": "csv"}, "formats must be"),
+    ([], {"channels": "Fz"}, "channels must be"),
+]
+
+
+def parse(*argv):
+    args, extras = cli.build_parser().parse_known_args(list(argv))
+    return cli.load_config(args, extras)
+
+
+class TestConfigTable:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(doc_keys.flatmap(doc_entry), max_size=8))
+    def test_fuzz_returns_config_or_pipeline_error(self, entries):
+        doc = {}
+        for key, value in entries:
+            cli._set_path(doc, key, value)
+        try:
+            cfg = cli.config_from_dict(doc)
+        except PipelineError:
+            return
+        assert type(cfg.sampling_rate) is float and type(cfg.seed) is int
+        assert type(cfg.topo_resolution) is int and type(cfg.topo_scalar) is str
+        assert set(cfg.formats) <= set(cli.FORMATS)
+        assert all(type(t) is float for t in cfg.protocol.epoch_times)
+
+    @pytest.mark.parametrize("doc", [[], "x", 5, None])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(InvalidConfig, match="config must be an object"):
+            cli.config_from_dict(doc)
+
+    @pytest.mark.parametrize("flags, doc, message", BAD_CONFIGS)
+    def test_bad_value_exits_2_naming_key(self, tmp_path, rest_csv, capsys, flags, doc, message):
+        argv = ["topo", "--out", str(tmp_path / "o"), "--quiet", *flags]
+        if doc is not None:
+            argv += ["--config", str(write_config(tmp_path, doc))]
+        if "input" not in (doc or {}):
+            argv += ["--input", str(rest_csv)]
+        assert run(*argv) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_document_is_the_default_config(self):
+        assert cli.config_from_dict({}) == cli.RunConfig()
+
+    @pytest.mark.parametrize("phase", sorted(core.PHASES))
+    def test_phase_alone_gets_its_default_epoch_times(self, phase):
+        want = core.DEFAULT_EPOCH_TIMES[phase]
+        assert cli.config_from_dict({"protocol": {"phase": phase}}).protocol.epoch_times == want
+        assert parse("bar", "--protocol.phase", phase).protocol.epoch_times == want
+
+    def test_other_protocol_keys_keep_the_default_phase(self):
+        protocol = cli.config_from_dict({"protocol": {"gamer_type": "gamer"}}).protocol
+        assert protocol == core.SessionProtocol(phase="baseline", gamer_type="gamer")
+
+    def test_numbers(self):
+        cfg = cli.config_from_dict(
+            {"sampling_rate": 250, "baseline_bar": 1, "protocol": {"epoch_times": [0, 10]}}
+        )
+        assert type(cfg.sampling_rate) is float and cfg.sampling_rate == 250.0
+        assert type(cfg.baseline_bar) is float
+        assert cfg.protocol.epoch_times == (0.0, 10.0)
+        for doc, key in [
+            ({"sampling_rate": True}, "sampling_rate"),
+            ({"seed": 1.0}, "seed"),
+            ({"welch": {"segment_count": False}}, "welch.segment_count"),
+            ({"protocol": {"epoch_times": [0, True]}}, "protocol.epoch_times[1]"),
+            ({"baseline_bar": 10**400}, "baseline_bar"),
+            ({"schema_version": True}, "schema_version"),
+        ]:
+            with pytest.raises(InvalidConfig, match=rf"^{re.escape(key)} "):
+                cli.config_from_dict(doc)
+
+    def test_null_only_where_the_default_is_none(self):
+        cfg = cli.config_from_dict(
+            {"channels": None, "baseline_bar": None, "welch": {"fft_size": None}}
+        )
+        assert cfg == cli.RunConfig()
+        for doc, key in [({"sampling_rate": None}, "sampling_rate"), ({"bands": None}, "bands"),
+                         ({"welch": {"taper": None}}, "welch.taper")]:
+            with pytest.raises(InvalidConfig, match=rf"^{re.escape(key)} must be"):
+                cli.config_from_dict(doc)
+
+    def test_bands(self):
+        cfg = cli.config_from_dict({"bands": {"alpha": [8, 12.5], "gamma": [30, 45]}})
+        assert cfg.bands == (core.BandDefinition("alpha", 8.0, 12.5), core.BandDefinition("gamma", 30.0, 45.0))
+        for edges in ([8], [8, 12, 13], "8-12", [8, "12"]):
+            with pytest.raises(InvalidConfig, match=r"^bands\.alpha"):
+                cli.config_from_dict({"bands": {"alpha": edges}})
+
+    def test_section_must_be_an_object(self):
+        with pytest.raises(InvalidConfig, match="^welch must be an object"):
+            cli.config_from_dict({"welch": "hann"})
+
+    def test_flags_and_overrides_share_one_document(self, tmp_path):
+        cfg = write_config(tmp_path, {"input": {"recording": 5}, "welch": {"taper": "hann"}})
+        got = parse("topo", "--config", str(cfg), "--input", "a.edf", "--scalar", "band:beta",
+                    "--format", "csv, ppm", "--seed", "0", "--welch.taper=rectangular")
+        assert got.recording == "a.edf" and got.topo_scalar == "band:beta"
+        assert got.formats == ("csv", "ppm") and got.seed == 0
+        assert got.welch.taper == "rectangular"
+        # a flag beats a dotted override of the same key
+        assert parse("bar", "--out", "a", "--out_dir.x", "1").out_dir == "a"
+        assert parse("bar", "--input.recording", '"2024"').recording == "2024"
+        with pytest.raises(InvalidConfig, match="^input.recording must be"):
+            parse("bar", "--input.recording", "2024")
+        # an override replaces the whole subtree at its path
+        assert parse("bar", "--bands.alpha", "[9, 12]").band("alpha").f_low == 9.0
+        with pytest.raises(InvalidConfig, match="override '--welch.taper' is missing a value"):
+            parse("bar", "--welch.taper")
+
+    def test_empty_flags_set_nothing(self):
+        assert parse("bar", "--out", "", "--format", "").formats == cli.FORMATS
+        assert parse("bar", "--format", ",").formats == ()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from barstress import core, spectral
@@ -259,6 +259,83 @@ class TestBandPower:
         assert spectral.band_power(est, ALPHA) == pytest.approx(5.0)
         picked = spectral.band_power(est, ALPHA, channels=["M1"])
         assert picked == pytest.approx(500.0)
+
+
+def reference_band_power(psd, band):
+    """Per-channel np.interp at the band nodes, then a one-row trapezoid."""
+    f = psd.frequencies
+    lo, hi = band.f_low, band.f_high
+    xs = np.concatenate(([lo], f[(f > lo) & (f < hi)], [min(hi, f[-1])]))
+    out = np.empty(psd.power.shape[0])
+    for i, row in enumerate(psd.power):
+        ys = np.interp(xs, f, row)
+        out[i] = float(np.sum((ys[1:] + ys[:-1]) * np.diff(xs)) * 0.5)
+    return out
+
+
+# Values that take np.interp's special paths: zeros of both signs, the
+# smallest subnormal, huge values, infinities and NaN.
+SPECIAL_DENSITIES = [0.0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def psd_and_band(draw):
+    nfft = draw(st.integers(2, 400))
+    fs = draw(st.sampled_from([100.0, 250.0, 500.0, 512.0]))
+    f = np.fft.rfftfreq(nfft, d=1.0 / fs)
+    channels = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    power = rng.uniform(0.0, 1e3, size=(channels, f.size))
+    cell = st.tuples(st.integers(0, channels - 1), st.integers(0, f.size - 1))
+    for (i, j), v in draw(st.lists(st.tuples(cell, st.sampled_from(SPECIAL_DENSITIES)), max_size=8)):
+        power[i, j] = v
+    # edges on the grid, between grid points, and f_high just above the last
+    # frequency, where the last node repeats
+    edge = st.one_of(
+        st.sampled_from(list(f)),
+        st.floats(0.0, float(f[-1])),
+        st.just(float(f[-1]) * (1.0 + 5e-13)),
+    )
+    lo, hi = sorted((draw(edge), draw(edge)))
+    assume(lo < hi)
+    return spectral.PsdEstimate(f, power, spectral.WelchConfig()), core.BandDefinition("b", lo, hi)
+
+
+class TestBandPowerPerChannel:
+    @settings(max_examples=150, deadline=None)
+    @given(psd_and_band())
+    def test_bytes_equal_per_channel_reference(self, data):
+        psd, band = data
+        with np.errstate(all="ignore"):
+            got = spectral.band_power_per_channel(psd, band)
+            want = reference_band_power(psd, band)
+        assert got.tobytes() == want.tobytes()
+
+    def test_infinite_neighbours_at_an_edge(self):
+        # np.interp gives inf, not inf - inf = NaN, between two equal infinities
+        power = np.array([[math.inf, math.inf, 1.0, 1.0], [1.0, math.inf, math.inf, 1.0],
+                          [-math.inf, -math.inf, 0.0, 0.0], [math.nan, 1.0, 1.0, math.inf]])
+        psd = spectral.PsdEstimate(np.arange(4.0), power, spectral.WelchConfig())
+        band = core.BandDefinition("b", 0.5, 1.5)
+        with np.errstate(all="ignore"):
+            got = spectral.band_power_per_channel(psd, band)
+            assert got.tobytes() == reference_band_power(psd, band).tobytes()
+        assert list(got[:3]) == [math.inf, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("cfg", [
+        spectral.WelchConfig(),
+        spectral.WelchConfig(taper="hann", segment_count=7, overlap_fraction=0.3),
+        spectral.WelchConfig(fft_size=4096),
+        spectral.WelchConfig(window_len=3.3, segment_count=2),
+    ])
+    def test_welch_spectra_bytes_equal(self, cfg):
+        x = np.random.default_rng(7).normal(size=(31, 5000))
+        chans = tuple(core.ChannelInfo(f"E{i}", (0.0, 0.0)) for i in range(31))
+        psd = spectral.welch_psd(core.Epoch(x, 0.0, 10.0, 500.0, chans), cfg)
+        bands = [*core.DEFAULT_BANDS.values(), core.BandDefinition("odd", 7.31, 12.77)]
+        for band in bands:
+            got = spectral.band_power_per_channel(psd, band)
+            assert got.tobytes() == reference_band_power(psd, band).tobytes()
 
 
 class TestBandRatio:
