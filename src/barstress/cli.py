@@ -1,10 +1,13 @@
 """Command-line front end: ingest, spectra, ratios, fits, maps, report.
 
 One JSON config document drives every command; flags override config keys
-by dotted path (for example --welch.taper hann). Commands compute first
-and write all files afterwards, so a failed run leaves no partial output.
-Wall-clock metadata goes to a separate sidecar, keeping the analysis
-artifacts byte-reproducible.
+by dotted path (for example --welch.taper hann). Every command returns its
+files by name and writes nothing. One writer, _emit, then encodes them
+all: a .json file's document as json.dumps with indent=2 would, a .csv
+file's rows of text fields one line each, anything else as the bytes
+given. Only then does it write them, and run_meta.json last, so a failed
+run leaves no partial output. Wall-clock metadata goes to run_meta.json
+only, keeping the analysis artifacts byte-reproducible.
 
 Exit codes: 0 success, 2 validation or usage error, 3 IO error,
 4 fit non-convergence (partial output still written).
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import itertools
 import json
 import math
 import mmap
@@ -179,6 +183,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     version = values.pop("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise InvalidConfig(f"unsupported schema_version {version!r}")
+    if values.get("channels") == ():
+        raise InvalidConfig("channels must name at least one channel, got []")
     bad = set(values.get("formats", ())) - set(FORMATS)
     if bad:
         raise InvalidConfig(f"formats: unknown output formats {sorted(bad)}")
@@ -248,11 +254,6 @@ def load_config(args, extras: list[str]) -> RunConfig:
 
 # ------------------------------------------------------------------ helpers
 
-def _say(cfg: RunConfig, message: str):
-    if not cfg.quiet:
-        print(message)
-
-
 def _edf_epochs(
     cfg: RunConfig, data, protocol: core.SessionProtocol
 ) -> list[core.Epoch]:
@@ -295,12 +296,6 @@ def _load_epochs(
             return _edf_epochs(cfg, data, protocol)
 
 
-def _write_all(files: dict[Path, bytes]):
-    for path, blob in files.items():
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(blob)
-
-
 class _FloatText(list):
     """Floats already formatted by repr, spliced into JSON as numbers."""
 
@@ -310,15 +305,15 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_indent2(obj, level: int = 0) -> str:
-    """The text of json.dumps(obj, indent=2), with _FloatText lists spliced in.
+    """The text json.dumps gives obj with indent=2, _FloatText lists spliced in.
 
     The stdlib encoder runs in pure Python whenever indent is set; this
     writer only walks the containers and leaves each number list as one
-    join. obj holds dicts with string keys, lists and JSON scalars.
+    join. obj holds dicts with string keys, lists, tuples and JSON scalars.
     """
     if isinstance(obj, _FloatText):
         items, brackets = map(_JSON_NONFINITE.get, obj, obj), "[]"
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         items, brackets = (_json_indent2(v, level + 1) for v in obj), "[]"
     elif isinstance(obj, dict):
         items = (f"{json.dumps(k)}: {_json_indent2(v, level + 1)}" for k, v in obj.items())
@@ -331,25 +326,56 @@ def _json_indent2(obj, level: int = 0) -> str:
     return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * level}{brackets[1]}"
 
 
-def _sidecar(out_dir: Path, command: str):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "command": command,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
+# What a command returns: its exit code, its files by name, and its message.
+Result = tuple[int, dict[str, typing.Any], str]
+
+
+def _encode(name: str, content) -> bytes:
+    """The bytes of one output file.
+
+    content is bytes, kept as given; or the document of a .json file,
+    written as json.dumps writes it with indent=2; or the rows of text
+    fields of a .csv file, each row one comma-joined line.
+    """
+    if isinstance(content, bytes):
+        return content
+    if name.endswith(".json"):
+        return _json_indent2(content).encode()
+    return ("\n".join(map(",".join, content)) + "\n").encode()
+
+
+def _emit(cfg: RunConfig, command: str, result: Result) -> int:
+    """Write a command's files into cfg.out_dir, then run_meta.json; print
+    its message unless quiet; return its exit code.
+
+    Every file is encoded before the first is written, so a file that
+    cannot be encoded leaves no partial output.
+    """
+    code, files, message = result
+    blobs = {name: _encode(name, content) for name, content in files.items()}
+    now = datetime.datetime.now(datetime.timezone.utc)
+    blobs["run_meta.json"] = _encode("run_meta.json", {"command": command, "timestamp": now.isoformat()})
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, blob in blobs.items():
+        (out / name).write_bytes(blob)
+    if not cfg.quiet:
+        print(message)
+    return code
 
 
 def _bar_series(
     cfg: RunConfig, path: str | None, protocol: core.SessionProtocol, baseline: float | None = None
 ) -> spectral.BarSeries:
     """The configured band ratio at each protocol epoch of the recording at path."""
+    # Bands first, so an undefined band fails before the recording is read.
+    numerator, denominator = cfg.band(cfg.numerator), cfg.band(cfg.denominator)
     return spectral.bar_series(
         _load_epochs(cfg, path, protocol),
         protocol,
         cfg.welch,
-        cfg.band(cfg.numerator),
-        cfg.band(cfg.denominator),
+        numerator,
+        denominator,
         baseline=math.nan if baseline is None else baseline,
         channels=cfg.channels,
     )
@@ -367,23 +393,22 @@ def _measure_baseline(cfg: RunConfig) -> float | None:
 
 # ----------------------------------------------------------------- commands
 
-def cmd_psd(cfg: RunConfig) -> int:
+def cmd_psd(cfg: RunConfig) -> Result:
     epochs = _load_epochs(cfg, cfg.recording, cfg.protocol)
     channels = epochs[0].channels
     psds = [spectral.welch_psd(ep, cfg.welch) for ep in epochs]
     # Every value is formatted once; the CSVs and psd.json share the text.
     freq_txt = list(map(repr, psds[0].frequencies.tolist()))
     power_txt = [[list(map(repr, row)) for row in p.power.tolist()] for p in psds]
-    out = Path(cfg.out_dir)
-    files: dict[Path, bytes] = {}
+    files = {}
     if "csv" in cfg.formats:
-        header = "frequency_hz," + ",".join(f"epoch_{ep.t_start:g}s" for ep in epochs)
+        header = ["frequency_hz", *(f"epoch_{ep.t_start:g}s" for ep in epochs)]
         for row, ch in enumerate(channels):
-            columns = [freq_txt] + [txt[row] for txt in power_txt]
-            lines = [header, *map(",".join, zip(*columns))]
-            files[out / f"psd_{ch.label}.csv"] = ("\n".join(lines) + "\n").encode()
+            # Lazy rows: built as lists for all channels at once, they cost time and memory.
+            columns = zip(freq_txt, *(txt[row] for txt in power_txt))
+            files[f"psd_{ch.label}.csv"] = itertools.chain([header], columns)
     if "json" in cfg.formats:
-        doc = {
+        files["psd.json"] = {
             "schema_version": SCHEMA_VERSION,
             "frequencies_hz": _FloatText(freq_txt),
             "epochs": [
@@ -396,35 +421,37 @@ def cmd_psd(cfg: RunConfig) -> int:
                 for ep, txt in zip(epochs, power_txt)
             ],
         }
-        files[out / "psd.json"] = _json_indent2(doc).encode()
-    _write_all(files)
-    _sidecar(out, "psd")
-    _say(cfg, f"wrote PSD for {len(channels)} channels, {len(epochs)} epochs")
-    return EXIT_OK
+    return EXIT_OK, files, f"wrote PSD for {len(channels)} channels, {len(epochs)} epochs"
 
 
-def cmd_bar(cfg: RunConfig) -> int:
+def cmd_bar(cfg: RunConfig) -> Result:
     baseline = _measure_baseline(cfg)
     series = _bar_series(cfg, cfg.recording, cfg.protocol, baseline)
-    out = Path(cfg.out_dir)
-    files: dict[Path, bytes] = {}
+    p = series.protocol
+    files = {}
     if "csv" in cfg.formats:
-        files[out / "bar_series.csv"] = spectral.bar_series_to_csv(
-            series, include_increase=True
-        ).encode()
+        base = float(series.baseline)
+        files["bar_series.csv"] = [
+            ["time_s", "bar", "baseline", "relative_increase",
+             "phase", "game_type", "gamer_type", "music_type"],
+            *(
+                [repr(t), repr(r), repr(base), repr(spectral.relative_increase(r, base)),
+                 p.phase, p.game_type, p.gamer_type, p.music_type]
+                for t, r in series.points
+            ),
+        ]
         points = [(t / 60.0, r) for t, r in series.points]
         if cfg.protocol.phase == "during_gameplay" and baseline is not None:
             points.insert(0, (0.0, baseline))
-        lines = ["x_minutes,y_ratio"] + [f"{x!r},{y!r}" for x, y in points]
-        files[out / "bar_points.csv"] = ("\n".join(lines) + "\n").encode()
+        files["bar_points.csv"] = [["x_minutes", "y_ratio"], *(map(repr, pt) for pt in points)]
     if "json" in cfg.formats:
-        doc = {
+        files["bar_series.json"] = {
             "schema_version": SCHEMA_VERSION,
             "baseline": baseline,
-            "phase": series.protocol.phase,
-            "game_type": series.protocol.game_type,
-            "gamer_type": series.protocol.gamer_type,
-            "music_type": series.protocol.music_type,
+            "phase": p.phase,
+            "game_type": p.game_type,
+            "gamer_type": p.gamer_type,
+            "music_type": p.music_type,
             "points": [
                 {
                     "time_s": t,
@@ -438,11 +465,7 @@ def cmd_bar(cfg: RunConfig) -> int:
                 for t, r in series.points
             ],
         }
-        files[out / "bar_series.json"] = json.dumps(doc, indent=2).encode()
-    _write_all(files)
-    _sidecar(out, "bar")
-    _say(cfg, f"wrote BAR series with {len(series.points)} points")
-    return EXIT_OK
+    return EXIT_OK, files, f"wrote BAR series with {len(series.points)} points"
 
 
 def _read_points(path: Path) -> list[tuple[float, float]]:
@@ -467,7 +490,7 @@ def _read_points(path: Path) -> list[tuple[float, float]]:
     return points
 
 
-def cmd_fit(cfg: RunConfig, model_kind: str) -> int:
+def cmd_fit(cfg: RunConfig, model_kind: str) -> Result:
     src = cfg.points or str(Path(cfg.out_dir) / "bar_points.csv")
     points = _read_points(Path(src))
     fits: dict[str, regress.FitResult] = {}
@@ -475,14 +498,13 @@ def cmd_fit(cfg: RunConfig, model_kind: str) -> int:
         fits["4pl"] = regress.fit_4pl(points)
     if model_kind in ("quartic", "both"):
         fits["quartic"] = regress.fit_quartic(points)
-    out = Path(cfg.out_dir)
-    files: dict[Path, bytes] = {}
+    files = {}
     if "json" in cfg.formats:
         for name, fit in fits.items():
-            files[out / f"fit_{name}.json"] = regress.fit_result_to_json(fit).encode()
+            files[f"fit_{name}.json"] = regress.fit_result_to_dict(fit)
         if len(fits) > 1:
             ranking = regress.compare_models(list(fits.values()))
-            doc = {
+            files["comparison.json"] = {
                 "schema_version": SCHEMA_VERSION,
                 "ranking": [
                     {
@@ -494,7 +516,6 @@ def cmd_fit(cfg: RunConfig, model_kind: str) -> int:
                     for r in ranking
                 ],
             }
-            files[out / "comparison.json"] = json.dumps(doc, indent=2).encode()
     if "csv" in cfg.formats:
         for name, fit in fits.items():
             xs = [x for x, _ in points]
@@ -504,71 +525,67 @@ def cmd_fit(cfg: RunConfig, model_kind: str) -> int:
                 if isinstance(model, regress.FourPLModel)
                 else regress.eval_quartic(model, np.asarray(xs))
             )
-            lines = ["x_minutes,y_observed,y_fitted"] + [
-                f"{x!r},{y!r},{float(p)!r}" for (x, y), p in zip(points, pred)
+            files[f"fit_{name}_curve.csv"] = [
+                ["x_minutes", "y_observed", "y_fitted"],
+                *([repr(x), repr(y), repr(float(p))] for (x, y), p in zip(points, pred)),
             ]
-            files[out / f"fit_{name}_curve.csv"] = ("\n".join(lines) + "\n").encode()
-    _write_all(files)
-    _sidecar(out, "fit")
-    for name, fit in fits.items():
-        _say(
-            cfg,
-            f"{name}: rss={fit.rss:.6g} r2={fit.r_squared:.6f} "
-            f"aic={fit.aic:.4f} converged={fit.converged}",
-        )
-    if any(not f.converged for f in fits.values()):
-        return EXIT_DIVERGED
-    return EXIT_OK
+    message = "\n".join(
+        f"{name}: rss={fit.rss:.6g} r2={fit.r_squared:.6f} "
+        f"aic={fit.aic:.4f} converged={fit.converged}"
+        for name, fit in fits.items()
+    )
+    code = EXIT_DIVERGED if any(not f.converged for f in fits.values()) else EXIT_OK
+    return code, files, message
 
 
-def _epoch_vector(cfg: RunConfig, psd: spectral.PsdEstimate, montage: core.Montage) -> topo.TopoVector:
-    rows = [i for i, c in enumerate(psd.channels) if c.kind == "eeg"]
-    if [psd.channels[i].label for i in rows] != [e.label for e in montage.eeg_electrodes]:
-        raise InvalidConfig("recording channels do not cover the montage")
-
-    def power(name: str) -> np.ndarray:
-        return spectral.band_power_per_channel(psd, cfg.band(name))[rows]
-
+def _topo_bands(cfg: RunConfig) -> list[core.BandDefinition]:
+    """The bands of the topo scalar: numerator and denominator, or the one band."""
     if cfg.topo_scalar == "bar":
-        return topo.TopoVector(power(cfg.numerator) / power(cfg.denominator))
+        return [cfg.band(cfg.numerator), cfg.band(cfg.denominator)]
     if cfg.topo_scalar.startswith("band:"):
-        return topo.TopoVector(power(cfg.topo_scalar.split(":", 1)[1]))
+        return [cfg.band(cfg.topo_scalar.split(":", 1)[1])]
     raise InvalidConfig(f"topo scalar must be 'bar' or 'band:<name>', got {cfg.topo_scalar!r}")
 
 
-def cmd_topo(cfg: RunConfig) -> int:
+def _epoch_vector(
+    psd: spectral.PsdEstimate, bands: list[core.BandDefinition], montage: core.Montage
+) -> topo.TopoVector:
+    """The scalar per montage electrode: the bands' power ratio, or one band's power."""
+    rows = [i for i, c in enumerate(psd.channels) if c.kind == "eeg"]
+    if [psd.channels[i].label for i in rows] != [e.label for e in montage.eeg_electrodes]:
+        raise InvalidConfig("recording channels do not cover the montage")
+    power = [spectral.band_power_per_channel(psd, band)[rows] for band in bands]
+    return topo.TopoVector(power[0] / power[1] if len(power) == 2 else power[0])
+
+
+def cmd_topo(cfg: RunConfig) -> Result:
     montage = cfg.montage
+    bands = _topo_bands(cfg)  # before the read, like _bar_series
     epochs = _load_epochs(cfg, cfg.recording, cfg.protocol)
     vectors = [
-        _epoch_vector(cfg, spectral.welch_psd(ep, cfg.welch), montage) for ep in epochs
+        _epoch_vector(spectral.welch_psd(ep, cfg.welch), bands, montage) for ep in epochs
     ]
     grids = [
         topo.interpolate_scalp(v, montage, cfg.topo_resolution) for v in vectors
     ]
-    sim = topo.similarity_matrix(vectors)
-    out = Path(cfg.out_dir)
-    files: dict[Path, bytes] = {}
+    sim = topo.similarity_matrix(vectors).tolist()
+    files = {}
     for i, (ep, grid) in enumerate(zip(epochs, grids)):
         stem = f"topo_{i:02d}_{ep.t_start:g}s"
         if "ppm" in cfg.formats:
-            files[out / f"{stem}.ppm"] = topo.render_topomap(grid)
+            files[f"{stem}.ppm"] = topo.render_topomap(grid)
         if "csv" in cfg.formats:
-            files[out / f"{stem}.csv"] = topo.grid_to_csv(grid).encode()
+            files[f"{stem}.csv"] = topo.grid_to_csv(grid).encode()
     if "csv" in cfg.formats:
-        lines = [",".join(repr(float(v)) for v in row) for row in sim]
-        files[out / "similarity.csv"] = ("\n".join(lines) + "\n").encode()
+        files["similarity.csv"] = [list(map(repr, row)) for row in sim]
     if "json" in cfg.formats:
-        doc = {
+        files["similarity.json"] = {
             "schema_version": SCHEMA_VERSION,
             "scalar": cfg.topo_scalar,
             "epochs": [ep.t_start for ep in epochs],
-            "similarity": [[float(v) for v in row] for row in sim],
+            "similarity": sim,
         }
-        files[out / "similarity.json"] = json.dumps(doc, indent=2).encode()
-    _write_all(files)
-    _sidecar(out, "topo")
-    _say(cfg, f"wrote {len(grids)} topography maps")
-    return EXIT_OK
+    return EXIT_OK, files, f"wrote {len(grids)} topography maps"
 
 
 # Every key of a synth spec and its JSON type. Keys left out take the
@@ -606,26 +623,19 @@ def _synth_spec_from_doc(doc: dict, cfg: RunConfig) -> tuple[synth.SynthSpec, tu
     return spec, outputs
 
 
-def cmd_synth(cfg: RunConfig, spec_path: str) -> int:
+def cmd_synth(cfg: RunConfig, spec_path: str) -> Result:
     spec, outputs = _synth_spec_from_doc(_read_json(spec_path, "synth spec"), cfg)
     recording = synth.synth_eeg(spec)
-    out = Path(cfg.out_dir)
-    files: dict[Path, bytes] = {}
-    written = []
+    files = {}
     if "csv" in outputs:
-        files[out / "synthetic.csv"] = ingest.write_csv(recording, cfg.csv_layout)
-        written.append("synthetic.csv")
+        files["synthetic.csv"] = ingest.write_csv(recording, cfg.csv_layout)
     if "edf" in outputs:
-        files[out / "synthetic.edf"] = ingest.write_edf(recording)
-        written.append("synthetic.edf")
-    meta = synth.spec_metadata(spec)
-    meta["schema_version"] = SCHEMA_VERSION
-    meta["files"] = written
-    files[out / "synth_meta.json"] = json.dumps(meta, indent=2).encode()
-    _write_all(files)
-    _sidecar(out, "synth")
-    _say(cfg, f"wrote synthetic recording: {', '.join(written)}")
-    return EXIT_OK
+        files["synthetic.edf"] = ingest.write_edf(recording)
+    written = list(files)
+    files["synth_meta.json"] = {
+        **synth.spec_metadata(spec), "schema_version": SCHEMA_VERSION, "files": written
+    }
+    return EXIT_OK, files, f"wrote synthetic recording: {', '.join(written)}"
 
 
 def _read_if_exists(path: Path):
@@ -634,7 +644,7 @@ def _read_if_exists(path: Path):
     return None
 
 
-def cmd_report(cfg: RunConfig) -> int:
+def cmd_report(cfg: RunConfig) -> Result:
     out = Path(cfg.out_dir)
     bar = _read_if_exists(out / "bar_series.json")
     comparison = _read_if_exists(out / "comparison.json")
@@ -696,14 +706,19 @@ def cmd_report(cfg: RunConfig) -> int:
         lines.append(f"- {len(images)} map images")
         lines.append("")
 
-    files = {
-        out / "report.json": json.dumps(report, indent=2).encode(),
-        out / "report.md": ("\n".join(lines)).encode(),
-    }
-    _write_all(files)
-    _sidecar(out, "report")
-    _say(cfg, f"wrote report with {sum(1 for v in report.values() if v)} sections")
-    return EXIT_OK
+    files = {"report.json": report, "report.md": "\n".join(lines).encode()}
+    return EXIT_OK, files, f"wrote report with {sum(1 for v in report.values() if v)} sections"
+
+
+# Each subcommand's function, called with the config and the parsed arguments.
+COMMANDS = {
+    "psd": lambda cfg, args: cmd_psd(cfg),
+    "bar": lambda cfg, args: cmd_bar(cfg),
+    "fit": lambda cfg, args: cmd_fit(cfg, args.model),
+    "topo": lambda cfg, args: cmd_topo(cfg),
+    "synth": lambda cfg, args: cmd_synth(cfg, args.spec),
+    "report": lambda cfg, args: cmd_report(cfg),
+}
 
 
 # --------------------------------------------------------------- entrypoint
@@ -747,30 +762,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
     try:
         cfg = load_config(args, extras)
-        if args.command == "psd":
-            return cmd_psd(cfg)
-        if args.command == "bar":
-            return cmd_bar(cfg)
-        if args.command == "fit":
-            return cmd_fit(cfg, args.model)
-        if args.command == "topo":
-            return cmd_topo(cfg)
-        if args.command == "synth":
-            return cmd_synth(cfg, args.spec)
-        if args.command == "report":
-            return cmd_report(cfg)
-        parser.error(f"unknown command {args.command!r}")
+        return _emit(cfg, args.command, COMMANDS[args.command](cfg, args))
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -216,9 +216,6 @@ class Recording:
     def labels(self) -> tuple[str, ...]:
         return tuple(c.label for c in self.channels)
 
-    def eeg_indices(self) -> list[int]:
-        return [i for i, c in enumerate(self.channels) if c.kind == "eeg"]
-
 
 @dataclass(frozen=True)
 class Epoch:
@@ -237,9 +234,6 @@ class Epoch:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(c.label for c in self.channels)
-
-    def eeg_indices(self) -> list[int]:
-        return [i for i, c in enumerate(self.channels) if c.kind == "eeg"]
 
 
 def slice_epochs(

@@ -15,7 +15,6 @@ with the error variance not counted in k.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -428,6 +427,3 @@ def fit_result_to_dict(fit: FitResult) -> dict:
         "iterations": fit.iterations,
     }
 
-
-def fit_result_to_json(fit: FitResult) -> str:
-    return json.dumps(fit_result_to_dict(fit), indent=2)

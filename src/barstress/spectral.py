@@ -10,7 +10,6 @@ DC and Nyquist do not.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -321,23 +320,3 @@ def bar_timeseries(
         epochs, protocol, welch_config, numerator, denominator, baseline, channels
     )
 
-
-def bar_series_to_csv(series: BarSeries, include_increase: bool = False) -> str:
-    """CSV of the series; optionally adds baseline and relative_increase."""
-    cols = ["time_s", "bar"]
-    if include_increase:
-        cols += ["baseline", "relative_increase"]
-    cols += ["phase", "game_type", "gamer_type", "music_type"]
-    out = io.StringIO()
-    out.write(",".join(cols) + "\n")
-    p = series.protocol
-    for t, r in series.points:
-        fields = [repr(float(t)), repr(float(r))]
-        if include_increase:
-            fields += [
-                repr(float(series.baseline)),
-                repr(relative_increase(r, series.baseline)),
-            ]
-        fields += [p.phase, p.game_type, p.gamer_type, p.music_type]
-        out.write(",".join(fields) + "\n")
-    return out.getvalue()

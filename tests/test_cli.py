@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tempfile
 import types
@@ -374,6 +375,20 @@ class TestBarCommand:
         assert doc["game_type"] == "puzzle"
         assert all(p["relative_increase"] is not None for p in doc["points"])
 
+    def test_series_csv_columns_and_increase(self, tmp_path, session_csv):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, {"baseline_bar": 0.7, "protocol": {"epoch_times": [0.0, 10.0]}})
+        assert run("bar", "--config", str(cfg), "--input", str(session_csv),
+                   "--out", str(out), "--quiet") == 0
+        rows = [ln.split(",") for ln in (out / "bar_series.csv").read_text().splitlines()]
+        assert rows[0] == ["time_s", "bar", "baseline", "relative_increase",
+                           "phase", "game_type", "gamer_type", "music_type"]
+        assert [row[0] for row in rows[1:]] == ["0.0", "10.0"]
+        for row in rows[1:]:
+            assert float(row[2]) == 0.7 and row[4] == "baseline"
+            want = spectral.relative_increase(float(row[1]), 0.7)
+            assert float(row[3]) == pytest.approx(want, rel=1e-12)
+
     def test_baseline_recording_measured(self, tmp_path, rest_csv, session_csv):
         out = tmp_path / "o"
         cfg = write_config(
@@ -561,11 +576,12 @@ def reference_psd_files(epochs, psds):
 
 
 def run_psd_writer(epochs, psds):
-    """cmd_psd's output files for the given epochs and spectra."""
+    """The files cmd_psd returns for the given epochs and spectra, as written."""
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(cli, "_load_epochs", return_value=epochs), \
             mock.patch.object(cli.spectral, "welch_psd", side_effect=psds):
-        assert cli.cmd_psd(cli.RunConfig(recording="in.csv", out_dir=tmp, quiet=True)) == 0
+        cfg = cli.RunConfig(recording="in.csv", out_dir=tmp, quiet=True)
+        assert cli._emit(cfg, "psd", cli.cmd_psd(cfg)) == 0
         return {p.name: p.read_bytes() for p in Path(tmp).iterdir() if p.name != "run_meta.json"}
 
 
@@ -608,6 +624,11 @@ class TestCsvFieldsParse:
         for command in ("psd", "bar", "topo"):
             assert run(command, *common) == 0
         assert run("fit", "--out", str(out), "--quiet") == 0
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"duration_s": 1.0, "bands": [
+            {"name": "alpha", "f_low": 8, "f_high": 13, "power": 4.329}]}))
+        assert run("synth", "--spec", str(spec), "--out", str(out), "--quiet") == 0
+        assert run("report", "--out", str(out), "--quiet") == 0
         headed = ["psd_*.csv", "bar_series.csv", "bar_points.csv", "fit_*_curve.csv"]
         bare = ["topo_*.csv", "similarity.csv"]
         checked = 0
@@ -629,6 +650,93 @@ class TestCsvFieldsParse:
         for path in out.glob("psd_*.csv"):
             column = [float(ln.split(",", 1)[0]) for ln in path.read_text().splitlines()[1:]]
             assert column == freqs
+        documents = sorted(p.name for p in out.glob("*.json"))
+        assert {"psd.json", "bar_series.json", "similarity.json", "fit_4pl.json", "comparison.json",
+                "synth_meta.json", "report.json", "run_meta.json"} <= set(documents)
+        for name in documents:
+            text = (out / name).read_text()
+            assert text == json.dumps(json.loads(text), indent=2), name
+
+
+# JSON trees with the scalars json.dumps spells in its own way.
+json_keys = st.text() | st.sampled_from(
+    ["", '"', "\\", "\n\t", "\x00", "\u00e9", "O\u0308z", "\u2028", "\ud800"]
+)
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 2**64])
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_keys, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(json_trees)
+    def test_equals_json_dumps_indent2(self, doc):
+        assert cli._json_indent2(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "doc", [[], {}, (), [[]], {"a": {}}, ([], ()), {"k": ((1, 2.5), None)}]
+    )
+    def test_empty_and_nested_containers(self, doc):
+        assert cli._json_indent2(doc) == json.dumps(doc, indent=2)
+
+
+class TestEmit:
+    def test_nothing_written_when_a_file_cannot_be_encoded(self, tmp_path):
+        cfg = cli.RunConfig(out_dir=str(tmp_path / "o"), quiet=True)
+        files = {"a.csv": [["1.0"]], "b.json": {"bad": object()}}
+        with pytest.raises(TypeError):
+            cli._emit(cfg, "bar", (cli.EXIT_OK, files, ""))
+        assert not (tmp_path / "o").exists()
+
+    def test_files_in_order_then_run_meta(self, tmp_path, monkeypatch, capsys):
+        written = []
+        write_bytes = Path.write_bytes
+        monkeypatch.setattr(Path, "write_bytes", lambda p, b: written.append(p.name) or write_bytes(p, b))
+        cfg = cli.RunConfig(out_dir=str(tmp_path / "o"))
+        files = {"b.json": {"k": (1, 2.5)}, "a.csv": [["x", "y"], ("1.0", "nan")], "c.ppm": b"P6"}
+        assert cli._emit(cfg, "fit", (cli.EXIT_DIVERGED, files, "line 1\nline 2")) == cli.EXIT_DIVERGED
+        assert written == ["b.json", "a.csv", "c.ppm", "run_meta.json"]
+        assert (tmp_path / "o" / "a.csv").read_bytes() == b"x,y\n1.0,nan\n"
+        assert (tmp_path / "o" / "b.json").read_text() == json.dumps({"k": [1, 2.5]}, indent=2)
+        assert json.loads((tmp_path / "o" / "run_meta.json").read_text())["command"] == "fit"
+        assert capsys.readouterr().out == "line 1\nline 2\n"
+
+
+# Band names and topo scalars that no config band resolves, for bar and topo.
+UNRESOLVED_BANDS = [
+    ("bar", "--ratio.numerator", "gamma"),
+    ("bar", "--ratio.denominator", "mu"),
+    ("topo", "--ratio.numerator", "gamma"),
+    ("topo", "--scalar", "band:gamma"),
+    ("topo", "--scalar", "foo"),
+]
+
+
+@pytest.mark.parametrize("argv", UNRESOLVED_BANDS)
+def test_bands_resolved_before_input_read(tmp_path, rest_csv, argv):
+    with mock.patch.object(ingest, "read_csv", wraps=ingest.read_csv) as reader:
+        rc = run(*argv, "--input", str(rest_csv), "--out", str(tmp_path / "o"), "--quiet")
+    assert rc == cli.EXIT_VALIDATION
+    assert reader.call_count == 0
+    assert not (tmp_path / "o").exists()
+
+
+def test_custom_bands_without_beta_or_alpha(tmp_path, rest_csv):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, {"bands": {"gamma": [30, 45]}, "protocol": {"epoch_times": [0.0]}})
+    assert run("topo", "--config", str(cfg), "--input", str(rest_csv), "--out", str(out),
+               "--scalar", "band:gamma", "--quiet") == 0
+    points = tmp_path / "points.csv"
+    points.write_text("".join(f"{x},{1 + 0.1 * x}\n" for x in range(6)))
+    assert run("fit", "--config", str(cfg), "--points", str(points), "--model", "quartic",
+               "--out", str(out), "--quiet") == 0
 
 
 class TestTopoCommand:
@@ -806,6 +914,7 @@ BAD_CONFIGS = [
     ([], {"montage": 5}, "montage must be"),
     ([], {"formats": "csv"}, "formats must be"),
     ([], {"channels": "Fz"}, "channels must be"),
+    ([], {"channels": []}, "channels must name at least one channel"),
 ]
 
 

@@ -413,21 +413,6 @@ class TestBarTimeseries:
         assert np.max(np.abs(ratios - ratios[0])) < 0.02 * ratios[0]
         assert series.baseline == 0.7
 
-    def test_csv_export_shapes(self):
-        rec = self.build_recording(20.0)
-        proto = core.SessionProtocol(phase="baseline", epoch_times=(0.0, 10.0))
-        series = spectral.bar_timeseries(rec, proto, baseline=0.7)
-        plain = spectral.bar_series_to_csv(series)
-        assert plain.splitlines()[0] == "time_s,bar,phase,game_type,gamer_type,music_type"
-        assert len(plain.splitlines()) == 3
-        rich = spectral.bar_series_to_csv(series, include_increase=True)
-        head = rich.splitlines()[0].split(",")
-        assert head[:4] == ["time_s", "bar", "baseline", "relative_increase"]
-        row = rich.splitlines()[1].split(",")
-        got = float(row[3])
-        want = spectral.relative_increase(series.ratios[0], 0.7)
-        assert got == pytest.approx(want, rel=1e-12)
-
     def test_series_validation(self):
         proto = core.SessionProtocol(phase="baseline")
         with pytest.raises(InvalidConfig):
