@@ -430,12 +430,18 @@ def cmd_bar(cfg: RunConfig) -> Result:
     p = series.protocol
     files = {}
     if "csv" in cfg.formats:
-        base = float(series.baseline)
+        # Without a baseline both of its fields are empty; bar_series.json says null.
+        def against_baseline(r):
+            if baseline is None:
+                return ["", ""]
+            base = float(baseline)
+            return [repr(base), repr(spectral.relative_increase(r, base))]
+
         files["bar_series.csv"] = [
             ["time_s", "bar", "baseline", "relative_increase",
              "phase", "game_type", "gamer_type", "music_type"],
             *(
-                [repr(t), repr(r), repr(base), repr(spectral.relative_increase(r, base)),
+                [repr(t), repr(r), *against_baseline(r),
                  p.phase, p.game_type, p.gamer_type, p.music_type]
                 for t, r in series.points
             ),

@@ -4,9 +4,12 @@ The sigmoid y = d + (a - d)/(1 + (x/c)^b) is linear in the asymptotes
 (a, d), so they are solved in closed form at every (b, c) and the fit is a
 2-D search over (log b, log c): variable projection (Golub & Pereyra 1973;
 O'Leary & Rust 2013). The best points of a coarse log-spaced (b, c) grid
-start damped Gauss-Newton descents with Kaufman's projected Jacobian. The
-grid matters because the RSS landscape is multimodal and has a flat
-power-law ridge as c grows large, where the optimum sits on the c bound.
+start a damped Gauss-Newton descent with Kaufman's projected Jacobian,
+all starts in lockstep: every evaluation is one array operation over the
+starts and their step halvings, and a start that has converged drops
+out. The grid matters because the RSS landscape is multimodal and has a
+flat power-law ridge as c grows large, where the optimum sits on the c
+bound.
 
 The quartic is an ordinary least-squares solve on a scaled monomial basis.
 Model ranking uses AIC in the full Gaussian form n*ln(2*pi*rss/n) + n + 2k,
@@ -278,8 +281,10 @@ def _grid_starts(
     lower: np.ndarray,
     upper: np.ndarray,
     count: int = 6,
-) -> list[np.ndarray]:
-    """(log b, log c) of the best (a, d)-profiled points of a log-spaced grid."""
+) -> np.ndarray:
+    """(log b, log c) of the best (a, d)-profiled points of a log-spaced grid,
+    best first, as a (starts, 2) stack; points without a finite fit are left out.
+    """
     bs = np.geomspace(lower[0], upper[0], 24)
     cs = np.geomspace(lower[1], upper[1], 48)
     bb, cc = (g.ravel()[:, None] for g in np.meshgrid(bs, cs, indexing="ij"))
@@ -289,70 +294,111 @@ def _grid_starts(
         rss = np.sum((a[:, None] * u + d[:, None] * w - ys) ** 2, axis=1)
     rss = np.where(np.isfinite(rss), rss, np.inf)
     order = np.argsort(rss, kind="stable")[:count]
-    return [np.log([bb[i, 0], cc[i, 0]]) for i in order if np.isfinite(rss[i])]
+    order = order[np.isfinite(rss[order])]
+    return np.log(np.column_stack([bb[order, 0], cc[order, 0]]))
 
 
-def _descend(
-    theta: np.ndarray,
+def _evaluate(
+    theta: np.ndarray, xs: np.ndarray, ys: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> tuple[np.ndarray, tuple]:
+    """RSS and fit state at every theta = (log b, log c) of a (..., 2) stack.
+
+    b and c are clamped to the box after exp, and (a, d) are solved in
+    closed form. The state is (a, b, c, d, u, w, log t, r), each with
+    theta's leading shape; a non-finite RSS reads as infinite. Dot products
+    are matmuls, which give each stacked value the bits a single theta's
+    1-D dot product gives.
+    """
+    b, c = np.moveaxis(np.clip(np.exp(theta), lower, upper), -1, 0)
+    u, w, log_t = _basis(xs, b[..., None], c[..., None])
+    a, d = _linear_fit(u, w, ys)
+    with np.errstate(all="ignore"):
+        r = a[..., None] * u + d[..., None] * w - ys
+        rss = (r[..., None, :] @ r[..., None])[..., 0, 0]
+    return np.where(np.isfinite(rss), rss, np.inf), (a, b, c, d, u, w, log_t, r)
+
+
+# Step factors 1, 1/2, ..., 2**-39: every halving of a step, tried at once.
+_HALVINGS = 0.5 ** np.arange(40)
+
+
+def _lockstep_descent(
+    thetas: np.ndarray,
     xs: np.ndarray,
     ys: np.ndarray,
     options: FitOptions,
     lower: np.ndarray,
     upper: np.ndarray,
-) -> tuple[np.ndarray, float, bool, int]:
-    """Damped Gauss-Newton in theta = (log b, log c) from one start.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Gauss-Newton in theta = (log b, log c) from a (starts, 2)
+    stack of starts, all stepped together.
 
     (a, d) are solved in closed form at every theta, and the Jacobian is
     Kaufman's: the theta-derivative of the model projected off the span of
     u and w. theta is clipped to the box; a coordinate on a bound whose
-    gradient points outward is held there for that step. A step is halved
-    until the RSS drops; a relative drop within the tolerance, or no drop
-    after 40 halvings, ends the search as converged.
+    gradient points outward is held there for that step, and the step of
+    the free coordinates is lstsq's. Each start takes the first of its
+    step's 40 halvings that lowers its RSS; a relative drop within the
+    tolerance, or no drop at all, ends that start as converged, and it
+    leaves the active set. Starts do not interact: each ends as it would
+    alone. One iteration evaluates every halving of every
+    active start at once, so a descent makes at most max_iterations + 1
+    evaluations, however many starts it carries.
+
+    Returns, per start, (a, b, c, d) as a (starts, 4) array, the RSS,
+    converged and the iterations used.
     """
     lo, hi = np.log(lower), np.log(upper)
-
-    def evaluate(theta):
-        b, c = np.clip(np.exp(theta), lower, upper)
-        u, w, log_t = _basis(xs, b, c)
-        a, d = _linear_fit(u, w, ys)
-        r = a * u + d * w - ys
-        rss = float(r @ r)
-        return (rss if math.isfinite(rss) else math.inf), (a, b, c, d, u, w, log_t, r)
-
-    rss, state = evaluate(theta)
-    converged = False
-    iterations = 0
-    for iterations in range(1, options.max_iterations + 1):
-        a, b, _, d, u, w, log_t, r = state
-        slope = (a - d) * u * w
-        deriv = np.stack([-slope * log_t, b * slope])
-        p, q = _linear_fit(u, w, deriv)
-        jac = (deriv - p[:, None] * u - q[:, None] * w).T
-        grad = jac.T @ r
+    theta = np.array(thetas, dtype=np.float64)
+    rss, state = _evaluate(theta, xs, ys, lower, upper)
+    converged = np.zeros(len(theta), dtype=bool)
+    iterations = np.zeros(len(theta), dtype=np.int64)
+    active = np.arange(len(theta))
+    for iteration in range(1, options.max_iterations + 1):
+        a, b, _, d, u, w, log_t, r = (s[active] for s in state)
+        here, now = theta[active], rss[active]
+        slope = (a - d)[:, None] * u * w
+        deriv = np.stack([-slope * log_t, b[:, None] * slope], axis=1)
+        p, q = _linear_fit(u[:, None], w[:, None], deriv)
+        jac = deriv - p[..., None] * u[:, None] - q[..., None] * w[:, None]
+        grad = (jac @ r[..., None])[..., 0]
         outward = np.where(grad > 0, lo, hi)
-        held = (grad != 0) & (np.abs(theta - outward) <= _BOUND_SNAP)
-        step = np.zeros(2)
-        if not held.all():
-            step[~held] = np.linalg.lstsq(jac[:, ~held], -r, rcond=None)[0]
-        for halving in range(40):
-            trial = np.where(held, outward, np.clip(theta + 0.5**halving * step, lo, hi))
-            trial_rss, trial_state = evaluate(trial)
-            if trial_rss < rss:
-                converged = rss - trial_rss <= options.tolerance * trial_rss
-                theta, rss, state = trial, trial_rss, trial_state
-                break
-        else:
-            converged = True
-        if converged:
+        held = (grad != 0) & (np.abs(here - outward) <= _BOUND_SNAP)
+        # One lstsq per start: a stacked SVD solve differs from it in the last
+        # bits, and on the flat plateaus of a near-step fit such bits decide
+        # where a descent ends (2 of 300 random series ended up to 1.5e-4 higher).
+        step = np.zeros_like(here)
+        for row, free in enumerate(~held):
+            if free.any():
+                step[row, free] = np.linalg.lstsq(jac[row, free].T, -r[row], rcond=None)[0]
+        trial = np.where(
+            held[:, None],
+            outward[:, None],
+            np.clip(here[:, None] + _HALVINGS[:, None] * step[:, None], lo, hi),
+        )
+        trial_rss, trial_state = _evaluate(trial, xs, ys, lower, upper)
+        drops = trial_rss < now[:, None]
+        moved = drops.any(axis=1)
+        pick = np.flatnonzero(moved), drops[moved].argmax(axis=1)
+        target = active[moved]
+        theta[target] = trial[pick]
+        rss[target] = trial_rss[pick]
+        for s, t in zip(state, trial_state):
+            s[target] = t[pick]
+        done = ~moved
+        done[moved] = now[moved] - rss[target] <= options.tolerance * rss[target]
+        iterations[active] = iteration
+        converged[active[done]] = True
+        active = active[~done]
+        if not active.size:
             break
-    a, b, c, d = state[:4]
-    return np.array([a, b, c, d]), rss, converged, iterations
+    return np.column_stack(state[:4]), rss, converged, iterations
 
 
 def fit_4pl(points, options: FitOptions | None = None) -> FitResult:
     """Least-squares sigmoid by variable projection over (log b, log c).
 
-    Each of the best profiled grid points starts one damped Gauss-Newton
+    The best profiled grid points start one lockstep damped Gauss-Newton
     descent; the lowest RSS wins, ties by start order. b and c lie inside
     the FitOptions box exactly. converged and iterations are the winning
     start's: converged=False means it used up max_iterations.
@@ -368,16 +414,16 @@ def fit_4pl(points, options: FitOptions | None = None) -> FitResult:
     c_max = max(opts.c_min * 10.0, opts.c_max_factor * float(xs.max()))
     lower = np.array([opts.b_min, opts.c_min])
     upper = np.array([opts.b_max, c_max])
-    best = None
-    for theta in _grid_starts(xs, ys, lower, upper):
-        params, rss, converged, iterations = _descend(theta, xs, ys, opts, lower, upper)
-        if best is None or rss < best[1]:
-            best = (params, rss, converged, iterations)
-    if best is None:
+    starts = _grid_starts(xs, ys, lower, upper)
+    if not len(starts):
         raise ValidationError("no point of the (b, c) grid gives a finite fit")
-    params, rss, converged, iterations = best
-    model = FourPLModel(*(float(v) for v in params))
-    return _finish(model, ys, rss, k=4, converged=converged, iterations=iterations)
+    params, rss, converged, iterations = _lockstep_descent(starts, xs, ys, opts, lower, upper)
+    best = int(np.argmin(rss))
+    model = FourPLModel(*(float(v) for v in params[best]))
+    return _finish(
+        model, ys, float(rss[best]), k=4,
+        converged=bool(converged[best]), iterations=int(iterations[best]),
+    )
 
 
 # ------------------------------------------------------------------ ranking

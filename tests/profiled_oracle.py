@@ -18,19 +18,27 @@ ORACLE_C_RANGE = (1e-2, 1e8)
 def profiled_4pl_rss(xs, ys, log_b, log_c):
     """RSS of the best 4PL at each (log b, log c), with (a, d) in closed form.
 
-    With t = (x/c)^b and w = t/(1 + t) the model is y = a + (d - a)*w, a
-    straight line in w, so its least-squares RSS is that of regressing y on
-    w. w is built from t, not as 1 - 1/(1 + t): for t near 1e-14 that
-    difference keeps about two significant digits.
+    With t = (x/c)^b, u = 1/(1 + t) and w = t/(1 + t) = 1 - u, the model
+    y = a + (d - a)*w = d + (a - d)*u is a straight line in either column,
+    so its least-squares RSS is that of regressing y on one of them. Each
+    column keeps its digits only where it is small: w where t is, u where t
+    is large (at t = 1e15, w keeps about one digit of 1 - w, and from about
+    1e16 on it rounds to 1). So the regression is on u where the
+    median of log t over the points is > 0, and on w otherwise. w is built
+    from t, not as 1 - u: for t near 1e-14 that difference keeps about two
+    significant digits.
     """
     log_x = np.log(np.where(xs > 0, xs, 1.0))
-    t = np.exp(np.clip(np.exp(log_b)[..., None] * (log_x - log_c[..., None]), -700.0, 700.0))
-    w = np.where(xs > 0, t / (1.0 + t), 0.0)
-    wc = w - w.mean(axis=-1, keepdims=True)
+    log_t = np.where(xs > 0, np.exp(log_b)[..., None] * (log_x - log_c[..., None]), -np.inf)
+    t = np.where(xs > 0, np.exp(np.clip(log_t, -700.0, 700.0)), 0.0)
+    column = np.where(
+        np.median(log_t, axis=-1, keepdims=True) > 0, 1.0 / (1.0 + t), t / (1.0 + t)
+    )
+    cc = column - column.mean(axis=-1, keepdims=True)
     yc = ys - ys.mean()
-    sww = np.sum(wc * wc, axis=-1)
-    slope = np.divide(wc @ yc, sww, out=np.zeros_like(sww), where=sww > 0)
-    resid = yc - slope[..., None] * wc
+    scc = np.sum(cc * cc, axis=-1)
+    slope = np.divide(cc @ yc, scc, out=np.zeros_like(scc), where=scc > 0)
+    resid = yc - slope[..., None] * cc
     return np.sum(resid * resid, axis=-1)
 
 

@@ -389,6 +389,23 @@ class TestBarCommand:
             want = spectral.relative_increase(float(row[1]), 0.7)
             assert float(row[3]) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("baseline_bar", [None, 0.7])
+    def test_missing_baseline_is_empty_in_csv_and_null_in_json(self, tmp_path, rest_csv, baseline_bar):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, {"baseline_bar": baseline_bar, "protocol": {"epoch_times": [0.0]}})
+        assert run("bar", "--config", str(cfg), "--input", str(rest_csv),
+                   "--out", str(out), "--quiet") == 0
+        rows = [ln.split(",") for ln in (out / "bar_series.csv").read_text().splitlines()]
+        doc = json.loads((out / "bar_series.json").read_text())
+        assert len(rows) == 2 and len(rows[1]) == 8
+        increase = doc["points"][0]["relative_increase"]
+        if baseline_bar is None:
+            assert rows[1][2:4] == ["", ""]
+            assert doc["baseline"] is None and increase is None
+        else:
+            assert rows[1][2:4] == [repr(baseline_bar), repr(increase)]
+            assert doc["baseline"] == baseline_bar and increase is not None
+
     def test_baseline_recording_measured(self, tmp_path, rest_csv, session_csv):
         out = tmp_path / "o"
         cfg = write_config(

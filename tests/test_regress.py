@@ -14,7 +14,7 @@ from barstress.errors import (
     ValidationError,
     ZeroTotalVariance,
 )
-from profiled_oracle import profiled_grid_optimum
+from profiled_oracle import profiled_4pl_rss, profiled_grid_optimum
 from published_series import (
     GAMEPLAY_SERIES,
     GAMEPLAY_SIGMOID,
@@ -37,6 +37,95 @@ def fit_box(points, opts):
     """The (b, c) box fit_4pl searches under opts, as (b_range, c_range)."""
     c_max = max(opts.c_min * 10.0, opts.c_max_factor * max(x for x, _ in points))
     return (opts.b_min, opts.b_max), (opts.c_min, c_max)
+
+
+def box_arrays(points, opts):
+    """fit_box as the (lower, upper) arrays of (b, c) that fit_4pl uses."""
+    b_range, c_range = fit_box(points, opts)
+    return np.array([b_range[0], c_range[0]]), np.array([b_range[1], c_range[1]])
+
+
+def seeded_corpus(count, seed):
+    """Random fit inputs: 4-9 points on x in [0, 60), a third each a 4PL
+    plus noise, a power law plus noise and pure noise."""
+    rng = np.random.default_rng(seed)
+    series = []
+    for i in range(count):
+        n = int(rng.integers(4, 10))
+        xs = np.sort(rng.uniform(0.0, 60.0, n))
+        if i % 3 == 0:
+            a, d = rng.uniform(0.5, 1.5), rng.uniform(1.5, 3.0)
+            b, c = rng.uniform(0.5, 8.0), rng.uniform(5.0, 55.0)
+            ys = d + (a - d) / (1 + (xs / c) ** b) + rng.normal(0, 0.05, n)
+        elif i % 3 == 1:
+            offset = rng.uniform(0.5, 1.0)
+            scale, power = rng.uniform(0.001, 0.1), rng.uniform(0.3, 2.0)
+            ys = offset + scale * xs**power + rng.normal(0, 0.05, n)
+        else:
+            ys = rng.normal(1.0, 0.2, n)
+        series.append(list(zip(xs.tolist(), ys.tolist())))
+    return series
+
+
+CORPUS = seeded_corpus(40, seed=2024)
+
+
+def reference_descend(theta, xs, ys, options, lower, upper):
+    """The sequential damped Gauss-Newton descent from one start, step
+    halvings tried one at a time: the reference for the lockstep descent.
+
+    Returns the start's (rss, converged, iterations).
+    """
+    lo, hi = np.log(lower), np.log(upper)
+
+    def evaluate(theta):
+        b, c = np.clip(np.exp(theta), lower, upper)
+        u, w, log_t = regress._basis(xs, b, c)
+        a, d = regress._linear_fit(u, w, ys)
+        r = a * u + d * w - ys
+        rss = float(r @ r)
+        return (rss if math.isfinite(rss) else math.inf), (a, b, c, d, u, w, log_t, r)
+
+    rss, state = evaluate(theta)
+    converged = False
+    iterations = 0
+    for iterations in range(1, options.max_iterations + 1):
+        a, b, _, d, u, w, log_t, r = state
+        slope = (a - d) * u * w
+        deriv = np.stack([-slope * log_t, b * slope])
+        p, q = regress._linear_fit(u, w, deriv)
+        jac = (deriv - p[:, None] * u - q[:, None] * w).T
+        grad = jac.T @ r
+        outward = np.where(grad > 0, lo, hi)
+        held = (grad != 0) & (np.abs(theta - outward) <= regress._BOUND_SNAP)
+        step = np.zeros(2)
+        if not held.all():
+            step[~held] = np.linalg.lstsq(jac[:, ~held], -r, rcond=None)[0]
+        for halving in range(40):
+            trial = np.where(held, outward, np.clip(theta + 0.5**halving * step, lo, hi))
+            trial_rss, trial_state = evaluate(trial)
+            if trial_rss < rss:
+                converged = rss - trial_rss <= options.tolerance * trial_rss
+                theta, rss, state = trial, trial_rss, trial_state
+                break
+        else:
+            converged = True
+        if converged:
+            break
+    return rss, converged, iterations
+
+
+def reference_fit_4pl(points, opts):
+    """(rss, converged) of fit_4pl with each grid start descended alone:
+    the lowest RSS wins, ties by start order."""
+    xs, ys = regress._as_xy(points)
+    lower, upper = box_arrays(points, opts)
+    best = None
+    for theta in regress._grid_starts(xs, ys, lower, upper):
+        rss, converged, _ = reference_descend(theta, xs, ys, opts, lower, upper)
+        if best is None or rss < best[0]:
+            best = (rss, converged)
+    return best
 
 
 def exact_quartic_lsq(points):
@@ -319,6 +408,85 @@ class TestFit4pl:
         one = regress.fit_4pl(pts)
         two = regress.fit_4pl(pts)
         assert one == two
+
+
+class TestLockstepDescent:
+    def test_published_series_match_sequential_reference(self):
+        opts = regress.FitOptions()
+        for series in PUBLISHED_SERIES:
+            points = published_points(series)
+            want_rss, want_converged = reference_fit_4pl(points, opts)
+            fit = regress.fit_4pl(points, opts)
+            assert fit.rss <= want_rss * (1.0 + 1e-12), series
+            assert fit.converged == want_converged, series
+
+    def test_seeded_corpus_matches_sequential_reference(self):
+        # a budget of 10 keeps the reference's stalled starts cheap; some
+        # fits end on it, so both values of converged are compared
+        opts = regress.FitOptions(max_iterations=10)
+        outcomes = set()
+        for i, points in enumerate(CORPUS):
+            want_rss, want_converged = reference_fit_4pl(points, opts)
+            fit = regress.fit_4pl(points, opts)
+            assert fit.rss <= want_rss * (1.0 + 1e-9), i
+            assert fit.converged == want_converged, i
+            outcomes.add(fit.converged)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "points",
+        [published_points(s) for s in PUBLISHED_SERIES[:6]] + CORPUS[:12],
+    )
+    def test_each_start_ends_as_it_would_alone(self, points):
+        opts = regress.FitOptions(max_iterations=25)
+        xs, ys = regress._as_xy(points)
+        lower, upper = box_arrays(points, opts)
+        starts = regress._grid_starts(xs, ys, lower, upper)
+        _, rss, converged, iterations = regress._lockstep_descent(
+            starts, xs, ys, opts, lower, upper
+        )
+        for k in range(len(starts)):
+            one = regress._lockstep_descent(starts[k : k + 1], xs, ys, opts, lower, upper)
+            assert one[1][0] == pytest.approx(rss[k], rel=1e-12, abs=0.0)
+            assert one[2][0] == converged[k]
+            assert one[3][0] == iterations[k]
+
+    def test_stalled_starts_share_one_budget(self, monkeypatch):
+        # every halving of every active start is one evaluation, so a fit
+        # costs at most the budget plus one, not the budget once per start
+        opts = regress.FitOptions(max_iterations=20)
+        calls = []
+        evaluate = regress._evaluate
+
+        def counted(theta, *args):
+            calls.append(theta.shape)
+            return evaluate(theta, *args)
+
+        monkeypatch.setattr(regress, "_evaluate", counted)
+        exhausted = 0
+        for points in CORPUS:
+            calls.clear()
+            fit = regress.fit_4pl(points, opts)
+            assert len(calls) <= opts.max_iterations + 1
+            assert calls[0][1:] == (2,) and all(shape[1:] == (40, 2) for shape in calls[1:])
+            exhausted += not fit.converged
+        assert exhausted > 0
+
+
+class TestProfiledOracle:
+    @pytest.mark.parametrize("b, c", [(10.8, 1.33), (12.0, 1.0)])
+    def test_matches_fit_objective_when_c_is_far_below_the_data(self, b, c):
+        # t = (x/c)^b is at least 3e14 at every x: w = t/(1 + t) keeps at most
+        # one digit of 1 - w, and an intercept regression on w reported
+        # 3.10e-3 against the true 3.40e-3 at (10.8, 1.33), and the total sum
+        # of squares 2.42e-2 against 3.98e-3 at (12, 1), where w is 1
+        xs = np.array([29.5, 32.0, 33.1, 37.3])
+        ys = np.array([2.0614, 2.1336, 2.1723, 2.2767])
+        u, w, _ = regress._basis(xs, b, c)
+        a, d = regress._linear_fit(u, w, ys)
+        objective = float(np.sum((a * u + d * w - ys) ** 2))
+        oracle = profiled_4pl_rss(xs, ys, np.log([b]), np.log([c]))[0]
+        assert oracle == pytest.approx(objective, rel=1e-9)
 
 
 class TestCompareModels:
