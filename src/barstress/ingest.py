@@ -5,11 +5,17 @@ domain values or raise a typed IngestError; they must survive arbitrary
 bytes without crashing. The EDF subset keeps the standard 256-byte header
 and field-major signal header layout, little-endian 16-bit records, one
 sampling rate for every signal, no annotation channels.
+
+CSV text is handled one distinct line at a time: write_csv formats each
+distinct row once and read_csv parses each distinct line once, and every
+repeat is copied from its first occurrence. A recording that repeats, as
+a noise-free synthetic one does every 4 s, costs one period of text work.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import os
@@ -148,14 +154,15 @@ def _parse_rows(
 
 
 def _load_rows(
-    lines: list[str], delim: str, header_labels: list[str] | None
+    lines: list[str] | list[bytes], delim: str, header_labels: list[str] | None
 ) -> np.ndarray | None:
     """The values of the data lines from numpy's C parser, or None when
     _parse_rows must decide.
 
     loadtxt rejects some fields float() accepts (1_0, non-ASCII digits)
     and skips lines it sees as blank, but accepts no field float()
-    rejects, so a result of the right shape holds the same values.
+    rejects, so a result of the right shape holds the same values. Lines
+    may be ASCII bytes, which loadtxt decodes to the same text.
     """
     if not lines:
         return None
@@ -163,6 +170,7 @@ def _load_rows(
         values = np.loadtxt(
             lines,
             delimiter=delim,
+            max_rows=len(lines),  # lets the reader allocate the result once
             comments=None,
             quotechar=None,
             dtype=np.float64,
@@ -179,6 +187,58 @@ def _load_rows(
     return values
 
 
+# The ASCII bytes at which str.splitlines breaks a line, or that str.isspace
+# counts as space, and bytes.splitlines or bytes.isspace does not.
+_STR_ONLY_ASCII = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _plain_ascii(data: bytes) -> bool:
+    """Whether data is ASCII without any of _STR_ONLY_ASCII: then the lines
+    bytes.splitlines finds are those str.splitlines finds in its text, and
+    bytes.isspace finds the same blank lines as str.isspace.
+
+    Checked a cache-sized chunk at a time, so the seven scans of each
+    chunk read memory once.
+    """
+    for start in range(0, len(data), 1 << 18):
+        chunk = data[start : start + (1 << 18)]
+        if not chunk.isascii() or any(b in chunk for b in _STR_ONLY_ASCII):
+            return False
+    return True
+
+
+def _text(line: bytes | str) -> str:
+    return line.decode("ascii") if isinstance(line, bytes) else line
+
+
+def _distinct_lines(data: bytes | str) -> tuple[list, np.ndarray]:
+    """The distinct non-blank lines of the input, in order of first
+    occurrence, and the index in that list of every non-blank line of the
+    file, in file order. So the file's first non-blank line has index 0,
+    and every index occurs.
+
+    Plain ASCII bytes (see _plain_ascii) are split and kept as bytes, each
+    line one object, and never decoded whole; numpy's loadtxt reads them
+    as it reads their text. Any other input is decoded and split as text.
+    """
+    if isinstance(data, bytes) and _plain_ascii(data):
+        raw = data.splitlines()
+        isspace = bytes.isspace
+    else:
+        raw = _decode_text(data).splitlines()
+        isspace = str.isspace
+    first: dict = {}
+    # The position of each line's first occurrence, then its index among them.
+    order = np.fromiter(map(first.setdefault, raw, itertools.count()), np.intp, len(raw))
+    order = np.unique(order, return_inverse=True)[1]
+    del raw
+    lines = list(first)
+    nonblank = np.fromiter(map(bool, lines), bool, len(lines))
+    nonblank &= ~np.fromiter(map(isspace, lines), bool, len(lines))
+    order = (np.cumsum(nonblank) - 1)[order[nonblank[order]]]
+    return list(itertools.compress(lines, nonblank)), order
+
+
 def read_csv(
     data: bytes | str,
     layout: CsvLayout,
@@ -192,26 +252,33 @@ def read_csv(
     Columns are reordered to montage order using the header when present,
     otherwise they are taken to already be in montage order.
 
-    Blank and whitespace-only lines are skipped. The data lines are parsed
-    by numpy's C loadtxt; when it fails, skips a line, finds a non-finite
-    value or a width other than the header's, they are parsed again field
-    by field with float(), which returns the values or raises the typed
-    error naming the first bad row or field.
+    Lines are those of the decoded text's str.splitlines; blank and
+    whitespace-only lines are skipped. Each distinct line is parsed once
+    and its repeats take its values, so a periodic recording costs one
+    period. The distinct data lines are parsed by numpy's C loadtxt; when
+    it fails, skips a line, finds a non-finite value or a width other than
+    the header's, every data line of the file is parsed again field by
+    field with float(), which returns the values or raises the typed error
+    naming the first bad row or field.
     """
-    text = _decode_text(data)
-    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
+    lines, order = _distinct_lines(data)
     delim = layout.delimiter
 
     header_labels: list[str] | None = None
     if layout.has_header:
-        if not lines:
+        if not len(order):
             raise MalformedRow("empty input but layout declares a header")
-        header_labels = [f.strip() for f in lines[0].split(delim)]
-        lines = lines[1:]
+        header_labels = [f.strip() for f in _text(lines[0]).split(delim)]
+        order = order[1:]
 
-    values = _load_rows(lines, delim, header_labels)
+    # Every line but a header that never repeats is a data line, so the
+    # data's distinct lines are lines[base:].
+    base = int(order.min()) if len(order) else len(lines)
+    values = _load_rows(lines[base:], delim, header_labels)
     if values is None:
-        values = _parse_rows(lines, delim, header_labels)
+        values = _parse_rows([_text(lines[k]) for k in order.tolist()], delim, header_labels)
+    else:
+        values = values[order - base]
     width = values.shape[1]
 
     col_labels = header_labels
@@ -243,32 +310,72 @@ def read_csv(
     return Recording(channels=channels, samples=samples, sampling_rate=sampling_rate)
 
 
+# Odd 64-bit multiplier of the row hash (the golden-ratio constant).
+_ROW_HASH = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _row_classes(cols: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each class of bit-identical rows, in row order,
+    and every row's class.
+
+    Rows are hashed by a multiply-xor fold of their 64-bit patterns over
+    the columns. A row whose bits differ from the first row of its hash is
+    its own class, so a collision costs a format, never a wrong row. Bits,
+    not floats, are compared: -0.0 == 0.0, yet they print apart.
+    """
+    bits = [c.view(np.uint64) for c in cols]
+    h = np.zeros(n, np.uint64)
+    for b in bits:
+        h = (h ^ b) * _ROW_HASH
+    _, first, inverse = np.unique(h, return_index=True, return_inverse=True)
+    rep = first[inverse]
+    same = np.ones(n, dtype=bool)
+    for b in bits:
+        same &= b[rep] == b
+    return np.unique(np.where(same, rep, np.arange(n)), return_inverse=True)
+
+
 def write_csv(recording: Recording, layout: CsvLayout = CsvLayout()) -> bytes:
     """Serialize a Recording as delimited text; read_csv inverts it.
 
-    Floats are printed with repr, which round-trips exactly. Rows are
-    formatted a block at a time into one buffer.
+    Floats are printed with repr, which round-trips exactly. Each distinct
+    row is formatted once, a block of them at a time, and every repeat
+    copies its text: a periodic recording costs one period.
     """
     delim = layout.delimiter
-    out = io.StringIO()
     n = recording.n_samples
     tcol = layout.time_column
     labels = list(recording.labels)
+    cols = list(recording.samples)
     if tcol is not None:
         tcol = min(tcol, len(labels))
         labels.insert(tcol, "time_s")
         times = np.arange(n) / recording.sampling_rate
-    if layout.has_header:
-        out.write(delim.join(labels) + "\n")
+        cols.insert(tcol, times)
+    head = (delim.join(labels) + "\n").encode("utf-8") if layout.has_header else b""
+    keep, inverse = _row_classes(cols, n)
+
     # One %-template per row, repeated over a block: "%r" is repr.
     row_format = delim.replace("%", "%%").join(["%r"] * len(labels)) + "\n"
-    cols = recording.samples.T
-    for start in range(0, n, _CSV_BLOCK_ROWS):
-        block = cols[start : start + _CSV_BLOCK_ROWS]
+    blocks = []
+    row_ends = [np.zeros(1, dtype=np.intp)]
+    for start in range(0, len(keep), _CSV_BLOCK_ROWS):
+        idx = keep[start : start + _CSV_BLOCK_ROWS]
+        block = recording.samples[:, idx].T
         if tcol is not None:
-            block = np.insert(block, tcol, times[start : start + _CSV_BLOCK_ROWS], axis=1)
-        out.write(row_format * len(block) % tuple(block.ravel().tolist()))
-    return out.getvalue().encode("utf-8")
+            block = np.insert(block, tcol, times[idx], axis=1)
+        text = (row_format * len(block) % tuple(block.ravel().tolist())).encode("utf-8")
+        row_ends.append(np.flatnonzero(np.frombuffer(text, np.uint8) == 10) + 1 + row_ends[-1][-1])
+        blocks.append(text)
+    body = memoryview(b"".join(blocks))
+    del blocks
+    row_ends = np.concatenate(row_ends)
+
+    # Runs of rows whose classes follow each other copy one slice of body.
+    bounds = np.flatnonzero(np.diff(inverse, prepend=-2, append=-2) != 1)
+    starts = row_ends[inverse[bounds[:-1]]].tolist()
+    stops = row_ends[inverse[bounds[1:] - 1] + 1].tolist()
+    return b"".join([head, *map(body.__getitem__, map(slice, starts, stops))])
 
 
 # --------------------------------------------------------------------- EDF

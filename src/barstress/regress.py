@@ -255,13 +255,36 @@ def _basis(xs: np.ndarray, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, t * u, log_t
 
 
+# A sum of squares below this may have lost its terms to underflow.
+_SQUARES_BELOW = 2.0**-1000
+
+
 def _linear_fit(u: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares (p, q) in v = p*u + q*w along the last axis.
+    """Least-squares (p, q) in v = p*u + q*w along the last axis, u, w >= 0.
 
     The 2x2 normal equations are solved by Cramer's rule, which is exact up
     to round-off whatever the scales of u and w; NaN where the two columns
-    are parallel to within 1e-6 rad.
+    are parallel to within 1e-6 rad. w is as small as t = (x/c)^b, which
+    falls below 1e-154 at every x when c is far above the data (u, when c
+    is far below), and then its squares underflow. So where a sum of
+    squares is below _SQUARES_BELOW, the fit is solved again with u and w
+    scaled up by powers of two, each column's largest value into
+    [0.5, 1). That is exact: where nothing underflows, no bit changes.
     """
+    p, q, g11, g22 = _cramer(u, w, v)
+    if np.minimum(g11, g22).min() >= _SQUARES_BELOW:
+        return p, q
+    bad = np.broadcast_to((g11 < _SQUARES_BELOW) | (g22 < _SQUARES_BELOW), p.shape)
+    u, w, v = (np.broadcast_to(a, p.shape + a.shape[-1:])[bad] for a in (u, w, v))
+    su, sw = (-np.frexp(np.minimum(col.max(axis=-1), 0.5))[1] for col in (u, w))
+    pb, qb, _, _ = _cramer(np.ldexp(u, su[:, None]), np.ldexp(w, sw[:, None]), v)
+    with np.errstate(over="ignore"):
+        p[bad], q[bad] = np.ldexp(pb, su), np.ldexp(qb, sw)
+    return p, q
+
+
+def _cramer(u: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_linear_fit's (p, q) as solved, with the sums of squares of u and w."""
     with np.errstate(all="ignore"):
         g11 = np.sum(u * u, axis=-1)
         g12 = np.sum(u * w, axis=-1)
@@ -272,7 +295,7 @@ def _linear_fit(u: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray
         ok = det > 1e-12 * g11 * g22
         p = np.where(ok, (g22 * h1 - g12 * h2) / det, np.nan)
         q = np.where(ok, (g11 * h2 - g12 * h1) / det, np.nan)
-    return p, q
+    return p, q, g11, g22
 
 
 def _grid_starts(

@@ -245,6 +245,9 @@ def csv_documents(draw):
         if draw(st.integers(0, 9)) == 0:
             row = row[:-1] if draw(st.booleans()) else row + ["1"]
         rows.append(delim.join(row))
+    # repeats of drawn rows, good or bad, so that each is parsed once
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
     lines = ([delim.join(labels)] if has_header else []) + rows
     blanks = st.sampled_from(["", " ", "\t", delim * 2 if delim == " " else ""])
     for _ in range(draw(st.integers(0, 2))):
@@ -258,6 +261,17 @@ def csv_documents(draw):
     return text.encode("utf-8"), layout, small_montage(*channels)
 
 
+def whole_text_lines(blob):
+    """The non-blank lines of the decoded input, as str.splitlines finds them."""
+    return [ln for ln in blob.decode("utf-8").splitlines() if ln.strip() != ""]
+
+
+def expanded_lines(blob):
+    """The non-blank lines of the input, in file order, from its distinct lines."""
+    lines, order = ingest._distinct_lines(blob)
+    return [ingest._text(lines[k]) for k in order]
+
+
 class TestReadCsvFastPath:
     @settings(max_examples=400, deadline=None)
     @given(csv_documents())
@@ -266,6 +280,68 @@ class TestReadCsvFastPath:
         assert csv_outcome(ingest.read_csv, blob, layout, 50.0, m) == csv_outcome(
             read_csv_reference, blob, layout, 50.0, m
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(csv_documents())
+    def test_distinct_lines_expand_to_the_text_lines(self, doc):
+        blob = doc[0]
+        assert expanded_lines(blob) == whole_text_lines(blob)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.text(st.sampled_from("1,; \t\r\n\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029"), max_size=8),
+            max_size=6,
+        ),
+        st.lists(st.integers(0, 5), max_size=6),
+    )
+    def test_repeated_lines_split_as_text(self, pieces, repeats):
+        # every str.splitlines break, ASCII or not, inside lines that repeat
+        pieces += [pieces[i % len(pieces)] for i in repeats] if pieces else []
+        blob = "\n".join(pieces).encode("utf-8")
+        assert expanded_lines(blob) == whole_text_lines(blob)
+        assert expanded_lines(blob.decode("utf-8")) == whole_text_lines(blob)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # blank lines, repeated, are skipped
+            ("A,B\n1,2\n\n3,4\n\n \n1,2\n\n", [[1.0, 3.0, 1.0], [2.0, 4.0, 2.0]]),
+            # one line ending in \n here and \r\n there
+            ("A,B\r\n1,2\r\n1,2\n3,4\r\n1,2\n", [[1.0, 1.0, 3.0, 1.0], [2.0, 2.0, 4.0, 2.0]]),
+            # lines of what str.isspace counts as space are blank
+            ("A,B\n1,2\n\x1f\n \x1f\t\n3,4\n\x1f\n", [[1.0, 3.0], [2.0, 4.0]]),
+            # a repeated line that str.splitlines breaks in two
+            ("A,B\n1,2\x0b3,4\n1,2\x0b3,4\n", [[1.0, 3.0, 1.0, 3.0], [2.0, 4.0, 2.0, 4.0]]),
+            ("A,B\n1,2\u20283,4\n1,2\u20283,4\n", [[1.0, 3.0, 1.0, 3.0], [2.0, 4.0, 2.0, 4.0]]),
+            # the first bad row is named, not a later repeat of it
+            ("A,B\n1,2\nx,3\n4,5\nx,3\n", (NonNumericSample, "row 1 column 0: 'x'")),
+            ("A,B\n1,2\n1,nan\n1,nan\n", (NonNumericSample, "row 1 column 1 is not finite")),
+            ("A,B\n1,2\n3\n1,2\n3\n", (MalformedRow, "row 1 has 1 fields, expected 2")),
+        ],
+    )
+    def test_repeated_lines(self, text, expected):
+        m = small_montage("A", "B")
+        blob = text.encode("utf-8")
+        got = csv_outcome(ingest.read_csv, blob, ingest.CsvLayout(), 10.0, m)
+        assert got == csv_outcome(read_csv_reference, blob, ingest.CsvLayout(), 10.0, m)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert got[2] == np.array(expected).tobytes()
+
+    def test_header_repeated_as_data(self):
+        m = small_montage("1", "2")
+        rec = ingest.read_csv(b"1,2\n3,4\n1,2\n", ingest.CsvLayout(), 10.0, m)
+        np.testing.assert_array_equal(rec.samples, [[3, 1], [4, 2]])
+
+    def test_invalid_utf8_in_a_repeated_line(self):
+        blob = b"A,B\n1,2\n3,\xff4\n1,2\n3,\xff4\n"
+        with pytest.raises(UnicodeDecodeError) as raw:
+            blob.decode("utf-8")
+        with pytest.raises(MalformedRow) as exc:
+            ingest.read_csv(blob, ingest.CsvLayout(), 10.0, small_montage("A", "B"))
+        assert str(exc.value) == f"input is not valid UTF-8: {raw.value}"
 
     @pytest.mark.parametrize(
         "text, delimiter, expected",
@@ -331,16 +407,16 @@ def write_csv_reference(recording, layout):
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
+LAYOUTS = [
+    ingest.CsvLayout(),
+    ingest.CsvLayout(time_column=0),
+    ingest.CsvLayout(delimiter=";", time_column=1),
+    ingest.CsvLayout(delimiter="%", has_header=False, time_column=9),
+]
+
+
 class TestWriteCsvBlocks:
-    @pytest.mark.parametrize(
-        "layout",
-        [
-            ingest.CsvLayout(),
-            ingest.CsvLayout(time_column=0),
-            ingest.CsvLayout(delimiter=";", time_column=1),
-            ingest.CsvLayout(delimiter="%", has_header=False, time_column=9),
-        ],
-    )
+    @pytest.mark.parametrize("layout", LAYOUTS)
     def test_bytes_equal_per_value_repr(self, layout):
         m = small_montage("A", "B", "C")
         n = 2 * ingest._CSV_BLOCK_ROWS + 3
@@ -357,6 +433,23 @@ class TestWriteCsvBlocks:
         ]
         rec = core.Recording(samples=samples, sampling_rate=500.0, channels=m.electrodes)
         assert ingest.write_csv(rec, layout) == write_csv_reference(rec, layout)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_periodic_recording(self, layout):
+        # a 2000-row period, which does not divide the block size, whose
+        # rows 0 and 1 differ only in the sign of a zero
+        m = small_montage("A", "B", "C")
+        period = np.random.default_rng(3).normal(scale=40.0, size=(3, 2000))
+        period[:, 0] = [0.0, 1.5, -2.0]
+        period[:, 1] = [-0.0, 1.5, -2.0]
+        samples = np.tile(period, 2 * ingest._CSV_BLOCK_ROWS // 2000 + 1)[:, :-7]
+        assert ingest._CSV_BLOCK_ROWS % 2000
+        rec = core.Recording(samples=samples, sampling_rate=500.0, channels=m.electrodes)
+        blob = ingest.write_csv(rec, layout)
+        assert blob == write_csv_reference(rec, layout)
+        if layout.time_column is None:
+            keep, inverse = ingest._row_classes(list(rec.samples), rec.n_samples)
+            assert len(keep) == 2000 and inverse[0] != inverse[1]
 
 
 class TestParseEdfHeader:
@@ -680,6 +773,18 @@ def test_windowed_edf_parser_total_on_arbitrary_bytes(blob, a, b):
 @settings(max_examples=200, deadline=None)
 @given(st.binary(max_size=1024))
 def test_csv_parser_total_on_arbitrary_bytes(blob):
+    m = small_montage("A", "B")
+    try:
+        ingest.read_csv(blob, ingest.CsvLayout(), 100.0, m)
+    except PipelineError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=512), st.lists(st.integers(0, 63), max_size=16))
+def test_csv_parser_total_on_repeated_lines_of_arbitrary_bytes(blob, repeats):
+    lines = blob.splitlines(keepends=True)
+    blob += b"".join(lines[i % len(lines)] for i in repeats) if lines else b""
     m = small_montage("A", "B")
     try:
         ingest.read_csv(blob, ingest.CsvLayout(), 100.0, m)

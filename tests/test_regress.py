@@ -473,6 +473,77 @@ class TestLockstepDescent:
         assert exhausted > 0
 
 
+def unscaled_linear_fit(u, w, v):
+    """regress._linear_fit's normal equations on u and w as given."""
+    with np.errstate(all="ignore"):
+        g11, g12, g22 = np.sum(u * u, -1), np.sum(u * w, -1), np.sum(w * w, -1)
+        h1, h2 = np.sum(u * v, -1), np.sum(w * v, -1)
+        det = g11 * g22 - g12 * g12
+        ok = det > 1e-12 * g11 * g22
+        p = np.where(ok, (g22 * h1 - g12 * h2) / det, np.nan)
+        q = np.where(ok, (g11 * h2 - g12 * h1) / det, np.nan)
+    return p, q
+
+
+class TestLinearFitScaling:
+    def test_underflowing_column_fits_as_prescaled(self):
+        # t = (x/c)^b < 1e-161 at every x, so the sum of w^2 underflows
+        # unscaled: the objective read 0.0600 where the exact one is 0.0519755
+        xs, ys = regress._as_xy(seeded_corpus(300, 2024)[137])
+        u, w, _ = regress._basis(xs, 50.0, 6.88e4)
+        assert np.max(w) < 1e-161
+        a, d = regress._linear_fit(u, w, ys)
+        top = np.max(w)
+        a2, d2 = regress._linear_fit(u, w / top, ys)
+        assert a == pytest.approx(a2, rel=1e-12)
+        assert d == pytest.approx(d2 / top, rel=1e-12)
+        # the same point in a stack with one that needs no scaling
+        stacked = regress._basis(xs, np.array([[50.0], [2.0]]), np.array([[6.88e4], [20.0]]))
+        a3, d3 = regress._linear_fit(stacked[0], stacked[1], ys)
+        assert (a3[0], d3[0]) == (a, d)
+        objective = float(np.sum((a * u + d * w - ys) ** 2))
+        exact = exact_two_column_rss(u, w, ys)
+        assert objective == pytest.approx(exact, rel=1e-12)
+        assert exact == pytest.approx(0.0519755, abs=1e-7)
+
+    def test_published_grid_cells_bit_identical(self):
+        # the grid of _grid_starts on every published series: where no
+        # square or product underflows, the power-of-two scaling is exact
+        opts = regress.FitOptions()
+        compared = 0
+        for series in PUBLISHED_SERIES:
+            points = published_points(series)
+            xs, ys = regress._as_xy(points)
+            lower, upper = box_arrays(points, opts)
+            bs = np.geomspace(lower[0], upper[0], 24)
+            cs = np.geomspace(lower[1], upper[1], 48)
+            bb, cc = (g.ravel()[:, None] for g in np.meshgrid(bs, cs, indexing="ij"))
+            u, w, _ = regress._basis(xs, bb, cc)
+            normal = np.all((u == 0) | (np.abs(u) >= 1e-150), axis=1) & np.all(
+                (w == 0) | (np.abs(w) >= 1e-150), axis=1
+            )
+            got = regress._linear_fit(u, w, ys)
+            want = unscaled_linear_fit(u, w, ys)
+            for g, r in zip(got, want):
+                assert g[normal].tobytes() == r[normal].tobytes(), series
+            compared += normal.sum()
+        assert compared >= 0.9 * len(PUBLISHED_SERIES) * 24 * 48
+
+
+def exact_two_column_rss(u, w, v):
+    """The least-squares RSS of v on the columns u and w, in exact rational
+    arithmetic on their float values."""
+    u, w, v = ([Fraction(float(x)) for x in col] for col in (u, w, v))
+    g11 = sum(x * x for x in u)
+    g12 = sum(x * y for x, y in zip(u, w))
+    g22 = sum(y * y for y in w)
+    h1 = sum(x * z for x, z in zip(u, v))
+    h2 = sum(y * z for y, z in zip(w, v))
+    det = g11 * g22 - g12 * g12
+    p, q = (g22 * h1 - g12 * h2) / det, (g11 * h2 - g12 * h1) / det
+    return float(sum((p * x + q * y - z) ** 2 for x, y, z in zip(u, w, v)))
+
+
 class TestProfiledOracle:
     @pytest.mark.parametrize("b, c", [(10.8, 1.33), (12.0, 1.0)])
     def test_matches_fit_objective_when_c_is_far_below_the_data(self, b, c):
