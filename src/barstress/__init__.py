@@ -42,19 +42,16 @@ from .regress import (
     r_squared,
 )
 from .spectral import (
-    BarSeries,
     PsdEstimate,
     WelchConfig,
     band_power,
     band_ratio,
-    bar_series,
-    bar_timeseries,
     periodogram_segment,
     relative_increase,
     welch_psd,
     window_power_norm,
 )
-from .synth import SynthSpec, TrajectorySpec, synth_bar_trajectory, synth_eeg
+from .synth import SynthSpec, synth_eeg
 from .topo import (
     TopoGrid,
     TopoVector,
@@ -67,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandDefinition",
-    "BarSeries",
     "ChannelInfo",
     "CsvLayout",
     "DEFAULT_BANDS",
@@ -86,14 +82,11 @@ __all__ = [
     "SynthSpec",
     "TopoGrid",
     "TopoVector",
-    "TrajectorySpec",
     "ValidationError",
     "WelchConfig",
     "aic",
     "band_power",
     "band_ratio",
-    "bar_series",
-    "bar_timeseries",
     "compare_models",
     "eval_4pl",
     "eval_quartic",
@@ -110,7 +103,6 @@ __all__ = [
     "render_topomap",
     "slice_epochs",
     "standard_montage",
-    "synth_bar_trajectory",
     "synth_eeg",
     "topo_similarity",
     "welch_psd",

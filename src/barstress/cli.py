@@ -214,11 +214,13 @@ def _set_path(doc: dict, dotted: str, value):
     doc[last] = value
 
 
-def _read_json(path: str, what: str):
+def _read_json(path, what: str):
+    """The document in the JSON file at path; InvalidConfig naming the file
+    if it is not UTF-8 JSON."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"{what} is not valid JSON: {exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidConfig(f"{what} {str(path)!r} is not valid JSON: {exc}") from None
 
 
 def load_config(args, extras: list[str]) -> RunConfig:
@@ -364,21 +366,20 @@ def _emit(cfg: RunConfig, command: str, result: Result) -> int:
     return code
 
 
-def _bar_series(
-    cfg: RunConfig, path: str | None, protocol: core.SessionProtocol, baseline: float | None = None
-) -> spectral.BarSeries:
-    """The configured band ratio at each protocol epoch of the recording at path."""
+def _bar_points(
+    cfg: RunConfig, path: str | None, protocol: core.SessionProtocol
+) -> list[tuple[float, float]]:
+    """(epoch start, configured band ratio) at each protocol epoch of the
+    recording at path."""
     # Bands first, so an undefined band fails before the recording is read.
-    numerator, denominator = cfg.band(cfg.numerator), cfg.band(cfg.denominator)
-    return spectral.bar_series(
-        _load_epochs(cfg, path, protocol),
-        protocol,
-        cfg.welch,
-        numerator,
-        denominator,
-        baseline=math.nan if baseline is None else baseline,
-        channels=cfg.channels,
-    )
+    num, den = cfg.band(cfg.numerator), cfg.band(cfg.denominator)
+    points = [
+        (ep.t_start, spectral.band_ratio(spectral.welch_psd(ep, cfg.welch), num, den, cfg.channels))
+        for ep in _load_epochs(cfg, path, protocol)
+    ]
+    if not all(r > 0 and math.isfinite(r) for _, r in points):
+        raise InvalidConfig("ratios must be finite and > 0")
+    return points
 
 
 def _measure_baseline(cfg: RunConfig) -> float | None:
@@ -388,7 +389,7 @@ def _measure_baseline(cfg: RunConfig) -> float | None:
     if not cfg.baseline_recording:
         return None
     proto = core.SessionProtocol(phase="baseline")
-    return float(np.mean(_bar_series(cfg, cfg.baseline_recording, proto).ratios))
+    return float(np.mean([r for _, r in _bar_points(cfg, cfg.baseline_recording, proto)]))
 
 
 # ----------------------------------------------------------------- commands
@@ -426,8 +427,8 @@ def cmd_psd(cfg: RunConfig) -> Result:
 
 def cmd_bar(cfg: RunConfig) -> Result:
     baseline = _measure_baseline(cfg)
-    series = _bar_series(cfg, cfg.recording, cfg.protocol, baseline)
-    p = series.protocol
+    series = _bar_points(cfg, cfg.recording, cfg.protocol)
+    p = cfg.protocol
     files = {}
     if "csv" in cfg.formats:
         # Without a baseline both of its fields are empty; bar_series.json says null.
@@ -443,10 +444,10 @@ def cmd_bar(cfg: RunConfig) -> Result:
             *(
                 [repr(t), repr(r), *against_baseline(r),
                  p.phase, p.game_type, p.gamer_type, p.music_type]
-                for t, r in series.points
+                for t, r in series
             ),
         ]
-        points = [(t / 60.0, r) for t, r in series.points]
+        points = [(t / 60.0, r) for t, r in series]
         if cfg.protocol.phase == "during_gameplay" and baseline is not None:
             points.insert(0, (0.0, baseline))
         files["bar_points.csv"] = [["x_minutes", "y_ratio"], *(map(repr, pt) for pt in points)]
@@ -468,18 +469,18 @@ def cmd_bar(cfg: RunConfig) -> Result:
                         else None
                     ),
                 }
-                for t, r in series.points
+                for t, r in series
             ],
         }
-    return EXIT_OK, files, f"wrote BAR series with {len(series.points)} points"
+    return EXIT_OK, files, f"wrote BAR series with {len(series)} points"
 
 
 def _read_points(path: Path) -> list[tuple[float, float]]:
-    rows = [
-        ln.split(",")
-        for ln in path.read_text(encoding="utf-8").splitlines()
-        if ln.strip()
-    ]
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TooFewPoints(f"points file {str(path)!r} is not UTF-8: {exc}") from None
+    rows = [ln.split(",") for ln in text.splitlines() if ln.strip()]
     if rows and len(rows[0]) == 2:
         try:
             float(rows[0][0])
@@ -566,7 +567,7 @@ def _epoch_vector(
 
 def cmd_topo(cfg: RunConfig) -> Result:
     montage = cfg.montage
-    bands = _topo_bands(cfg)  # before the read, like _bar_series
+    bands = _topo_bands(cfg)  # before the read, like _bar_points
     epochs = _load_epochs(cfg, cfg.recording, cfg.protocol)
     vectors = [
         _epoch_vector(spectral.welch_psd(ep, cfg.welch), bands, montage) for ep in epochs
@@ -645,9 +646,7 @@ def cmd_synth(cfg: RunConfig, spec_path: str) -> Result:
 
 
 def _read_if_exists(path: Path):
-    if path.is_file():
-        return json.loads(path.read_text(encoding="utf-8"))
-    return None
+    return _read_json(path, "output") if path.is_file() else None
 
 
 def cmd_report(cfg: RunConfig) -> Result:
@@ -655,7 +654,7 @@ def cmd_report(cfg: RunConfig) -> Result:
     bar = _read_if_exists(out / "bar_series.json")
     comparison = _read_if_exists(out / "comparison.json")
     fits = {
-        p.stem.removeprefix("fit_"): json.loads(p.read_text(encoding="utf-8"))
+        p.stem.removeprefix("fit_"): _read_json(p, "output")
         for p in sorted(out.glob("fit_*.json"))
     }
     topo_doc = _read_if_exists(out / "similarity.json")

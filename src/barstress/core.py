@@ -326,8 +326,3 @@ def standard_montage() -> Montage:
         for label, phi_frac in row:
             electrodes.append(ChannelInfo(label, _project(theta_frac, phi_frac)))
     return Montage(name="standard-30", electrodes=tuple(electrodes))
-
-
-STANDARD_MONTAGE_LABELS: tuple[str, ...] = tuple(
-    label for _, row in _ROWS for label, _ in row
-)

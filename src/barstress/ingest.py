@@ -669,17 +669,6 @@ def write_edf(recording: Recording, patient: str = "X", recording_id: str = "X")
 
 # ----------------------------------------------------------------- montage
 
-def montage_to_json(montage: Montage) -> str:
-    doc = {
-        "name": montage.name,
-        "electrodes": [
-            {"label": e.label, "x": e.position[0], "y": e.position[1], "kind": e.kind}
-            for e in montage.electrodes
-        ],
-    }
-    return json.dumps(doc, indent=2)
-
-
 def montage_from_json(text: str) -> Montage:
     try:
         doc = json.loads(text)
@@ -701,22 +690,15 @@ def load_montage(name_or_path: str, montage_dir: str | None = None) -> Montage:
     """Resolve a montage by file path, by name in the montage directory
     (BARSTRESS_MONTAGE_DIR by default), or from the bundled set."""
     p = Path(name_or_path)
-    if p.suffix == ".json" or p.is_file():
-        try:
-            text = p.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise InvalidMontage(f"cannot read montage {name_or_path!r}: {exc}") from None
-        return montage_from_json(text)
-    directory = montage_dir if montage_dir is not None else os.environ.get(MONTAGE_DIR_ENV)
-    if directory:
-        candidate = Path(directory) / f"{name_or_path}.json"
-        if candidate.is_file():
-            try:
-                return montage_from_json(candidate.read_text(encoding="utf-8"))
-            except OSError as exc:
-                raise InvalidMontage(
-                    f"cannot read montage {candidate}: {exc}"
-                ) from None
-    if name_or_path == "standard-30":
-        return standard_montage()
-    raise InvalidMontage(f"unknown montage {name_or_path!r}")
+    if p.suffix != ".json" and not p.is_file():
+        directory = montage_dir if montage_dir is not None else os.environ.get(MONTAGE_DIR_ENV)
+        p = Path(directory) / f"{name_or_path}.json" if directory else None
+        if p is None or not p.is_file():
+            if name_or_path == "standard-30":
+                return standard_montage()
+            raise InvalidMontage(f"unknown montage {name_or_path!r}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidMontage(f"cannot read montage {str(p)!r}: {exc}") from None
+    return montage_from_json(text)

@@ -218,7 +218,7 @@ def _finish(model, ys, rss, k, converged, iterations) -> FitResult:
 
 # ------------------------------------------------------------------ quartic
 
-def fit_quartic(points, options: FitOptions | None = None) -> FitResult:
+def fit_quartic(points) -> FitResult:
     """Least squares on the degree-4 monomial basis.
 
     x is scaled to [-1, 1] before the orthogonal-decomposition solve and
@@ -299,13 +299,9 @@ def _cramer(u: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ..
 
 
 def _grid_starts(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    count: int = 6,
+    xs: np.ndarray, ys: np.ndarray, lower: np.ndarray, upper: np.ndarray
 ) -> np.ndarray:
-    """(log b, log c) of the best (a, d)-profiled points of a log-spaced grid,
+    """(log b, log c) of the six best (a, d)-profiled points of a log-spaced grid,
     best first, as a (starts, 2) stack; points without a finite fit are left out.
     """
     bs = np.geomspace(lower[0], upper[0], 24)
@@ -316,7 +312,7 @@ def _grid_starts(
     with np.errstate(all="ignore"):
         rss = np.sum((a[:, None] * u + d[:, None] * w - ys) ** 2, axis=1)
     rss = np.where(np.isfinite(rss), rss, np.inf)
-    order = np.argsort(rss, kind="stable")[:count]
+    order = np.argsort(rss, kind="stable")[:6]
     order = order[np.isfinite(rss[order])]
     return np.log(np.column_stack([bb[order, 0], cc[order, 0]]))
 

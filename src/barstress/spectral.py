@@ -1,4 +1,4 @@
-"""Welch power spectral density, band power, and beta/alpha ratio series.
+"""Welch power spectral density, band power, and band power ratios.
 
 The estimator follows the averaged-modified-periodogram construction: an
 epoch is cut into overlapping tapered segments, each segment's squared DFT
@@ -15,15 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_BANDS,
-    BandDefinition,
-    ChannelInfo,
-    Epoch,
-    Recording,
-    SessionProtocol,
-    slice_epochs,
-)
+from .core import BandDefinition, ChannelInfo, Epoch
 from .errors import (
     BandOutOfRange,
     EmptySegment,
@@ -99,31 +91,6 @@ class PsdEstimate:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(c.label for c in self.channels)
-
-
-@dataclass(frozen=True)
-class BarSeries:
-    """Beta/alpha ratio per protocol epoch, with the session's baseline."""
-
-    points: tuple[tuple[float, float], ...]
-    protocol: SessionProtocol
-    baseline: float = math.nan
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple((float(t), float(r)) for t, r in self.points))
-        times = [t for t, _ in self.points]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise InvalidConfig("series times must be strictly increasing")
-        if any(r <= 0 or not math.isfinite(r) for _, r in self.points):
-            raise InvalidConfig("ratios must be finite and > 0")
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.points)
-
-    @property
-    def ratios(self) -> tuple[float, ...]:
-        return tuple(r for _, r in self.points)
 
 
 def taper_window(taper: str, m: int) -> np.ndarray:
@@ -280,43 +247,3 @@ def relative_increase(current: float, baseline: float) -> float:
     if not (current > 0):
         raise NonPositiveCurrent(f"current ratio must be > 0, got {current}")
     return (current - baseline) / current
-
-
-def bar_series(
-    epochs: list[Epoch],
-    protocol: SessionProtocol,
-    welch_config: WelchConfig = WelchConfig(),
-    numerator: BandDefinition | None = None,
-    denominator: BandDefinition | None = None,
-    baseline: float = math.nan,
-    channels=None,
-) -> BarSeries:
-    """One band ratio per epoch, the epochs being the protocol's in order.
-
-    Defaults to beta over alpha. baseline is carried, not computed: pass
-    the value measured from the baseline-phase recording.
-    """
-    num = numerator if numerator is not None else DEFAULT_BANDS["beta"]
-    den = denominator if denominator is not None else DEFAULT_BANDS["alpha"]
-    points = tuple(
-        (ep.t_start, band_ratio(welch_psd(ep, welch_config), num, den, channels))
-        for ep in epochs
-    )
-    return BarSeries(points=points, protocol=protocol, baseline=baseline)
-
-
-def bar_timeseries(
-    recording: Recording,
-    protocol: SessionProtocol,
-    welch_config: WelchConfig = WelchConfig(),
-    numerator: BandDefinition | None = None,
-    denominator: BandDefinition | None = None,
-    baseline: float = math.nan,
-    channels=None,
-) -> BarSeries:
-    """bar_series over the protocol's epochs cut from a whole recording."""
-    epochs = slice_epochs(recording, protocol, welch_config.window_len)
-    return bar_series(
-        epochs, protocol, welch_config, numerator, denominator, baseline, channels
-    )
-

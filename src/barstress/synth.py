@@ -1,4 +1,4 @@
-"""Deterministic synthetic EEG and ratio-trajectory generation.
+"""Deterministic synthetic EEG generation.
 
 Signals are sums of random-phase oscillator banks, one bank per target
 band, with amplitudes chosen analytically so the integrated band power
@@ -25,7 +25,6 @@ import numpy as np
 
 from .core import BandDefinition, Montage, Recording
 from .errors import BandAboveNyquist, ValidationError
-from .regress import FourPLModel, QuarticModel, eval_4pl, eval_quartic
 
 RNG_ALGORITHM = "numpy default_rng (PCG64), child seed [seed, channel_index]"
 
@@ -59,25 +58,6 @@ class SynthSpec:
         if not (math.isfinite(self.noise_floor) and self.noise_floor >= 0):
             raise ValidationError(f"noise_floor must be >= 0, got {self.noise_floor}")
         object.__setattr__(self, "band_targets", targets)
-        object.__setattr__(self, "seed", int(self.seed))
-
-
-@dataclass(frozen=True)
-class TrajectorySpec:
-    """Recipe for a noisy model-generated ratio series."""
-
-    model: FourPLModel | QuarticModel
-    times: tuple[float, ...]
-    sigma: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValidationError("times must be strictly increasing")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValidationError(f"sigma must be >= 0, got {self.sigma}")
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -134,18 +114,6 @@ def synth_eeg(spec: SynthSpec) -> Recording:
     return Recording(
         channels=electrodes, samples=samples, sampling_rate=spec.sampling_rate
     )
-
-
-def synth_bar_trajectory(spec: TrajectorySpec) -> list[tuple[float, float]]:
-    """Model values at the sample times plus Normal(0, sigma) noise."""
-    xs = np.asarray(spec.times, dtype=np.float64)
-    if isinstance(spec.model, FourPLModel):
-        ys = eval_4pl(spec.model, xs)
-    else:
-        ys = eval_quartic(spec.model, xs)
-    rng = np.random.default_rng(spec.seed)
-    noise = rng.normal(0.0, spec.sigma, len(xs)) if spec.sigma > 0 else np.zeros(len(xs))
-    return [(float(x), float(y + e)) for x, y, e in zip(xs, ys, noise)]
 
 
 def spec_metadata(spec: SynthSpec) -> dict:

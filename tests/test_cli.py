@@ -85,6 +85,10 @@ def rest_edf(tmp_path_factory, montage_30):
     return edf_and_decoded_csv(tmp_path_factory.mktemp("edf"), "rest", 12.0, 106, montage_30)
 
 
+# A JSON document in Latin-1, which is not UTF-8.
+LATIN_1_JSON = '{"name": "\xe9"}'.encode("latin-1")
+
+
 def write_config(tmp_path, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -124,6 +128,28 @@ class TestExitCodes:
         (tmp_path / "empty").mkdir()
         rc = run("report", "--out", str(tmp_path / "empty"))
         assert rc == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "bad, content, argv",
+        [
+            ("bad_config.json", LATIN_1_JSON, ["bar", "--config", "{bad}", "--input", "{rest}"]),
+            ("spec.json", LATIN_1_JSON, ["synth", "--spec", "{bad}"]),
+            ("points.csv", "0.0,0.7\n1.0,\xe9\n".encode("latin-1"), ["fit", "--points", "{bad}"]),
+            ("o/bar_series.json", LATIN_1_JSON, ["report"]),
+            ("o/fit_4pl.json", b'{"rss": ', ["report"]),
+            ("montage.json", LATIN_1_JSON, ["bar", "--config", "{cfg}", "--input", "{rest}"]),
+        ],
+        ids=["config", "spec", "points", "report-bar", "report-fit", "montage"],
+    )
+    def test_unreadable_input_exits_2_naming_it(self, tmp_path, rest_csv, capsys, bad, content, argv):
+        path = tmp_path / bad
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(content)
+        cfg = write_config(tmp_path, {"montage": str(tmp_path / "montage.json")})
+        rc = run(*(a.format(bad=path, rest=rest_csv, cfg=cfg) for a in argv), "--out", str(tmp_path / "o"))
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path.name in err
 
     def test_zero_duration_synth_spec(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -454,6 +480,23 @@ class TestBarCommand:
         rc = run("bar", "--input", str(rest_csv), "--out", str(tmp_path / "o"),
                  "--quiet", "--welch.taper", "blackman")
         assert rc == cli.EXIT_VALIDATION
+
+    def test_non_finite_ratio_rejected(self, tmp_path, montage_30, capsys):
+        # samples near 1e200: the squared DFT overflows, so both bands hold
+        # infinite power and their ratio is NaN
+        rng = np.random.default_rng(7)
+        rec = core.Recording(
+            samples=1e200 * rng.standard_normal((30, 5000)),
+            sampling_rate=500.0, channels=montage_30.electrodes,
+        )
+        path = tmp_path / "huge.csv"
+        path.write_bytes(ingest.write_csv(rec))
+        cfg = write_config(tmp_path, {"protocol": {"epoch_times": [0.0]}})
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = run("bar", "--config", str(cfg), "--input", str(path), "--out", str(tmp_path / "o"))
+        assert rc == cli.EXIT_VALIDATION
+        assert "ratios must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestFitCommand:

@@ -710,31 +710,48 @@ class TestWriteEdf:
             ingest.write_edf(rec)
 
 
+def montage_json(montage):
+    """The JSON document montage_from_json reads back as montage."""
+    return json.dumps({
+        "name": montage.name,
+        "electrodes": [
+            {"label": e.label, "x": e.position[0], "y": e.position[1], "kind": e.kind}
+            for e in montage.electrodes
+        ],
+    })
+
+
 class TestMontageAssets:
     def test_bundled_by_name(self):
         m = ingest.load_montage("standard-30")
         assert len(m.electrodes) == 30
 
     def test_json_round_trip(self, montage):
-        back = ingest.montage_from_json(ingest.montage_to_json(montage))
+        back = ingest.montage_from_json(montage_json(montage))
         assert back.name == montage.name
         assert back.electrodes == montage.electrodes
 
     def test_load_by_path(self, tmp_path, montage):
         p = tmp_path / "custom.json"
-        p.write_text(ingest.montage_to_json(montage), encoding="utf-8")
+        p.write_text(montage_json(montage), encoding="utf-8")
         assert ingest.load_montage(str(p)).electrodes == montage.electrodes
 
     def test_env_dir_override(self, tmp_path, montage, monkeypatch):
-        (tmp_path / "mine.json").write_text(
-            ingest.montage_to_json(montage), encoding="utf-8"
-        )
+        (tmp_path / "mine.json").write_text(montage_json(montage), encoding="utf-8")
         monkeypatch.setenv(ingest.MONTAGE_DIR_ENV, str(tmp_path))
         assert ingest.load_montage("mine").name == montage.name
 
     def test_unknown_name(self):
         with pytest.raises(InvalidMontage):
             ingest.load_montage("atlantis-7")
+
+    def test_non_utf8_file(self, tmp_path, monkeypatch):
+        (tmp_path / "latin.json").write_bytes('{"name": "\xe9"}'.encode("latin-1"))
+        with pytest.raises(InvalidMontage, match="latin.json"):
+            ingest.load_montage(str(tmp_path / "latin.json"))
+        monkeypatch.setenv(ingest.MONTAGE_DIR_ENV, str(tmp_path))
+        with pytest.raises(InvalidMontage, match="latin.json"):
+            ingest.load_montage("latin")
 
     def test_malformed_json(self):
         with pytest.raises(InvalidMontage):

@@ -327,6 +327,14 @@ class TestFit4pl:
         assert fit.model.c == pytest.approx(truth.c, rel=1e-6)
         assert fit.model.d == pytest.approx(truth.d, rel=1e-6)
 
+    def test_noisy_series_refits_close(self):
+        truth = regress.FourPLModel(a=0.7, b=2.0, c=28.0, d=2.3)
+        xs = np.linspace(0.0, 60.0, 9)
+        ys = regress.eval_4pl(truth, xs) + np.random.default_rng(4).normal(0.0, 0.01, xs.size)
+        fit = regress.fit_4pl(list(zip(xs.tolist(), ys.tolist())))
+        assert fit.model.c == pytest.approx(truth.c, rel=0.1)
+        assert fit.r_squared > 0.99
+
     @pytest.mark.parametrize("key", [("combinational", "gamer"), ("combinational", "non_gamer")])
     def test_measured_series_quality(self, key):
         printed_r2 = GAMEPLAY_SIGMOID[key][4]

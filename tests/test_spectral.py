@@ -388,34 +388,3 @@ class TestRelativeIncrease:
     def test_monotone_in_current(self, c, b, step):
         # strictly larger current ratio -> strictly larger increase
         assert spectral.relative_increase(c + step, b) > spectral.relative_increase(c, b)
-
-
-class TestBarTimeseries:
-    def build_recording(self, n_seconds, fs=500.0):
-        rng = np.random.default_rng(13)
-        ch = (
-            core.ChannelInfo("C3", (-0.2, 0.0), "eeg"),
-            core.ChannelInfo("C4", (0.2, 0.0), "eeg"),
-        )
-        t = np.arange(int(n_seconds * fs)) / fs
-        x = np.sin(2 * np.pi * 10.0 * t) + 0.5 * np.sin(2 * np.pi * 20.0 * t)
-        data = np.vstack([x, x]) + 0.01 * rng.normal(size=(2, len(t)))
-        return core.Recording(samples=data, sampling_rate=fs, channels=ch)
-
-    def test_constant_spectrum_gives_constant_series(self):
-        rec = self.build_recording(40.0)
-        proto = core.SessionProtocol(
-            phase="baseline", epoch_times=(0.0, 10.0, 20.0, 30.0)
-        )
-        series = spectral.bar_timeseries(rec, proto, baseline=0.7)
-        assert series.times == (0.0, 10.0, 20.0, 30.0)
-        ratios = np.array(series.ratios)
-        assert np.max(np.abs(ratios - ratios[0])) < 0.02 * ratios[0]
-        assert series.baseline == 0.7
-
-    def test_series_validation(self):
-        proto = core.SessionProtocol(phase="baseline")
-        with pytest.raises(InvalidConfig):
-            spectral.BarSeries(points=((0.0, 1.0), (0.0, 1.1)), protocol=proto, baseline=0.7)
-        with pytest.raises(InvalidConfig):
-            spectral.BarSeries(points=((0.0, -1.0),), protocol=proto, baseline=0.7)

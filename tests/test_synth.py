@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from barstress import core, regress, spectral, synth
+from barstress import core, spectral, synth
 from barstress.errors import BandAboveNyquist, ValidationError
 from handover import handed_samples
 
@@ -207,55 +207,6 @@ class TestPeriodicSynthesis:
             rng.uniform(0.0, 2.0 * np.pi, len(synth.oscillator_frequencies(BETA)))
             expected.append(rng.normal(0.0, sd, 1500))
         np.testing.assert_array_equal(synth.synth_eeg(spec).samples, expected)
-
-
-class TestTrajectory:
-    def test_noiseless_matches_model(self):
-        model = regress.FourPLModel(a=0.7, b=1.0, c=30.0, d=2.4)
-        pts = synth.synth_bar_trajectory(
-            synth.TrajectorySpec(model=model, times=(0.0, 30.0, 60.0))
-        )
-        assert pts[0] == (0.0, 0.7)
-        assert pts[1][1] == pytest.approx((0.7 + 2.4) / 2, abs=1e-12)
-        assert pts[2][1] == pytest.approx(regress.eval_4pl(model, 60.0), abs=1e-15)
-
-    def test_quartic_model_accepted(self):
-        model = regress.QuarticModel(a=1.0, b=0.5, c=0.0, d=0.0, e=0.0)
-        pts = synth.synth_bar_trajectory(
-            synth.TrajectorySpec(model=model, times=(0.0, 2.0))
-        )
-        assert pts == [(0.0, 1.0), (2.0, 2.0)]
-
-    def test_noise_is_seeded(self):
-        model = regress.FourPLModel(a=0.7, b=1.0, c=30.0, d=2.4)
-        spec = synth.TrajectorySpec(model=model, times=(0.0, 15.0, 30.0), sigma=0.05, seed=9)
-        again = synth.TrajectorySpec(model=model, times=(0.0, 15.0, 30.0), sigma=0.05, seed=9)
-        assert synth.synth_bar_trajectory(spec) == synth.synth_bar_trajectory(again)
-        clean = synth.synth_bar_trajectory(
-            synth.TrajectorySpec(model=model, times=(0.0, 15.0, 30.0))
-        )
-        noisy = synth.synth_bar_trajectory(spec)
-        assert any(abs(a[1] - b[1]) > 1e-6 for a, b in zip(clean, noisy))
-
-    def test_noisy_series_refits_close(self):
-        truth = regress.FourPLModel(a=0.7, b=2.0, c=28.0, d=2.3)
-        times = tuple(float(t) for t in np.linspace(0.0, 60.0, 9))
-        pts = synth.synth_bar_trajectory(
-            synth.TrajectorySpec(model=truth, times=times, sigma=0.01, seed=4)
-        )
-        fit = regress.fit_4pl(pts)
-        assert fit.model.c == pytest.approx(truth.c, rel=0.1)
-        assert fit.r_squared > 0.99
-
-    def test_times_must_increase(self):
-        model = regress.FourPLModel(a=0.7, b=1.0, c=30.0, d=2.4)
-        with pytest.raises(ValidationError):
-            synth.TrajectorySpec(model=model, times=(0.0, 0.0, 1.0))
-
-    def test_negative_sigma_rejected(self):
-        model = regress.FourPLModel(a=0.7, b=1.0, c=30.0, d=2.4)
-        with pytest.raises(ValidationError):
-            synth.TrajectorySpec(model=model, times=(0.0, 1.0), sigma=-0.1)
 
 
 class TestMetadata:
