@@ -31,10 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import core, ingest, regress, spectral, synth, topo
+from . import core, floattext, ingest, regress, spectral, synth, topo
 from .errors import (
     EmptyProtocol,
     InvalidConfig,
+    MalformedArtifact,
     MissingArtifacts,
     PipelineError,
     TooFewPoints,
@@ -299,7 +300,7 @@ def _load_epochs(
 
 
 class _FloatText(list):
-    """Floats already formatted by repr, spliced into JSON as numbers."""
+    """Floats already formatted as repr writes them, spliced into JSON as numbers."""
 
 
 # json.dumps spells the non-finite floats as these JavaScript constants.
@@ -399,8 +400,10 @@ def cmd_psd(cfg: RunConfig) -> Result:
     channels = epochs[0].channels
     psds = [spectral.welch_psd(ep, cfg.welch) for ep in epochs]
     # Every value is formatted once; the CSVs and psd.json share the text.
-    freq_txt = list(map(repr, psds[0].frequencies.tolist()))
-    power_txt = [[list(map(repr, row)) for row in p.power.tolist()] for p in psds]
+    freq_txt = floattext.reprs(psds[0].frequencies)
+    text = floattext.reprs(np.stack([p.power for p in psds]))
+    rows = [text[i : i + len(freq_txt)] for i in range(0, len(text), len(freq_txt))]
+    power_txt = [rows[i : i + len(channels)] for i in range(0, len(rows), len(channels))]
     files = {}
     if "csv" in cfg.formats:
         header = ["frequency_hz", *(f"epoch_{ep.t_start:g}s" for ep in epochs)]
@@ -645,21 +648,71 @@ def cmd_synth(cfg: RunConfig, spec_path: str) -> Result:
     return EXIT_OK, files, f"wrote synthetic recording: {', '.join(written)}"
 
 
-def _read_if_exists(path: Path):
-    return _read_json(path, "output") if path.is_file() else None
+# What report reads of each document, as its command writes it: a dict of
+# required keys, a one-item list whose item every element matches, or the
+# JSON kind of a value.
+_NUMBER = (int, float)
+_NUMBER_OR_NULL = (int, float, type(None))
+_KIND_NAMES = {str: "a string", bool: "true or false", _NUMBER: "a number",
+               _NUMBER_OR_NULL: "a number or null"}
+_BAR_SERIES = {
+    "phase": str, "game_type": str, "gamer_type": str, "music_type": str,
+    "points": [{"time_s": _NUMBER, "bar": _NUMBER, "relative_increase": _NUMBER_OR_NULL}],
+}
+_FIT = {"r_squared": _NUMBER, "aic": _NUMBER_OR_NULL, "converged": bool}
+_COMPARISON = {"ranking": [{"model_type": str, "overfit_warning": bool}]}
+_SIMILARITY = {"similarity": [[_NUMBER]]}
+
+
+def _shape_error(doc, shape, where: str = "") -> str | None:
+    """Where doc first departs from shape, said in words; None if nowhere."""
+    at = where or "the document"
+    if isinstance(shape, dict):
+        if not isinstance(doc, dict):
+            return f"{at} is not an object"
+        missing = next((key for key in shape if key not in doc), None)
+        if missing is not None:
+            return f"{at} has no {missing!r}"
+        found = (
+            _shape_error(doc[key], item, f"{where}.{key}".lstrip("."))
+            for key, item in shape.items()
+        )
+    elif isinstance(shape, list):
+        if not isinstance(doc, list):
+            return f"{at} is not a list"
+        found = (_shape_error(item, shape[0], f"{where}[{i}]") for i, item in enumerate(doc))
+    else:
+        # JSON true and false are Python bools, which are ints too.
+        number = shape in (_NUMBER, _NUMBER_OR_NULL)
+        if isinstance(doc, shape) and not (number and isinstance(doc, bool)):
+            return None
+        return f"{at} is {json.dumps(doc)[:40]}, not {_KIND_NAMES[shape]}"
+    return next(filter(None, found), None)
+
+
+def _read_artifact(path: Path, shape=object):
+    """The document a command wrote at path, or None when there is no file;
+    MalformedArtifact naming the file when it is not shaped as written."""
+    if not path.is_file():
+        return None
+    doc = _read_json(path, "output")
+    error = _shape_error(doc, shape)
+    if error is not None:
+        raise MalformedArtifact(f"output {str(path)!r} is not as its command writes it: {error}")
+    return doc
 
 
 def cmd_report(cfg: RunConfig) -> Result:
     out = Path(cfg.out_dir)
-    bar = _read_if_exists(out / "bar_series.json")
-    comparison = _read_if_exists(out / "comparison.json")
+    bar = _read_artifact(out / "bar_series.json", _BAR_SERIES)
+    comparison = _read_artifact(out / "comparison.json", _COMPARISON)
     fits = {
-        p.stem.removeprefix("fit_"): _read_json(p, "output")
+        p.stem.removeprefix("fit_"): _read_artifact(p, _FIT)
         for p in sorted(out.glob("fit_*.json"))
     }
-    topo_doc = _read_if_exists(out / "similarity.json")
+    topo_doc = _read_artifact(out / "similarity.json", _SIMILARITY)
     images = sorted(p.name for p in out.glob("topo_*.ppm"))
-    synth_meta = _read_if_exists(out / "synth_meta.json")
+    synth_meta = _read_artifact(out / "synth_meta.json")
     if not any([bar, fits, topo_doc, images, synth_meta]):
         raise MissingArtifacts(f"no command outputs found under {out}")
 

@@ -154,3 +154,7 @@ class BandAboveNyquist(ValidationError):
 
 class MissingArtifacts(ValidationError):
     """Report requested but no prior command outputs were found."""
+
+
+class MalformedArtifact(ValidationError):
+    """A prior command's output file is not shaped as that command writes it."""

@@ -38,12 +38,12 @@ from .errors import (
     TruncatedHeader,
     UnknownChannelLabel,
 )
+from .floattext import join_rows
 
 MONTAGE_DIR_ENV = "BARSTRESS_MONTAGE_DIR"
 
 # Rows write_csv formats per block: large enough to amortise the per-block
-# numpy calls, small enough that the block's Python floats and strings stay
-# a few MB.
+# numpy calls, small enough that the block's copy and its text stay a few MB.
 _CSV_BLOCK_ROWS = 4096
 
 
@@ -338,9 +338,10 @@ def _row_classes(cols: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray
 def write_csv(recording: Recording, layout: CsvLayout = CsvLayout()) -> bytes:
     """Serialize a Recording as delimited text; read_csv inverts it.
 
-    Floats are printed with repr, which round-trips exactly. Each distinct
-    row is formatted once, a block of them at a time, and every repeat
-    copies its text: a periodic recording costs one period.
+    Each float is written as repr writes it, which round-trips exactly;
+    floattext.join_rows computes the texts of a whole block of rows. Each
+    distinct row is formatted once, a block of them at a time, and every
+    repeat copies its text: a periodic recording costs one period.
     """
     delim = layout.delimiter
     n = recording.n_samples
@@ -355,8 +356,6 @@ def write_csv(recording: Recording, layout: CsvLayout = CsvLayout()) -> bytes:
     head = (delim.join(labels) + "\n").encode("utf-8") if layout.has_header else b""
     keep, inverse = _row_classes(cols, n)
 
-    # One %-template per row, repeated over a block: "%r" is repr.
-    row_format = delim.replace("%", "%%").join(["%r"] * len(labels)) + "\n"
     blocks = []
     row_ends = [np.zeros(1, dtype=np.intp)]
     for start in range(0, len(keep), _CSV_BLOCK_ROWS):
@@ -364,7 +363,7 @@ def write_csv(recording: Recording, layout: CsvLayout = CsvLayout()) -> bytes:
         block = recording.samples[:, idx].T
         if tcol is not None:
             block = np.insert(block, tcol, times[idx], axis=1)
-        text = (row_format * len(block) % tuple(block.ravel().tolist())).encode("utf-8")
+        text = join_rows(block, delim)
         row_ends.append(np.flatnonzero(np.frombuffer(text, np.uint8) == 10) + 1 + row_ends[-1][-1])
         blocks.append(text)
     body = memoryview(b"".join(blocks))

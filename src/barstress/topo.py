@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import Montage
 from .errors import DegenerateRange, InvalidConfig, LengthMismatch, ZeroVector
+from .floattext import join_rows
 
 _NODE_SNAP = 1e-9
 
@@ -195,11 +196,9 @@ def render_topomap(grid: TopoGrid, palette: str = "blue_red") -> bytes:
 
 
 def grid_to_csv(grid: TopoGrid) -> str:
-    """Row-major CSV of the grid; masked cells are empty fields."""
-    mask = grid.mask
-    rows = np.where(mask, "%r", "").tolist()
-    template = "\n".join(map(",".join, rows)) + "\n"
-    return template % tuple(grid.values[mask].tolist())
+    """Row-major CSV of the grid, each value as repr writes it; masked
+    cells are empty fields."""
+    return join_rows(grid.values, blank=~grid.mask).decode("ascii")
 
 
 def similarity_matrix(vectors: list[TopoVector]) -> np.ndarray:

@@ -908,6 +908,29 @@ class TestReportCommand:
         assert run("report", "--out", str(out), "--quiet") == 0
         assert (out / "report.json").read_bytes() == first
 
+    @pytest.mark.parametrize(
+        "name, doc, message",
+        [
+            ("bar_series.json", [1], "the document is not an object"),
+            ("bar_series.json", {"phase": "x"}, "the document has no 'game_type'"),
+            ("fit_4pl.json", {"r_squared": "0.9", "aic": None, "converged": True},
+             'r_squared is "0.9", not a number'),
+            ("comparison.json", {"ranking": [{"model_type": "4pl"}]},
+             "ranking[0] has no 'overfit_warning'"),
+            ("similarity.json", {"similarity": [[1.0, True]]},
+             "similarity[0][1] is true, not a number"),
+        ],
+        ids=["bar-list", "bar-keys", "fit", "comparison", "similarity"],
+    )
+    def test_malformed_artifact_exits_2_naming_it(self, tmp_path, capsys, name, doc, message):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / name).write_text(json.dumps(doc))
+        assert run("report", "--out", str(out)) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and message in err
+        assert not (out / "report.json").exists()
+
     def test_bar_only_report(self, tmp_path, rest_csv):
         out = tmp_path / "o"
         cfg = write_config(tmp_path, {"protocol": {"epoch_times": [0.0]}})

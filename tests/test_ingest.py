@@ -412,6 +412,8 @@ LAYOUTS = [
     ingest.CsvLayout(time_column=0),
     ingest.CsvLayout(delimiter=";", time_column=1),
     ingest.CsvLayout(delimiter="%", has_header=False, time_column=9),
+    # two UTF-8 bytes
+    ingest.CsvLayout(delimiter="§", time_column=2),
 ]
 
 
