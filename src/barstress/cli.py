@@ -257,10 +257,10 @@ def load_config(args, extras: list[str]) -> RunConfig:
 
 # ------------------------------------------------------------------ helpers
 
-def _edf_epochs(
-    cfg: RunConfig, data, protocol: core.SessionProtocol
+def _windowed_epochs(
+    cfg: RunConfig, read, data, protocol: core.SessionProtocol
 ) -> list[core.Epoch]:
-    """One windowed read_edf per epoch time, each cut by slice_epochs."""
+    """One windowed read per epoch time, each cut by slice_epochs."""
     if not protocol.epoch_times:
         raise EmptyProtocol("protocol has no epoch times")
     window_len = cfg.welch.window_len
@@ -268,7 +268,7 @@ def _edf_epochs(
         epoch
         for t in protocol.epoch_times
         for epoch in core.slice_epochs(
-            ingest.read_edf(data, cfg.montage, window=(t, t + window_len)),
+            read(data, window=(t, t + window_len)),
             replace(protocol, epoch_times=(t,)),
             window_len,
         )
@@ -280,23 +280,25 @@ def _load_epochs(
 ) -> list[core.Epoch]:
     """The protocol's epochs of the recording at path_str.
 
-    An EDF file is memory-mapped and only the data records under the
-    epochs are decoded; a CSV file is parsed whole.
+    The file is memory-mapped and read one epoch window at a time: an EDF
+    file decodes the data records under the window, a CSV file parses its
+    header line and the rows under the window (see ingest.read_csv).
     """
     if not path_str:
         raise InvalidConfig("no input recording configured (input.recording)")
     path = Path(path_str)
-    if path.suffix.lower() != ".edf":
-        recording = ingest.read_csv(
-            path.read_bytes(), cfg.csv_layout, cfg.sampling_rate, cfg.montage
+    if path.suffix.lower() == ".edf":
+        read = functools.partial(ingest.read_edf, montage=cfg.montage)
+    else:
+        read = functools.partial(
+            ingest.read_csv, layout=cfg.csv_layout, sampling_rate=cfg.sampling_rate, montage=cfg.montage
         )
-        return core.slice_epochs(recording, protocol, cfg.welch.window_len)
     with path.open("rb") as f:
         if os.fstat(f.fileno()).st_size == 0:
-            # mmap rejects an empty file; the parser reports it as truncated.
-            return _edf_epochs(cfg, b"", protocol)
+            # mmap rejects an empty file; the reader reports it from no bytes.
+            return _windowed_epochs(cfg, read, b"", protocol)
         with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as data:
-            return _edf_epochs(cfg, data, protocol)
+            return _windowed_epochs(cfg, read, data, protocol)
 
 
 class _FloatText(list):

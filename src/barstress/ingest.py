@@ -10,6 +10,8 @@ CSV text is handled one distinct line at a time: write_csv formats each
 distinct row once and read_csv parses each distinct line once, and every
 repeat is copied from its first occurrence. A recording that repeats, as
 a noise-free synthetic one does every 4 s, costs one period of text work.
+Given a window, read_csv and read_edf read only the rows or data records
+under it, so an epoch's cost does not grow with the file's length.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import io
 import itertools
 import json
 import math
+import mmap
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +33,7 @@ from .errors import (
     BadMagic,
     DigitalRangeDegenerate,
     EpochOutOfRange,
+    IngestError,
     InvalidHeaderField,
     InvalidMontage,
     MalformedRow,
@@ -85,6 +90,18 @@ class EdfHeader:
     digital_max: tuple[int, ...]
     prefilters: tuple[str, ...]
     samples_per_record: tuple[int, ...]
+
+
+def _window_samples(window: tuple[float, float], fs: float) -> tuple[int, int]:
+    """Sample indices [lo, hi) that hold the samples core.slice_epochs cuts
+    for an epoch of t_end - t_start seconds at t_start."""
+    t_start, t_end = window
+    if not (math.isfinite(t_start) and math.isfinite(t_end) and 0 <= t_start <= t_end):
+        raise EpochOutOfRange(f"window {window} needs 0 <= t_start <= t_end")
+    lo = int(round(t_start * fs))
+    # Round half up with slack for the round-off in t_end - t_start, so
+    # the window covers slice_epochs' round(window_len * fs) samples.
+    return lo, lo + math.floor((t_end - t_start) * fs + 0.5 + 1e-6)
 
 
 # --------------------------------------------------------------------- CSV
@@ -239,14 +256,93 @@ def _distinct_lines(data: bytes | str) -> tuple[list, np.ndarray]:
     return list(itertools.compress(lines, nonblank)), order
 
 
+def _plain_lines(text: bytes, ends: np.ndarray) -> bool:
+    """Whether text, whole lines from a line start that end at the offsets
+    ends, is plain ASCII (see _plain_ascii), ends its lines in \\n or \\r\\n
+    only, and has no line that is empty or only spaces and tabs. Then its
+    lines are the non-blank lines _distinct_lines finds in it.
+    """
+    if not _plain_ascii(text):
+        return False
+    codes = np.frombuffer(text, np.uint8)
+    if b"\r" in text:
+        after_cr = np.flatnonzero(codes == 13) + 1
+        if after_cr[-1] == len(text) or (codes[after_cr] != 10).any():
+            return False
+    # Only a line that starts with a space, a control byte or its end can be blank.
+    if codes[0] > 32 and (codes[ends[:-1]] > 32).all():
+        return True
+    return _BLANK_LINE.search(text, 0, len(text) - text.endswith(b"\n")) is None
+
+
+_BLANK_LINE = re.compile(rb"(?m)^[ \t]*\r?$")
+
+# Bytes the windowed CSV read scans at a time for line ends.
+_SCAN_BYTES = 1 << 20
+
+
+def _release(data, end: int) -> None:
+    """Unmap the pages of data before end when data is a memory map, so
+    the pages already read do not count in the process's memory; the file
+    stays in the page cache."""
+    if isinstance(data, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED"):
+        data.madvise(mmap.MADV_DONTNEED, 0, end)
+
+
+def _window_lines(data, first: int, stop: int, header: bool) -> bytes | None:
+    """Line 0 when header is set, then lines [first, stop) of data, as one
+    bytes object; None when data has fewer than stop lines or its lines
+    before stop are not all plain (see _plain_lines).
+
+    Lines are counted by \\n, a chunk of whole lines at a time, and no byte
+    after the end of line stop - 1 is checked. The pages of a memory map
+    are released once scanned, so memory does not grow with the prefix.
+    """
+    size = len(data)
+    ends = {}  # end offset of line j, for each j in wanted
+    wanted = {stop - 1, first - 1, 0 if header else -1}
+    pos = line = 0
+    while line < stop:
+        n = _SCAN_BYTES
+        while True:  # grow the chunk until it holds a whole line
+            chunk = data[pos : pos + n]
+            eof = pos + len(chunk) >= size
+            cut = chunk.rfind(b"\n") + 1
+            if cut or eof:
+                break
+            n *= 2
+        if not chunk:
+            return None
+        # From the start, not from pos: a page fault may map again the
+        # earlier pages of a large page-cache folio.
+        _release(data, pos + len(chunk))
+        if not eof:
+            chunk = chunk[:cut]
+        line_ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == 10) + 1
+        if not chunk.endswith(b"\n"):
+            line_ends = np.append(line_ends, len(chunk))
+        if stop - line <= len(line_ends):
+            line_ends = line_ends[: stop - line]
+            chunk = chunk[: line_ends[-1]]
+        ends.update((j, pos + int(line_ends[j - line])) for j in wanted if 0 <= j - line < len(line_ends))
+        if not _plain_lines(chunk, line_ends):
+            return None
+        pos += len(chunk)
+        line += len(line_ends)
+    head = data[: ends[0]] if header else b""
+    return head + data[ends.get(first - 1, 0) : ends[stop - 1]]
+
+
 def read_csv(
-    data: bytes | str,
+    data,
     layout: CsvLayout,
     sampling_rate: float,
     montage: Montage,
+    window: tuple[float, float] | None = None,
 ) -> Recording:
     """Parse a delimited text recording into a Recording.
 
+    data is text, or a byte buffer: bytes, or a read-only mmap of the file.
     Values are microvolts. A time column, when declared, is checked for
     strict monotonicity and then dropped; sampling_rate is authoritative.
     Columns are reordered to montage order using the header when present,
@@ -260,7 +356,45 @@ def read_csv(
     the header's, every data line of the file is parsed again field by
     field with float(), which returns the values or raises the typed error
     naming the first bad row or field.
+
+    window=(t_start, t_end), in seconds from the first sample, parses the
+    header line and only the rows that hold the samples core.slice_epochs
+    cuts for an epoch of t_end - t_start seconds at t_start; the
+    Recording's start_offset is the time of the first row parsed. No byte
+    after the window's last row is checked, so the checks above cover the
+    window's rows only. This needs the bytes up to the window's last row
+    to be plain ASCII with \\n or \\r\\n line ends and no blank line (see
+    _plain_lines). Text, an empty window, a file that breaks these rules
+    or ends before the window does, and a window whose rows fail to parse
+    are read whole as without a window, so every error is the whole
+    read's.
     """
+    # A bad sampling rate is the Recording's to report.
+    if window is not None and math.isfinite(sampling_rate) and sampling_rate > 0:
+        lo, hi = _window_samples(window, sampling_rate)
+        skip = int(layout.has_header)
+        text = None
+        if hi > lo and not isinstance(data, str):
+            text = _window_lines(data, skip + lo, skip + hi, layout.has_header)
+        if text is not None:
+            try:
+                return _parse_csv(text, layout, sampling_rate, montage, lo / sampling_rate)
+            except IngestError:
+                pass  # the whole read names the file's first defect
+    if not isinstance(data, (bytes, str)):
+        data, mapped = bytes(data), data
+        _release(mapped, len(data))
+    return _parse_csv(data, layout, sampling_rate, montage)
+
+
+def _parse_csv(
+    data: bytes | str,
+    layout: CsvLayout,
+    sampling_rate: float,
+    montage: Montage,
+    start_offset: float = 0.0,
+) -> Recording:
+    """read_csv of every line of data."""
     lines, order = _distinct_lines(data)
     delim = layout.delimiter
 
@@ -307,7 +441,9 @@ def read_csv(
     channels = tuple(info for _, info in mapping)
     samples = values.T[[data_cols[col] for col, _ in mapping]]
     samples.flags.writeable = False
-    return Recording(channels=channels, samples=samples, sampling_rate=sampling_rate)
+    return Recording(
+        channels=channels, samples=samples, sampling_rate=sampling_rate, start_offset=start_offset
+    )
 
 
 # Odd 64-bit multiplier of the row hash (the golden-ratio constant).
@@ -559,13 +695,7 @@ def read_edf(data, montage: Montage, window: tuple[float, float] | None = None) 
 
     first, stop = 0, hdr.record_count
     if window is not None:
-        t_start, t_end = window
-        if not (math.isfinite(t_start) and math.isfinite(t_end) and 0 <= t_start <= t_end):
-            raise EpochOutOfRange(f"window {window} needs 0 <= t_start <= t_end")
-        lo = int(round(t_start * fs))
-        # Round half up with slack for the round-off in t_end - t_start, so
-        # the window covers slice_epochs' round(window_len * fs) samples.
-        hi = lo + math.floor((t_end - t_start) * fs + 0.5 + 1e-6)
+        lo, hi = _window_samples(window, fs)
         first = min(lo // spr, hdr.record_count)
         stop = min(-(-hi // spr), hdr.record_count)
 

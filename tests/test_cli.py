@@ -192,7 +192,7 @@ def outputs(out):
 
 class TestEdfInput:
     """EDF input is read epoch by epoch; every output must equal the one
-    made from the full decode, which the CLI reads whole from CSV."""
+    made from the CSV of the full decode."""
 
     @pytest.mark.parametrize("command", ["psd", "bar", "topo"])
     def test_outputs_match_full_decode(self, tmp_path, session_edf, rest_edf, command):
@@ -267,6 +267,85 @@ class TestEdfInput:
     def test_missing_file_is_io_error(self, tmp_path):
         rc = run("topo", "--input", str(tmp_path / "nope.edf"), "--out", str(tmp_path / "o"))
         assert rc == cli.EXIT_IO
+
+
+# Two epochs of session_csv: rows [2500, 7500) and [10000, 15000).
+CSV_EPOCHS = [5.0, 20.0]
+
+
+def edit_rows(blob, edits):
+    """blob with data row i replaced by edits[i]; line 0 is the header."""
+    lines = blob.split(b"\n")
+    for i, row in edits.items():
+        lines[i + 1] = row
+    return b"\n".join(lines)
+
+
+class TestCsvInput:
+    """CSV input is read one window per epoch, so rows under no epoch are
+    never parsed."""
+
+    def bar(self, tmp_path, blob, out, epochs=CSV_EPOCHS, name="in.csv"):
+        path = tmp_path / name
+        path.write_bytes(blob)
+        cfg = write_config(tmp_path, {"protocol": {"epoch_times": epochs}})
+        return run("bar", "--config", str(cfg), "--input", str(path), "--out", str(tmp_path / out), "--quiet")
+
+    def test_parses_only_rows_under_epochs(self, tmp_path, session_csv, monkeypatch):
+        parsed = []
+        read_csv = ingest.read_csv
+
+        def counting(*args, **kwargs):
+            rec = read_csv(*args, **kwargs)
+            parsed.append((rec.start_offset, rec.n_samples))
+            return rec
+
+        monkeypatch.setattr(ingest, "read_csv", counting)
+        assert self.bar(tmp_path, session_csv.read_bytes(), "o") == 0
+        assert parsed == [(5.0, 5000), (20.0, 5000)]
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            {17500: b"x,1"},
+            {17500: b"nan" + b",1" * 29},
+            {17500: b"1,2"},
+            {19999: b"1,\xff"},
+            {100: b"1," * 29 + b"junk"},
+            {8000: b"1,2", 16000: b"\xe9"},
+        ],
+        ids=["junk-after", "nan-after", "narrow-after", "non-ascii-after", "junk-before", "between-and-after"],
+    )
+    def test_rows_outside_epochs_no_longer_raise(self, tmp_path, session_csv, edits, montage_30):
+        clean = session_csv.read_bytes()
+        blob = edit_rows(clean, edits)
+        with pytest.raises(PipelineError):
+            ingest.read_csv(blob, ingest.CsvLayout(), 500.0, montage_30)
+        assert self.bar(tmp_path, clean, "clean", name="clean.csv") == 0
+        assert self.bar(tmp_path, blob, "edited") == 0
+        series = "bar_series.json"
+        assert (tmp_path / "edited" / series).read_bytes() == (tmp_path / "clean" / series).read_bytes()
+
+    def test_crlf_file(self, tmp_path, session_csv):
+        clean = session_csv.read_bytes()
+        assert self.bar(tmp_path, clean, "lf", name="lf.csv") == 0
+        assert self.bar(tmp_path, clean.replace(b"\n", b"\r\n"), "crlf") == 0
+        assert outputs(tmp_path / "crlf") == outputs(tmp_path / "lf")
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (None, "empty input but layout declares a header"),
+            (0, "epoch at 0.0 s needs samples [0, 5000) but recording has 0"),
+            (4000, "epoch at 0.0 s needs samples [0, 5000) but recording has 4000"),
+        ],
+    )
+    def test_short_files_keep_their_messages(self, tmp_path, session_csv, capsys, rows, message):
+        lines = session_csv.read_bytes().split(b"\n")
+        blob = b"" if rows is None else b"\n".join(lines[: rows + 1]) + b"\n"
+        assert self.bar(tmp_path, blob, "o", epochs=[0.0]) == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSynthCommand:

@@ -1,6 +1,7 @@
 import json
 import math
 import mmap
+import re
 import struct
 from unittest import mock
 
@@ -387,6 +388,224 @@ class TestReadCsvFastPath:
         )
         assert rec.labels == ("A", "B")
         assert rec.samples is handed
+
+
+def newline_lines(blob):
+    """The lines of blob as the windowed read counts them, one per \\n,
+    each with its line end; a last line without one included."""
+    return re.findall(rb"[^\n]*\n|[^\n]+\Z", blob)
+
+
+def window_falls_back(blob, stop):
+    """Whether read_csv reads blob whole for a window that ends at line
+    stop: the file has fewer lines, or a line before stop is not ASCII,
+    holds a byte str.splitlines or str.isspace treats apart, a lone \\r,
+    or nothing but spaces and tabs."""
+    lines = newline_lines(blob)
+    prefix = b"".join(lines[:stop])
+    return (
+        len(lines) < stop
+        or not prefix.isascii()
+        or any(b in prefix for b in (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f"))
+        or b"\r" in prefix.replace(b"\r\n", b"")
+        or any(not ln.strip(b" \t\r\n") for ln in lines[:stop])
+    )
+
+
+def epoch_outcome(read, t, window_len):
+    """Labels and sample bytes of the epoch at t cut from read(), or the
+    error type and message of the read or the cut."""
+    proto = core.SessionProtocol(phase="baseline", epoch_times=(t,))
+    try:
+        (epoch,) = core.slice_epochs(read(), proto, window_len)
+    except PipelineError as exc:
+        return type(exc), str(exc)
+    return epoch.labels, epoch.samples.tobytes()
+
+
+FS = 50.0
+# Scan chunk sizes: one byte, shorter than most lines, and the default.
+SCAN_BYTES = st.sampled_from([1, 5, 1 << 20])
+
+
+class TestReadCsvWindow:
+    @settings(max_examples=400, deadline=None)
+    @given(csv_documents(), st.integers(0, 16), st.integers(2, 12), SCAN_BYTES)
+    def test_same_epoch_or_error_as_whole_read(self, doc, start, length, scan_bytes):
+        # at 50 Hz, 0.01 s is half a sample
+        blob, layout, m = doc
+        t, window_len = start / 100, length / 100
+        lo, hi = ingest._window_samples((t, t + window_len), FS)
+        first, stop = layout.has_header + lo, layout.has_header + hi
+
+        def whole():
+            return ingest.read_csv(blob, layout, FS, m)
+
+        def windowed():
+            return ingest.read_csv(blob, layout, FS, m, window=(t, t + window_len))
+
+        with mock.patch.object(ingest, "_SCAN_BYTES", scan_bytes):
+            got = csv_outcome(windowed)
+            want = csv_outcome(whole)
+            if window_falls_back(blob, stop):
+                assert got == want
+                assert isinstance(got[0], type) or windowed().start_offset == 0.0
+            elif isinstance(got[0], type):
+                assert got == want
+            else:
+                # header and window lines parsed alone give the same samples
+                lines = newline_lines(blob)
+                alone = b"".join(lines[: layout.has_header] + lines[first:stop])
+                assert got == csv_outcome(ingest.read_csv, alone, layout, FS, m)
+                assert windowed().start_offset == lo / FS
+            whole_epoch = epoch_outcome(whole, t, window_len)
+            if not isinstance(whole_epoch[0], type) or window_falls_back(blob, stop):
+                assert epoch_outcome(windowed, t, window_len) == whole_epoch
+
+    @settings(max_examples=200, deadline=None)
+    @given(csv_documents(), st.integers(0, 6), st.integers(1, 4), st.binary(max_size=40), SCAN_BYTES)
+    def test_bytes_after_the_window_are_not_read(self, doc, lo, n, junk, scan_bytes):
+        blob, layout, m = doc
+        stop = layout.has_header + lo + n
+        kept = b"".join(newline_lines(blob)[:stop])
+        window = (lo / FS, (lo + n) / FS)
+        with mock.patch.object(ingest, "_SCAN_BYTES", scan_bytes):
+            got = csv_outcome(ingest.read_csv, blob, layout, FS, m, window)
+            if window_falls_back(blob, stop) or not kept.endswith(b"\n") or isinstance(got[0], type):
+                return
+            assert csv_outcome(ingest.read_csv, kept + junk, layout, FS, m, window) == got
+
+    # Ten rows of two channels at 10 Hz; the window (0.2, 0.5) holds rows 2 to 4.
+    ROWS = [f"{i}.5,{-i}" for i in range(10)]
+
+    def read_rows(self, rows, window=(0.2, 0.5), layout=ingest.CsvLayout(), head="A,B\n"):
+        blob = (head + "\n".join(rows) + "\n").encode("utf-8", "surrogateescape")
+        return csv_outcome(ingest.read_csv, blob, layout, 10.0, small_montage("A", "B"), window)
+
+    @pytest.mark.parametrize(
+        "row, text, error",
+        [
+            (7, "x,1", (NonNumericSample, "row 7 column 0: 'x'")),
+            (7, "nan,1", (NonNumericSample, "row 7 column 0 is not finite")),
+            (7, "1,2,3", (MalformedRow, "row 7 has 3 fields, expected 2")),
+            (7, "1", (MalformedRow, "row 7 has 1 fields, expected 2")),
+            (9, "1,\udcff", (MalformedRow, "input is not valid UTF-8")),
+            (1, "1,x", (NonNumericSample, "row 1 column 1: 'x'")),
+        ],
+        ids=["junk-after", "nan-after", "wide-after", "narrow-after", "non-ascii-after", "junk-before"],
+    )
+    def test_defect_outside_the_window_no_longer_raises(self, row, text, error):
+        rows = list(self.ROWS)
+        rows[row] = text
+        whole = self.read_rows(rows, window=None)
+        assert whole[0] is error[0] and whole[1].startswith(error[1])
+        assert self.read_rows(rows) == self.read_rows(self.ROWS)
+        np.testing.assert_array_equal(
+            np.frombuffer(self.read_rows(rows)[2]).reshape(2, 3), [[2.5, 3.5, 4.5], [-2, -3, -4]]
+        )
+
+    def test_time_column_checked_inside_the_window_only(self):
+        rows = [f"{t},{i}.5,{-i}" for i, t in enumerate([0, 1, 2, 3, 4, 5, 6, 7, 0, 9])]
+        layout = ingest.CsvLayout(time_column=0)
+        head = "t,A,B\n"
+        assert self.read_rows(rows, None, layout, head) == (
+            MalformedRow, "time column is not strictly increasing"
+        )
+        assert self.read_rows(rows, (0.2, 0.5), layout, head)[2] == self.read_rows(self.ROWS)[2]
+        rows[3] = "1,3.5,-3"
+        assert self.read_rows(rows, (0.2, 0.5), layout, head) == (
+            MalformedRow, "time column is not strictly increasing"
+        )
+
+    @pytest.mark.parametrize(
+        "defects, error",
+        [
+            ({3: "x,1"}, (NonNumericSample, "row 3 column 0: 'x'")),
+            ({4: "1"}, (MalformedRow, "row 4 has 1 fields, expected 2")),
+            # a defect in the window reads the file whole, which names the first
+            ({0: "1,x", 3: "x,1"}, (NonNumericSample, "row 0 column 1: 'x'")),
+            ({3: "x,1", 8: "1"}, (MalformedRow, "row 8 has 1 fields, expected 2")),
+        ],
+    )
+    def test_defect_in_the_window_raises_the_whole_read_error(self, defects, error):
+        rows = [defects.get(i, r) for i, r in enumerate(self.ROWS)]
+        assert self.read_rows(rows) == self.read_rows(rows, window=None) == error
+
+    @pytest.mark.parametrize(
+        "row, text, insert",
+        [
+            (1, "", True),
+            (1, " \t", True),
+            (4, "", True),
+            (1, "1.5,-1\r1.5,-1", False),
+            (0, "\u0661.5,0", False),
+            (1, "1.5,-1\x0c", False),
+        ],
+        ids=["blank", "spaces", "blank-in-window", "lone-cr", "non-ascii", "form-feed"],
+    )
+    def test_unplain_prefix_reads_whole(self, row, text, insert):
+        rows = list(self.ROWS)
+        if insert:
+            rows.insert(row, text)
+        else:
+            rows[row] = text
+        blob = ("A,B\n" + "\n".join(rows) + "\n").encode("utf-8")
+        m = small_montage("A", "B")
+        rec = ingest.read_csv(blob, ingest.CsvLayout(), 10.0, m, window=(0.2, 0.5))
+        whole = ingest.read_csv(blob, ingest.CsvLayout(), 10.0, m)
+        assert rec.start_offset == 0.0
+        assert rec.samples.tobytes() == whole.samples.tobytes()
+
+    @pytest.mark.parametrize(
+        "blob, error",
+        [
+            (b"", (MalformedRow, "empty input but layout declares a header")),
+            (b"A,B\n", (EpochOutOfRange, "epoch at 0.0 s needs samples [0, 5) but recording has 0")),
+            (b"A,B\n1,2\n3,4\n", (EpochOutOfRange, "epoch at 0.0 s needs samples [0, 5) but recording has 2")),
+        ],
+    )
+    def test_file_ending_before_the_window_reads_whole(self, blob, error):
+        m = small_montage("A", "B")
+        def read():
+            return ingest.read_csv(blob, ingest.CsvLayout(), 10.0, m, window=(0.0, 0.5))
+
+        assert epoch_outcome(read, 0.0, 0.5) == error
+
+    def test_line_ends_and_start_offset(self):
+        m = small_montage("A", "B")
+        for end in ("\n", "\r\n"):
+            blob = ("A,B" + end + end.join(self.ROWS)).encode()  # no line end after the last row
+            rec = ingest.read_csv(blob, ingest.CsvLayout(), 10.0, m, window=(0.65, 1.0))
+            assert rec.start_offset == 0.6
+            np.testing.assert_array_equal(rec.samples, [[6.5, 7.5, 8.5, 9.5], [-6, -7, -8, -9]])
+        headerless = "\r\n".join(self.ROWS).encode()
+        rec = ingest.read_csv(headerless, ingest.CsvLayout(has_header=False), 10.0, m, window=(0.0, 0.2))
+        assert rec.start_offset == 0.0
+        np.testing.assert_array_equal(rec.samples, [[0.5, 1.5], [0, -1]])
+
+    @pytest.mark.parametrize("scan_bytes", [1, 7, 1 << 20])
+    def test_memory_map_reads_like_bytes(self, tmp_path, scan_bytes):
+        m = small_montage("A", "B", "C")
+        rng = np.random.default_rng(5)
+        rec = core.Recording(
+            channels=m.electrodes, samples=rng.normal(scale=30.0, size=(3, 400)), sampling_rate=100.0
+        )
+        blob = ingest.write_csv(rec)
+        path = tmp_path / "r.csv"
+        path.write_bytes(blob)
+        with mock.patch.object(ingest, "_SCAN_BYTES", scan_bytes):
+            # the last window runs past the end, so both read whole
+            for window in [(0.0, 1.0), (1.234, 2.5), (3.0, 4.0), (3.5, 4.5)]:
+                with path.open("rb") as f, mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+                    mapped = ingest.read_csv(mm, ingest.CsvLayout(), 100.0, m, window=window)
+                direct = ingest.read_csv(blob, ingest.CsvLayout(), 100.0, m, window=window)
+                assert mapped.samples.tobytes() == direct.samples.tobytes()
+                assert mapped.start_offset == direct.start_offset
+
+    @pytest.mark.parametrize("window", [(-1.0, 2.0), (3.0, 2.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_bad_window_rejected(self, window):
+        with pytest.raises(EpochOutOfRange):
+            ingest.read_csv(b"A,B\n1,2\n", ingest.CsvLayout(), 10.0, small_montage("A", "B"), window=window)
 
 
 def write_csv_reference(recording, layout):
@@ -797,6 +1016,22 @@ def test_csv_parser_total_on_arbitrary_bytes(blob):
         ingest.read_csv(blob, ingest.CsvLayout(), 100.0, m)
     except PipelineError:
         pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.binary(max_size=1024),
+    st.floats(min_value=0.0, max_value=20.0),
+    st.floats(min_value=0.0, max_value=20.0),
+    SCAN_BYTES,
+)
+def test_windowed_csv_parser_total_on_arbitrary_bytes(blob, a, b, scan_bytes):
+    m = small_montage("A", "B")
+    with mock.patch.object(ingest, "_SCAN_BYTES", scan_bytes):
+        try:
+            ingest.read_csv(blob, ingest.CsvLayout(), 100.0, m, window=(min(a, b), max(a, b)))
+        except PipelineError:
+            pass
 
 
 @settings(max_examples=200, deadline=None)
