@@ -39,7 +39,6 @@ from .regress import (
     eval_quartic,
     fit_4pl,
     fit_quartic,
-    r_squared,
 )
 from .spectral import (
     PsdEstimate,
@@ -96,7 +95,6 @@ __all__ = [
     "load_montage",
     "parse_edf_header",
     "periodogram_segment",
-    "r_squared",
     "read_csv",
     "read_edf",
     "relative_increase",

@@ -42,7 +42,6 @@ from .errors import (
 )
 
 SCHEMA_VERSION = 1
-FORMATS = ("csv", "json", "ppm")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -68,7 +67,6 @@ class RunConfig:
     protocol: core.SessionProtocol = core.SessionProtocol(phase="baseline")
     baseline_bar: float | None = None
     out_dir: str = "out"
-    formats: tuple[str, ...] = FORMATS
     topo_resolution: int = 64
     topo_scalar: str = "bar"
     seed: int = 0
@@ -114,7 +112,6 @@ CONFIG_KEYS = {
     "protocol.epoch_times": ("protocol.epoch_times", list[float] | None),
     "baseline_bar": ("baseline_bar", float | None),
     "out_dir": ("out_dir", str),
-    "formats": ("formats", list[str]),
     "topo.resolution": ("topo_resolution", int),
     "topo.scalar": ("topo_scalar", str),
     "seed": ("seed", int),
@@ -186,9 +183,6 @@ def config_from_dict(doc: dict) -> RunConfig:
         raise InvalidConfig(f"unsupported schema_version {version!r}")
     if values.get("channels") == ():
         raise InvalidConfig("channels must name at least one channel, got []")
-    bad = set(values.get("formats", ())) - set(FORMATS)
-    if bad:
-        raise InvalidConfig(f"formats: unknown output formats {sorted(bad)}")
     if "bands" in values:
         values["bands"] = tuple(core.BandDefinition(k, *v) for k, v in values["bands"].items())
     tree: dict = {}
@@ -243,11 +237,9 @@ def load_config(args, extras: list[str]) -> RunConfig:
             _set_path(doc, key, raw)
     flags = {
         "out_dir": args.out,
-        "formats": args.format and [f.strip() for f in args.format.split(",") if f.strip()],
         "seed": args.seed,
         "input.recording": getattr(args, "input", None),
         "input.points": getattr(args, "points", None),
-        "topo.scalar": getattr(args, "scalar", None),
     }
     for key, value in flags.items():
         if value not in (None, ""):  # a flag left out or given empty sets nothing
@@ -406,27 +398,23 @@ def cmd_psd(cfg: RunConfig) -> Result:
     text = floattext.reprs(np.stack([p.power for p in psds]))
     rows = [text[i : i + len(freq_txt)] for i in range(0, len(text), len(freq_txt))]
     power_txt = [rows[i : i + len(channels)] for i in range(0, len(rows), len(channels))]
+    header = ["frequency_hz", *(f"epoch_{ep.t_start:g}s" for ep in epochs)]
     files = {}
-    if "csv" in cfg.formats:
-        header = ["frequency_hz", *(f"epoch_{ep.t_start:g}s" for ep in epochs)]
-        for row, ch in enumerate(channels):
-            # Lazy rows: built as lists for all channels at once, they cost time and memory.
-            columns = zip(freq_txt, *(txt[row] for txt in power_txt))
-            files[f"psd_{ch.label}.csv"] = itertools.chain([header], columns)
-    if "json" in cfg.formats:
-        files["psd.json"] = {
-            "schema_version": SCHEMA_VERSION,
-            "frequencies_hz": _FloatText(freq_txt),
-            "epochs": [
-                {
-                    "t_start": ep.t_start,
-                    "power": {
-                        ch.label: _FloatText(txt[i]) for i, ch in enumerate(channels)
-                    },
-                }
-                for ep, txt in zip(epochs, power_txt)
-            ],
-        }
+    for row, ch in enumerate(channels):
+        # Lazy rows: built as lists for all channels at once, they cost time and memory.
+        columns = zip(freq_txt, *(txt[row] for txt in power_txt))
+        files[f"psd_{ch.label}.csv"] = itertools.chain([header], columns)
+    files["psd.json"] = {
+        "schema_version": SCHEMA_VERSION,
+        "frequencies_hz": _FloatText(freq_txt),
+        "epochs": [
+            {
+                "t_start": ep.t_start,
+                "power": {ch.label: _FloatText(txt[i]) for i, ch in enumerate(channels)},
+            }
+            for ep, txt in zip(epochs, power_txt)
+        ],
+    }
     return EXIT_OK, files, f"wrote PSD for {len(channels)} channels, {len(epochs)} epochs"
 
 
@@ -434,16 +422,19 @@ def cmd_bar(cfg: RunConfig) -> Result:
     baseline = _measure_baseline(cfg)
     series = _bar_points(cfg, cfg.recording, cfg.protocol)
     p = cfg.protocol
-    files = {}
-    if "csv" in cfg.formats:
-        # Without a baseline both of its fields are empty; bar_series.json says null.
-        def against_baseline(r):
-            if baseline is None:
-                return ["", ""]
-            base = float(baseline)
-            return [repr(base), repr(spectral.relative_increase(r, base))]
 
-        files["bar_series.csv"] = [
+    # Without a baseline both of its fields are empty; bar_series.json says null.
+    def against_baseline(r):
+        if baseline is None:
+            return ["", ""]
+        base = float(baseline)
+        return [repr(base), repr(spectral.relative_increase(r, base))]
+
+    points = [(t / 60.0, r) for t, r in series]
+    if p.phase == "during_gameplay" and baseline is not None:
+        points.insert(0, (0.0, baseline))
+    files = {
+        "bar_series.csv": [
             ["time_s", "bar", "baseline", "relative_increase",
              "phase", "game_type", "gamer_type", "music_type"],
             *(
@@ -451,13 +442,9 @@ def cmd_bar(cfg: RunConfig) -> Result:
                  p.phase, p.game_type, p.gamer_type, p.music_type]
                 for t, r in series
             ),
-        ]
-        points = [(t / 60.0, r) for t, r in series]
-        if cfg.protocol.phase == "during_gameplay" and baseline is not None:
-            points.insert(0, (0.0, baseline))
-        files["bar_points.csv"] = [["x_minutes", "y_ratio"], *(map(repr, pt) for pt in points)]
-    if "json" in cfg.formats:
-        files["bar_series.json"] = {
+        ],
+        "bar_points.csv": [["x_minutes", "y_ratio"], *(map(repr, pt) for pt in points)],
+        "bar_series.json": {
             "schema_version": SCHEMA_VERSION,
             "baseline": baseline,
             "phase": p.phase,
@@ -476,7 +463,8 @@ def cmd_bar(cfg: RunConfig) -> Result:
                 }
                 for t, r in series
             ],
-        }
+        },
+    }
     return EXIT_OK, files, f"wrote BAR series with {len(series)} points"
 
 
@@ -510,37 +498,33 @@ def cmd_fit(cfg: RunConfig, model_kind: str) -> Result:
         fits["4pl"] = regress.fit_4pl(points)
     if model_kind in ("quartic", "both"):
         fits["quartic"] = regress.fit_quartic(points)
-    files = {}
-    if "json" in cfg.formats:
-        for name, fit in fits.items():
-            files[f"fit_{name}.json"] = regress.fit_result_to_dict(fit)
-        if len(fits) > 1:
-            ranking = regress.compare_models(list(fits.values()))
-            files["comparison.json"] = {
-                "schema_version": SCHEMA_VERSION,
-                "ranking": [
-                    {
-                        "rank": r.rank,
-                        "model_type": r.fit.model_type,
-                        "aic": None if math.isinf(r.fit.aic) else r.fit.aic,
-                        "overfit_warning": r.overfit_warning,
-                    }
-                    for r in ranking
-                ],
-            }
-    if "csv" in cfg.formats:
-        for name, fit in fits.items():
-            xs = [x for x, _ in points]
-            model = fit.model
-            pred = (
-                regress.eval_4pl(model, xs)
-                if isinstance(model, regress.FourPLModel)
-                else regress.eval_quartic(model, np.asarray(xs))
-            )
-            files[f"fit_{name}_curve.csv"] = [
-                ["x_minutes", "y_observed", "y_fitted"],
-                *([repr(x), repr(y), repr(float(p))] for (x, y), p in zip(points, pred)),
-            ]
+    files = {f"fit_{name}.json": regress.fit_result_to_dict(fit) for name, fit in fits.items()}
+    if len(fits) > 1:
+        ranking = regress.compare_models(list(fits.values()))
+        files["comparison.json"] = {
+            "schema_version": SCHEMA_VERSION,
+            "ranking": [
+                {
+                    "rank": r.rank,
+                    "model_type": r.fit.model_type,
+                    "aic": None if math.isinf(r.fit.aic) else r.fit.aic,
+                    "overfit_warning": r.overfit_warning,
+                }
+                for r in ranking
+            ],
+        }
+    xs = [x for x, _ in points]
+    for name, fit in fits.items():
+        model = fit.model
+        pred = (
+            regress.eval_4pl(model, xs)
+            if isinstance(model, regress.FourPLModel)
+            else regress.eval_quartic(model, np.asarray(xs))
+        )
+        files[f"fit_{name}_curve.csv"] = [
+            ["x_minutes", "y_observed", "y_fitted"],
+            *([repr(x), repr(y), repr(float(p))] for (x, y), p in zip(points, pred)),
+        ]
     message = "\n".join(
         f"{name}: rss={fit.rss:.6g} r2={fit.r_squared:.6f} "
         f"aic={fit.aic:.4f} converged={fit.converged}"
@@ -584,19 +568,15 @@ def cmd_topo(cfg: RunConfig) -> Result:
     files = {}
     for i, (ep, grid) in enumerate(zip(epochs, grids)):
         stem = f"topo_{i:02d}_{ep.t_start:g}s"
-        if "ppm" in cfg.formats:
-            files[f"{stem}.ppm"] = topo.render_topomap(grid)
-        if "csv" in cfg.formats:
-            files[f"{stem}.csv"] = topo.grid_to_csv(grid).encode()
-    if "csv" in cfg.formats:
-        files["similarity.csv"] = [list(map(repr, row)) for row in sim]
-    if "json" in cfg.formats:
-        files["similarity.json"] = {
-            "schema_version": SCHEMA_VERSION,
-            "scalar": cfg.topo_scalar,
-            "epochs": [ep.t_start for ep in epochs],
-            "similarity": sim,
-        }
+        files[f"{stem}.ppm"] = topo.render_topomap(grid)
+        files[f"{stem}.csv"] = topo.grid_to_csv(grid).encode()
+    files["similarity.csv"] = [list(map(repr, row)) for row in sim]
+    files["similarity.json"] = {
+        "schema_version": SCHEMA_VERSION,
+        "scalar": cfg.topo_scalar,
+        "epochs": [ep.t_start for ep in epochs],
+        "similarity": sim,
+    }
     return EXIT_OK, files, f"wrote {len(grids)} topography maps"
 
 
@@ -787,7 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON config document")
     common.add_argument("--out", help="output directory (overrides config)")
-    common.add_argument("--format", help="comma-separated subset of csv,json,ppm")
     common.add_argument("--seed", type=int, help="seed override")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
 
@@ -812,7 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("topo", parents=[common], help="scalp topography maps")
     p.add_argument("--input", help="recording file (.csv or .edf)")
-    p.add_argument("--scalar", help="'bar' or 'band:<name>'")
 
     p = sub.add_parser("synth", parents=[common], help="generate synthetic data")
     p.add_argument("--spec", required=True, help="synthesis spec JSON")

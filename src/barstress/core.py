@@ -199,7 +199,7 @@ class Recording:
         if not (math.isfinite(self.sampling_rate) and self.sampling_rate > 0):
             raise InvalidRecording(f"sampling_rate must be > 0, got {self.sampling_rate}")
         if not math.isfinite(self.start_offset) or self.start_offset < 0:
-            raise InvalidRecording(f"start_offset must be finite and >= 0")
+            raise InvalidRecording(f"start_offset must be finite and >= 0, got {self.start_offset}")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 

@@ -132,10 +132,6 @@ class DegenerateX(ValidationError):
     """All x values identical; no curve is identifiable."""
 
 
-class ZeroTotalVariance(ValidationError):
-    """R^2 undefined when every observation is identical."""
-
-
 class NonPositiveRss(ValidationError):
     """AIC undefined for RSS <= 0; exact fits use the sentinel path."""
 

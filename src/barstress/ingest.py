@@ -724,7 +724,7 @@ def _field(text: str, size: int, what: str) -> bytes:
     return raw.ljust(size)
 
 
-def write_edf(recording: Recording, patient: str = "X", recording_id: str = "X") -> bytes:
+def write_edf(recording: Recording) -> bytes:
     """Serialize a Recording as a single-record EDF byte string.
 
     Each signal gets a symmetric physical range just above its peak value,
@@ -762,8 +762,8 @@ def write_edf(recording: Recording, patient: str = "X", recording_id: str = "X")
 
     head = io.BytesIO()
     head.write(_EDF_MAGIC)
-    head.write(_field(patient, 80, "patient id"))
-    head.write(_field(recording_id, 80, "recording id"))
+    head.write(_field("X", 80, "patient id"))
+    head.write(_field("X", 80, "recording id"))
     head.write(_field("01.01.00", 8, "start date"))
     head.write(_field("00.00.00", 8, "start time"))
     head.write(_field(str(256 * (ns + 1)), 8, "header size"))
@@ -815,12 +815,12 @@ def montage_from_json(text: str) -> Montage:
     return Montage(name=name, electrodes=electrodes)
 
 
-def load_montage(name_or_path: str, montage_dir: str | None = None) -> Montage:
-    """Resolve a montage by file path, by name in the montage directory
-    (BARSTRESS_MONTAGE_DIR by default), or from the bundled set."""
+def load_montage(name_or_path: str) -> Montage:
+    """Resolve a montage by file path, by name in the directory that
+    BARSTRESS_MONTAGE_DIR names, or from the bundled set."""
     p = Path(name_or_path)
     if p.suffix != ".json" and not p.is_file():
-        directory = montage_dir if montage_dir is not None else os.environ.get(MONTAGE_DIR_ENV)
+        directory = os.environ.get(MONTAGE_DIR_ENV)
         p = Path(directory) / f"{name_or_path}.json" if directory else None
         if p is None or not p.is_file():
             if name_or_path == "standard-30":

@@ -30,7 +30,6 @@ from .errors import (
     TooFewPoints,
     UndefinedAtZero,
     ValidationError,
-    ZeroTotalVariance,
 )
 
 _EXP_CLAMP = 700.0
@@ -164,23 +163,6 @@ def eval_quartic(model: QuarticModel, x) -> np.ndarray | float:
     scalar = xs.ndim == 0
     y = model.a + xs * (model.b + xs * (model.c + xs * (model.d + xs * model.e)))
     return float(y) if scalar else y
-
-
-def r_squared(observed, predicted) -> float:
-    """1 - RSS/TSS with TSS about the observation mean."""
-    obs = np.asarray(observed, dtype=np.float64)
-    pred = np.asarray(predicted, dtype=np.float64)
-    if obs.shape != pred.shape or obs.ndim != 1:
-        raise MismatchedData(
-            f"observed {obs.shape} and predicted {pred.shape} must be equal 1-D"
-        )
-    if obs.size < 2:
-        raise MismatchedData("need at least 2 observations")
-    tss = float(np.sum((obs - obs.mean()) ** 2))
-    if tss == 0.0:
-        raise ZeroTotalVariance("all observations identical")
-    rss = float(np.sum((obs - pred) ** 2))
-    return 1.0 - rss / tss
 
 
 def aic(rss: float, n: int, k: int) -> float:

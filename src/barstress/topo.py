@@ -7,7 +7,7 @@ the electrode positions and the resolution, so they are built once per
 montage and resolution (the last pair is kept) and each map is one
 matrix-vector product; the maps are bit-identical to building them per
 call. Cells outside the disc carry NaN and stay out of every statistic.
-Rasters are written as binary PPM (diverging blue-to-red palette) or PGM,
+Rasters are written as binary PPM over a diverging blue-to-red palette,
 byte-deterministic.
 """
 
@@ -165,11 +165,10 @@ def topo_similarity(a: TopoVector, b: TopoVector) -> float:
     return min(1.0, max(-1.0, cos))
 
 
-def render_topomap(grid: TopoGrid, palette: str = "blue_red") -> bytes:
-    """Binary raster of the grid; masked cells are white.
+def render_topomap(grid: TopoGrid) -> bytes:
+    """P6 PPM of the grid over the diverging palette; masked cells are white.
 
-    blue_red produces a P6 PPM over the diverging palette; gray produces
-    a P5 PGM. Values are normalized by palette_range and clipped.
+    Values are normalized by palette_range and clipped.
     """
     vmin, vmax = grid.palette_range
     if not vmin < vmax:
@@ -178,14 +177,6 @@ def render_topomap(grid: TopoGrid, palette: str = "blue_red") -> bytes:
     mask = grid.mask
     t = np.zeros(grid.values.shape)
     t[mask] = np.clip((grid.values[mask] - vmin) / (vmax - vmin), 0.0, 1.0)
-
-    if palette == "gray":
-        shade = np.rint(t * 255.0).astype(np.uint8)
-        shade[~mask] = 255
-        return b"P5\n%d %d\n255\n" % (n, n) + shade.tobytes()
-    if palette != "blue_red":
-        raise InvalidConfig(f"palette must be 'blue_red' or 'gray', got {palette!r}")
-
     seg = t * (len(_BLUE_RED) - 1)
     idx = np.minimum(seg.astype(np.int64), len(_BLUE_RED) - 2)
     frac = (seg - idx)[..., None]

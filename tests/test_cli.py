@@ -114,9 +114,22 @@ class TestExitCodes:
         rc = run("bar", "--input", str(rest_csv), "--out", str(tmp_path), "--bogus", "1")
         assert rc == cli.EXIT_VALIDATION
 
-    def test_unknown_format_rejected(self, tmp_path, rest_csv):
-        rc = run("bar", "--input", str(rest_csv), "--out", str(tmp_path), "--format", "xml")
-        assert rc == cli.EXIT_VALIDATION
+    @pytest.mark.parametrize(
+        "flags, doc, message",
+        [
+            ([], {"formats": ["json"]}, "unknown config key 'formats'"),
+            (["--format", "json"], None, "unrecognized argument '--format'"),
+            (["--scalar", "bar"], None, "unrecognized argument '--scalar'"),
+        ],
+        ids=["formats", "--format", "--scalar"],
+    )
+    def test_removed_option_exits_2_naming_it(self, tmp_path, rest_csv, capsys, flags, doc, message):
+        argv = ["topo", "--input", str(rest_csv), "--out", str(tmp_path / "o"), *flags]
+        if doc is not None:
+            argv += ["--config", str(write_config(tmp_path, doc))]
+        assert run(*argv) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_empty_points_file(self, tmp_path):
         pts = tmp_path / "points.csv"
@@ -525,15 +538,6 @@ class TestBarCommand:
         doc = json.loads((out / "bar_series.json").read_text())
         assert doc["baseline"] == pytest.approx(0.701, rel=0.05)
 
-    def test_format_filter(self, tmp_path, rest_csv):
-        out = tmp_path / "o"
-        cfg = write_config(tmp_path, {"protocol": {"epoch_times": [0.0]}})
-        rc = run("bar", "--config", str(cfg), "--input", str(rest_csv), "--out", str(out),
-                 "--format", "json", "--quiet")
-        assert rc == 0
-        assert (out / "bar_series.json").is_file()
-        assert not (out / "bar_series.csv").exists()
-
     def test_quiet_suppresses_chatter(self, tmp_path, rest_csv, capsys):
         cfg = write_config(tmp_path, {"protocol": {"epoch_times": [0.0]}})
         run("bar", "--config", str(cfg), "--input", str(rest_csv),
@@ -853,8 +857,8 @@ UNRESOLVED_BANDS = [
     ("bar", "--ratio.numerator", "gamma"),
     ("bar", "--ratio.denominator", "mu"),
     ("topo", "--ratio.numerator", "gamma"),
-    ("topo", "--scalar", "band:gamma"),
-    ("topo", "--scalar", "foo"),
+    ("topo", "--topo.scalar", "band:gamma"),
+    ("topo", "--topo.scalar", "foo"),
 ]
 
 
@@ -871,7 +875,7 @@ def test_custom_bands_without_beta_or_alpha(tmp_path, rest_csv):
     out = tmp_path / "o"
     cfg = write_config(tmp_path, {"bands": {"gamma": [30, 45]}, "protocol": {"epoch_times": [0.0]}})
     assert run("topo", "--config", str(cfg), "--input", str(rest_csv), "--out", str(out),
-               "--scalar", "band:gamma", "--quiet") == 0
+               "--topo.scalar", "band:gamma", "--quiet") == 0
     points = tmp_path / "points.csv"
     points.write_text("".join(f"{x},{1 + 0.1 * x}\n" for x in range(6)))
     assert run("fit", "--config", str(cfg), "--points", str(points), "--model", "quartic",
@@ -934,7 +938,7 @@ class TestTopoCommand:
         out = tmp_path / "o"
         cfg = write_config(tmp_path, {"protocol": {"epoch_times": [0.0]}})
         assert run("topo", "--config", str(cfg), "--input", str(src), "--out", str(out),
-                   "--scalar", "band:beta", "--quiet") == 0
+                   "--topo.scalar", "band:beta", "--quiet") == 0
         cells = [
             [float(c) if c else np.nan for c in line.split(",")]
             for line in (out / "topo_00_0s.csv").read_text().splitlines()
@@ -949,7 +953,7 @@ class TestTopoCommand:
     def test_bad_scalar_rejected(self, tmp_path, rest_csv):
         cfg = write_config(tmp_path, {"protocol": {"epoch_times": [0.0]}})
         rc = run("topo", "--config", str(cfg), "--input", str(rest_csv),
-                 "--out", str(tmp_path / "o"), "--scalar", "gamma", "--quiet")
+                 "--out", str(tmp_path / "o"), "--topo.scalar", "gamma", "--quiet")
         assert rc == cli.EXIT_VALIDATION
 
 
@@ -1021,6 +1025,47 @@ class TestReportCommand:
         assert doc["ranking"] is None
 
 
+def test_session_chain_writes_each_command_its_fixed_files(tmp_path):
+    """synth, psd, bar, fit, topo and report share one output directory;
+    each writes exactly its own files and run_meta.json, and leaves the
+    bytes of every other file as they were."""
+    out = tmp_path / "o"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "duration_s": 40.0,
+        "bands": [
+            {"name": "alpha", "f_low": 8.0, "f_high": 13.0, "power": 4.329},
+            {"name": "beta", "f_low": 13.0, "f_high": 30.0, "power": 3.034},
+        ],
+    }))
+    cfg = write_config(
+        tmp_path,
+        {"baseline_bar": 0.701,
+         "protocol": {"phase": "during_gameplay", "epoch_times": [0.0, 10.0, 20.0, 30.0]}},
+    )
+    recording = str(out / "synthetic.csv")
+    steps = [
+        (["synth", "--spec", str(spec)], {"synthetic.csv", "synth_meta.json"}),
+        (["psd", "--input", recording],
+         {f"psd_{e.label}.csv" for e in core.standard_montage().electrodes} | {"psd.json"}),
+        (["bar", "--input", recording], {"bar_series.csv", "bar_points.csv", "bar_series.json"}),
+        (["fit"], {"fit_4pl.json", "fit_quartic.json", "comparison.json",
+                   "fit_4pl_curve.csv", "fit_quartic_curve.csv"}),
+        (["topo", "--input", recording],
+         {f"topo_{i:02d}_{t}s.{ext}" for i, t in enumerate((0, 10, 20, 30)) for ext in ("ppm", "csv")}
+         | {"similarity.csv", "similarity.json"}),
+        (["report"], {"report.json", "report.md"}),
+    ]
+    before: dict[str, bytes] = {}
+    for argv, names in steps:
+        (out / "run_meta.json").unlink(missing_ok=True)
+        assert run(*argv, "--config", str(cfg), "--out", str(out), "--quiet") == 0, argv[0]
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(after) - set(before) == names | {"run_meta.json"}, argv[0]
+        assert {name: after[name] for name in before} == before, argv[0]
+        before = {name: blob for name, blob in after.items() if name != "run_meta.json"}
+
+
 # JSON values of every kind, a little nested.
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -1031,7 +1076,7 @@ json_values = st.recursive(
 plausible_values = st.sampled_from([
     0, 1, -1, 2, 0.5, 1.0, 64, 1e308, 10**400, "", ",", "hann", "baseline", "during_gameplay",
     "after_gameplay", "low_pitch", "none", "csv", "bar", [], [0.0], [900, 1800], [5, 1],
-    ["csv", "ppm"], ["xml"], ["Fz"], {"alpha": [8, 13]}, {"x": [1, 1]}, {"x": [1]}, True, None,
+    ["Fz"], {"alpha": [8, 13]}, {"x": [1, 1]}, {"x": [1]}, True, None,
 ])
 # Table keys, sections, and keys that no table holds.
 doc_keys = st.sampled_from(
@@ -1074,7 +1119,7 @@ BAD_CONFIGS = [
     (["--topo.scalar", "5"], None, "topo.scalar must be"),
     ([], {"input": {"recording": 5}}, "input.recording must be"),
     ([], {"montage": 5}, "montage must be"),
-    ([], {"formats": "csv"}, "formats must be"),
+    ([], {"baseline_bar": "0.7"}, "baseline_bar must be"),
     ([], {"channels": "Fz"}, "channels must be"),
     ([], {"channels": []}, "channels must name at least one channel"),
 ]
@@ -1098,7 +1143,6 @@ class TestConfigTable:
             return
         assert type(cfg.sampling_rate) is float and type(cfg.seed) is int
         assert type(cfg.topo_resolution) is int and type(cfg.topo_scalar) is str
-        assert set(cfg.formats) <= set(cli.FORMATS)
         assert all(type(t) is float for t in cfg.protocol.epoch_times)
 
     @pytest.mark.parametrize("doc", [[], "x", 5, None])
@@ -1116,6 +1160,12 @@ class TestConfigTable:
         assert run(*argv) == cli.EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "o").exists()
+
+    def test_readme_table_lists_every_key_in_order(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = text.split("| key | type | default |\n| --- | --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+        keys = [re.fullmatch(r"\| `([^`]+)` \|.*", row).group(1) for row in table.splitlines()]
+        assert keys == list(cli.CONFIG_KEYS)
 
     def test_empty_document_is_the_default_config(self):
         assert cli.config_from_dict({}) == cli.RunConfig()
@@ -1171,10 +1221,9 @@ class TestConfigTable:
 
     def test_flags_and_overrides_share_one_document(self, tmp_path):
         cfg = write_config(tmp_path, {"input": {"recording": 5}, "welch": {"taper": "hann"}})
-        got = parse("topo", "--config", str(cfg), "--input", "a.edf", "--scalar", "band:beta",
-                    "--format", "csv, ppm", "--seed", "0", "--welch.taper=rectangular")
-        assert got.recording == "a.edf" and got.topo_scalar == "band:beta"
-        assert got.formats == ("csv", "ppm") and got.seed == 0
+        got = parse("topo", "--config", str(cfg), "--input", "a.edf", "--topo.scalar", "band:beta",
+                    "--seed", "0", "--welch.taper=rectangular")
+        assert got.recording == "a.edf" and got.topo_scalar == "band:beta" and got.seed == 0
         assert got.welch.taper == "rectangular"
         # a flag beats a dotted override of the same key
         assert parse("bar", "--out", "a", "--out_dir.x", "1").out_dir == "a"
@@ -1187,5 +1236,5 @@ class TestConfigTable:
             parse("bar", "--welch.taper")
 
     def test_empty_flags_set_nothing(self):
-        assert parse("bar", "--out", "", "--format", "").formats == cli.FORMATS
-        assert parse("bar", "--format", ",").formats == ()
+        assert parse("bar", "--out", "", "--input", "") == cli.RunConfig()
+        assert parse("fit", "--points", "") == cli.RunConfig()

@@ -165,6 +165,12 @@ class TestRecording:
         with pytest.raises(InvalidRecording):
             core.Recording(samples=np.zeros((2, 4)), sampling_rate=1.0, channels=dup)
 
+    def test_rejects_negative_start_offset_naming_it(self, make_recording):
+        with pytest.raises(
+            InvalidRecording, match=r"^start_offset must be finite and >= 0, got -0\.5$"
+        ):
+            make_recording(np.zeros((1, 4)), start_offset=-0.5)
+
     def test_rejects_channel_count_mismatch(self, montage):
         with pytest.raises(InvalidRecording):
             core.Recording(

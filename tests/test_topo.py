@@ -248,16 +248,6 @@ class TestRendering:
         ).reshape(8, 8, 3)
         assert np.all(rgb[g.mask] == (0, 255, 0))
 
-    def test_gray_palette_pgm(self, montage):
-        g = self.build_grid(montage)
-        img = topo.render_topomap(g, palette="gray")
-        assert img.startswith(b"P5\n16 16\n255\n")
-        assert len(img) == len(b"P5\n16 16\n255\n") + 16 * 16
-
-    def test_unknown_palette(self, montage):
-        with pytest.raises(InvalidConfig):
-            topo.render_topomap(self.build_grid(montage), palette="viridis")
-
     def test_degenerate_explicit_range(self):
         g = topo.TopoGrid(resolution=2, values=np.ones((2, 2)), palette_range=(1.0, 1.0))
         with pytest.raises(DegenerateRange):
