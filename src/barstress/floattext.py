@@ -18,7 +18,8 @@ Each value gets a fixed slot of _W bytes that holds every character any
 repr form could use: sign, the "0.000" prefix of 1e-4 <= |v| < 1, the 17
 digits each followed by a candidate ".", the exponent, and the separator.
 A table row per form says which bytes a value keeps, and one boolean
-compress per block packs the kept bytes.
+compress per block packs the kept bytes. Only the fields that are not
+blank get digits; a blank field's slot keeps just its separator.
 """
 
 from __future__ import annotations
@@ -205,7 +206,9 @@ def _texts(x: np.ndarray, blank, slots: np.ndarray, sep_keep: np.ndarray) -> byt
     form_base, exp_text, keep_rows = _form_tables()
     quad, quad_e, *sig_counts = _digit_tables()
     n = len(x)
-    bits = x.view(np.uint64)
+    # Only the fields that are not blank go through the digit pipeline.
+    at = slice(None) if blank is None or not blank.any() else np.flatnonzero(~blank)
+    bits = x[at].view(np.uint64)
     neg = (bits >> 63).astype(np.intp)
     special = (bits & 0x7FF0000000000000) == 0x7FF0000000000000
     nan = special & ((bits & 0xFFFFFFFFFFFFF) != 0)
@@ -239,23 +242,23 @@ def _texts(x: np.ndarray, blank, slots: np.ndarray, sep_keep: np.ndarray) -> byt
     )
 
     slot = slots[:n]
-    slot[:, _D1] = lead + 48
+    slot[at, _D1] = lead + 48
     words = slot.view(np.uint64)
-    words[:, 1] = quad.take(groups[0])
-    words[:, 2] = quad.take(groups[1])
-    words[:, 3] = quad.take(groups[2])
-    words[:, 4] = quad_e.take(groups[3])
+    words[at, 1] = quad.take(groups[0])
+    words[at, 2] = quad.take(groups[1])
+    words[at, 3] = quad.take(groups[2])
+    words[at, 4] = quad_e.take(groups[3])
     decpt += _DECPT_OFF
-    slot.view(np.uint32)[:, _EXP // 4] = exp_text.take(decpt)
+    slot.view(np.uint32)[at, _EXP // 4] = exp_text.take(decpt)
 
-    form = form_base.take(decpt) + nsig + neg * _NEG
+    form = np.full(n, _BLANK * _NSIG)
+    form[at] = form_base.take(decpt) + nsig + neg * _NEG
     if special.any():
-        form[special] = np.where(nan, _NAN * _NSIG, _INF * _NSIG + neg * _NEG)[special]
-        slot[special, _D1 : _D1 + 5 : 2] = np.where(nan, b"nan", b"inf")[special].view(
+        rows = np.arange(n)[at][special]
+        form[rows] = np.where(nan, _NAN * _NSIG, _INF * _NSIG + neg * _NEG)[special]
+        slot[rows, _D1 : _D1 + 5 : 2] = np.where(nan, b"nan", b"inf")[special].view(
             np.uint8
         ).reshape(-1, 3)
-    if blank is not None:
-        form[blank] = _BLANK * _NSIG
     keep = keep_rows.take(form, axis=0).view(bool)
     keep.view(np.uint32)[:, _SEP // 4] = sep_keep[:n]
     return np.compress(keep.ravel(), slot.ravel()).tobytes()

@@ -9,10 +9,15 @@ phases from per-channel child seeds, so output is reproducible sample
 for sample given the spec.
 
 Oscillators on the 0.25 Hz grid make the noiseless signal repeat exactly
-every 4 s, so the oscillator banks are evaluated over one 4 s period and
-tiled to the full length before the noise is added. The banks are
-evaluated over the whole length instead when 4 s is not a whole number
-of samples, or when a band too narrow for the grid falls back to an
+every 4 s. Channels differ only in their phases, and
+sin(2 pi f t + phi) = sin(2 pi f t) cos(phi) + cos(2 pi f t) sin(phi), so
+the sines and cosines of every oscillator are evaluated once, over one
+4 s period, as one table shared by all channels. Each channel's period
+is then its weights (amp cos(phi), amp sin(phi)) times that table, one
+matrix product for all channels, tiled to the full length before the
+noise is added. Each channel's oscillators are instead evaluated
+directly over the whole length when 4 s is not a whole number of
+samples, or when a band too narrow for the grid falls back to an
 off-grid center frequency.
 """
 
@@ -91,29 +96,64 @@ def synth_eeg(spec: SynthSpec) -> Recording:
     bands = [(oscillator_frequencies(band), power) for band, power in spec.band_targets]
     period = spec.sampling_rate / _OSC_SPACING
     on_grid = all(np.all(freqs % _OSC_SPACING == 0) for freqs, _ in bands)
-    span = min(n, int(period)) if on_grid and period.is_integer() else n
-    t = np.arange(span) / spec.sampling_rate
     electrodes = spec.montage.electrodes
-    samples = np.empty((len(electrodes), n))
-    for ch in range(len(electrodes)):
-        rng = np.random.default_rng([spec.seed, ch])
-        sig = np.zeros(span)
-        for freqs, power in bands:
-            phases = rng.uniform(0.0, 2.0 * np.pi, len(freqs))
-            if power > 0:
-                amp = math.sqrt(2.0 * power / len(freqs))
-                sig += amp * np.sum(
-                    np.sin(2.0 * np.pi * freqs[:, None] * t[None, :] + phases[:, None]),
-                    axis=0,
-                )
-        samples[ch] = np.resize(sig, n)
-        if spec.noise_floor > 0:
-            sd = math.sqrt(spec.noise_floor * spec.sampling_rate / 2.0)
-            samples[ch] += rng.normal(0.0, sd, n)
+    rngs = [np.random.default_rng([spec.seed, ch]) for ch in range(len(electrodes))]
+    # One draw of every oscillator's phase per channel: the same numbers as
+    # one draw per band in band order.
+    phases = np.empty((len(electrodes), sum(len(freqs) for freqs, _ in bands)))
+    for row, rng in zip(phases, rngs):
+        row[:] = rng.uniform(0.0, 2.0 * np.pi, len(row))
+    if on_grid and period.is_integer():
+        samples = _tiled(bands, phases, n, min(n, int(period)), spec.sampling_rate)
+    else:
+        samples = _direct(bands, phases, n, spec.sampling_rate)
+    if spec.noise_floor > 0:
+        sd = math.sqrt(spec.noise_floor * spec.sampling_rate / 2.0)
+        for row, rng in zip(samples, rngs):
+            row += rng.normal(0.0, sd, n)
     samples.flags.writeable = False
     return Recording(
         channels=electrodes, samples=samples, sampling_rate=spec.sampling_rate
     )
+
+
+def _tiled(bands, phases: np.ndarray, n: int, span: int, fs: float) -> np.ndarray:
+    """Every channel's noiseless signal from one shared table over one
+    period of span samples, tiled to n samples."""
+    freqs = np.concatenate([np.empty(0), *(f for f, _ in bands)])
+    sizes = [len(f) for f, _ in bands]
+    amps = np.repeat([math.sqrt(2.0 * power / len(f)) for f, power in bands], sizes)
+    # Allocated before the table, so that the freed table does not stay
+    # behind as a hole below the samples in the heap and raise peak RSS.
+    samples = np.empty((len(phases), n))
+    # Sines over cosines, computed in place from the angles 2 pi f t.
+    k = len(freqs)
+    table = np.empty((2 * k, span))
+    np.multiply(2.0 * np.pi * freqs[:, None], np.arange(span) / fs, out=table[:k])
+    np.cos(table[:k], out=table[k:])
+    np.sin(table[:k], out=table[:k])
+    weights = np.concatenate([amps * np.cos(phases), amps * np.sin(phases)], axis=1)
+    one_period = weights @ table
+    whole = n - n % span
+    samples[:, :whole].reshape(len(phases), n // span, span)[:] = one_period[:, None, :]
+    samples[:, whole:] = one_period[:, : n - whole]
+    return samples
+
+
+def _direct(bands, phases: np.ndarray, n: int, fs: float) -> np.ndarray:
+    """Every channel's noiseless signal, each oscillator evaluated over all
+    n samples and summed band by band."""
+    t = np.arange(n) / fs
+    bounds = np.cumsum([len(f) for f, _ in bands])[:-1]
+    samples = np.zeros((len(phases), n))
+    for sig, row in zip(samples, phases):
+        for (freqs, power), ph in zip(bands, np.split(row, bounds)):
+            if power > 0:
+                amp = math.sqrt(2.0 * power / len(freqs))
+                sig += amp * np.sum(
+                    np.sin(2.0 * np.pi * freqs[:, None] * t[None, :] + ph[:, None]), axis=0
+                )
+    return samples
 
 
 def spec_metadata(spec: SynthSpec) -> dict:

@@ -1,0 +1,112 @@
+"""Gate for synth_eeg's shared oscillator table: agreement and speed.
+
+    PYTHONPATH=src python tests/synth_gate.py [--seed 31] [--repeat 7]
+
+Synthesizes the benchmark's 120 s spec (30 channels at 500 Hz, alpha
+8-13 Hz at 4.329 uV^2, beta 13-30 Hz at 3.034 uV^2, no noise) with
+synth_eeg and with per_channel below, the evaluation synth_eeg made
+before the shared table: a fresh sine bank over one 4 s period for each
+channel, tiled. Each is timed best of --repeat, alternating which runs
+first, and the largest deviation between their samples is printed. It
+exits 1 when that deviation exceeds 1e-9 uV or when synth_eeg is less
+than 3 times faster. It then prints the best of two timings of each on
+a 3600 s spec, ungated: there tiling and the 432 MB samples array carry
+the time.
+
+The file name has no test_ prefix, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import sys
+import time
+
+import numpy as np
+
+from barstress import core, synth
+
+TOLERANCE = 1e-9
+MIN_SPEEDUP = 3.0
+
+
+def per_channel(spec: synth.SynthSpec) -> core.Recording:
+    """synth_eeg's periodic path as it was: every channel's oscillators
+    evaluated over one period on their own, then tiled."""
+    n = int(round(spec.duration * spec.sampling_rate))
+    bands = [(synth.oscillator_frequencies(band), power) for band, power in spec.band_targets]
+    span = min(n, int(spec.sampling_rate / 0.25))
+    t = np.arange(span) / spec.sampling_rate
+    electrodes = spec.montage.electrodes
+    samples = np.empty((len(electrodes), n))
+    for ch in range(len(electrodes)):
+        rng = np.random.default_rng([spec.seed, ch])
+        sig = np.zeros(span)
+        for freqs, power in bands:
+            phases = rng.uniform(0.0, 2.0 * np.pi, len(freqs))
+            if power > 0:
+                amp = math.sqrt(2.0 * power / len(freqs))
+                sig += amp * np.sum(
+                    np.sin(2.0 * np.pi * freqs[:, None] * t[None, :] + phases[:, None]),
+                    axis=0,
+                )
+        samples[ch] = np.resize(sig, n)
+    samples.flags.writeable = False
+    return core.Recording(channels=electrodes, samples=samples, sampling_rate=spec.sampling_rate)
+
+
+def baseline_spec(seconds: float, seed: int) -> synth.SynthSpec:
+    return synth.SynthSpec(
+        duration=seconds,
+        sampling_rate=500.0,
+        montage=core.standard_montage(),
+        band_targets=((core.DEFAULT_BANDS["alpha"], 4.329), (core.DEFAULT_BANDS["beta"], 3.034)),
+        seed=seed,
+    )
+
+
+def timed(fn, spec) -> tuple[float, np.ndarray]:
+    t0 = time.perf_counter()
+    samples = fn(spec).samples
+    return time.perf_counter() - t0, samples
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seed", type=int, default=31)
+    parser.add_argument("--repeat", type=int, default=7)
+    args = parser.parse_args()
+
+    orders = ((per_channel, synth.synth_eeg), (synth.synth_eeg, per_channel))
+    spec = baseline_spec(120.0, args.seed)
+    times = {per_channel: [], synth.synth_eeg: []}
+    samples = {}
+    for i in range(args.repeat):
+        for fn in orders[i % 2]:
+            seconds, samples[fn] = timed(fn, spec)
+            times[fn].append(seconds)
+    old = samples[per_channel]
+    deviation = float(np.max(np.abs(samples[synth.synth_eeg] - old)))
+    old_s, new_s = min(times[per_channel]), min(times[synth.synth_eeg])
+    print(f"120 s spec, seed {args.seed}: per-channel {old_s:.3f} s, shared table {new_s:.3f} s, "
+          f"{old_s / new_s:.2f}x")
+    print(f"largest deviation {deviation:.3g} uV (largest value {float(np.max(np.abs(old))):.3g} uV)")
+    del samples, old
+
+    # One 432 MB recording alive at a time.
+    long_spec = baseline_spec(3600.0, args.seed)
+    times = {per_channel: [], synth.synth_eeg: []}
+    for order in orders:
+        for fn in order:
+            times[fn].append(timed(fn, long_spec)[0])
+    print(f"3600 s spec (ungated, best of 2): per-channel {min(times[per_channel]):.2f} s, "
+          f"shared table {min(times[synth.synth_eeg]):.2f} s")
+
+    ok = deviation <= TOLERANCE and old_s / new_s >= MIN_SPEEDUP
+    print("PASS" if ok else f"FAIL (deviation limit {TOLERANCE:g}, speed-up limit {MIN_SPEEDUP:g}x)")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -88,6 +88,43 @@ class TestJoinRows:
         want = reference_rows(values, ",", blank)
         assert floattext.join_rows(values, ",", blank=blank) == want
 
+    def test_all_fields_blank(self):
+        values = np.random.default_rng(5).normal(size=(50, 7))
+        blank = np.ones(values.shape, dtype=bool)
+        assert floattext.join_rows(values, ",", blank=blank) == b",,,,,,\n" * 50
+
+    def test_no_field_blank(self):
+        values = np.random.default_rng(6).normal(size=(300, 40))
+        values[3, :6] = EDGES[:6]
+        blank = np.zeros(values.shape, dtype=bool)
+        want = reference_rows(values)
+        assert floattext.join_rows(values, ",", blank=blank) == want
+        assert floattext.join_rows(values, ",") == want
+
+    def test_blank_run_across_a_block_boundary(self):
+        cols = 32
+        values = np.random.default_rng(7).normal(size=(3 * floattext._BLOCK // cols, cols))
+        blank = np.zeros(values.shape, dtype=bool)
+        # One run of blanks from 300 fields before the first block's end to
+        # 500 after it, and a block that ends on a blank.
+        blank.ravel()[floattext._BLOCK - 300 : floattext._BLOCK + 500] = True
+        blank.ravel()[2 * floattext._BLOCK - 1] = True
+        want = reference_rows(values, ",", blank)
+        assert floattext.join_rows(values, ",", blank=blank) == want
+
+    def test_nan_and_inf_under_a_blank(self):
+        values = np.random.default_rng(8).normal(size=(40, 6))
+        blank = np.zeros(values.shape, dtype=bool)
+        values[2, :4] = [math.nan, math.inf, -math.inf, -0.0]
+        blank[2, :4] = True
+        # The same values in fields that are not blank, in the same block.
+        values[5, :4] = [math.nan, math.inf, -math.inf, -0.0]
+        values[6, 1] = math.nan
+        blank[6, 0] = blank[6, 2] = True
+        want = reference_rows(values, ",", blank)
+        assert floattext.join_rows(values, ",", blank=blank) == want
+        assert want.split(b"\n")[2].startswith(b",,,,")
+
     def test_empty_shapes(self):
         assert floattext.join_rows(np.zeros((0, 3))) == b""
         assert floattext.join_rows(np.zeros((2, 0))) == b"\n\n"

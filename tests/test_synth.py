@@ -176,6 +176,56 @@ class TestPeriodicSynthesis:
         )
 
     @pytest.mark.parametrize(
+        "duration, bands",
+        [
+            # Shorter than one 4 s period.
+            (3.0, ((ALPHA, 4.329), (BETA, 3.034))),
+            # A zero-power band beside a non-zero one.
+            (12.5, ((ALPHA, 0.0), (BETA, 3.034))),
+            # Both bands hold a 12.5 Hz oscillator.
+            (12.5, ((ALPHA, 4.329), (core.BandDefinition("custom", 12.0, 14.0), 2.0))),
+            # 8.0-8.5 Hz is too narrow for the grid: one oscillator at its
+            # centre, 8.25 Hz, which is on the grid.
+            (12.5, ((core.BandDefinition("sliver", 8.0, 8.5), 1.0), (ALPHA, 4.329))),
+        ],
+    )
+    def test_shared_table_matches_direct_reference(self, montage, duration, bands):
+        spec = synth.SynthSpec(
+            duration=duration, sampling_rate=500.0, montage=montage, band_targets=bands, seed=9,
+        )
+        samples = synth.synth_eeg(spec).samples
+        np.testing.assert_allclose(samples, direct_reference(spec), rtol=0, atol=1e-9)
+        if duration > 8.0:
+            # Tiled: the second period repeats the first bit for bit.
+            np.testing.assert_array_equal(samples[:, :2000], samples[:, 2000:4000])
+
+    def test_sines_evaluated_once_per_spec(self, montage, monkeypatch):
+        counts = {"sin": 0, "cos": 0}
+
+        def counting(name):
+            fn = getattr(np, name)
+
+            def wrapped(x, *args, **kwargs):
+                counts[name] += np.size(x)
+                return fn(x, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np, "sin", counting("sin"))
+        monkeypatch.setattr(np, "cos", counting("cos"))
+        spec = replace(ten_second_spec(montage), duration=60.0)
+        rec = synth.synth_eeg(spec)
+        oscillators = sum(len(synth.oscillator_frequencies(b)) for b, _ in spec.band_targets)
+        channels, period = len(montage.electrodes), 2000
+        assert rec.samples.shape == (channels, 30_000)
+        # The shared table over one period, and one value per channel's
+        # phase for its weights; a sine bank per channel would take
+        # channels x oscillators x period sines.
+        bound = oscillators * (period + channels)
+        assert 0 < counts["sin"] <= bound
+        assert 0 < counts["cos"] <= bound
+
+    @pytest.mark.parametrize(
         "bands, fs",
         [
             # 8.0-8.9 Hz is too narrow for the grid: one oscillator at 8.45 Hz.
