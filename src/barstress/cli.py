@@ -5,9 +5,11 @@ by dotted path (for example --welch.taper hann). Every command returns its
 files by name and writes nothing. One writer, _emit, then encodes them
 all: a .json file's document as json.dumps with indent=2 would, a .csv
 file's rows of text fields one line each, anything else as the bytes
-given. Only then does it write them, and run_meta.json last, so a failed
-run leaves no partial output. Wall-clock metadata goes to run_meta.json
-only, keeping the analysis artifacts byte-reproducible.
+given, or as the byte chunks of a _Chunks list, written in order and
+never joined (synth's CSV and EDF). Only then does it write them, and
+run_meta.json last, so a failed run leaves no partial output. Wall-clock
+metadata goes to run_meta.json only, keeping the analysis artifacts
+byte-reproducible.
 
 Exit codes: 0 success, 2 validation or usage error, 3 IO error,
 4 fit non-convergence (partial output still written).
@@ -327,18 +329,24 @@ def _json_indent2(obj, level: int = 0) -> str:
 Result = tuple[int, dict[str, typing.Any], str]
 
 
-def _encode(name: str, content) -> bytes:
-    """The bytes of one output file.
+class _Chunks(list):
+    """A file's bytes as bytes-like chunks, written one after another."""
 
-    content is bytes, kept as given; or the document of a .json file,
-    written as json.dumps writes it with indent=2; or the rows of text
-    fields of a .csv file, each row one comma-joined line.
+
+def _encode(name: str, content) -> list:
+    """The bytes of one output file, as a list of bytes-like chunks.
+
+    content is bytes or _Chunks, kept as given; or the document of a .json
+    file, written as json.dumps writes it with indent=2; or the rows of
+    text fields of a .csv file, each row one comma-joined line.
     """
-    if isinstance(content, bytes):
+    if isinstance(content, _Chunks):
         return content
+    if isinstance(content, bytes):
+        return [content]
     if name.endswith(".json"):
-        return _json_indent2(content).encode()
-    return ("\n".join(map(",".join, content)) + "\n").encode()
+        return [_json_indent2(content).encode()]
+    return [("\n".join(map(",".join, content)) + "\n").encode()]
 
 
 def _emit(cfg: RunConfig, command: str, result: Result) -> int:
@@ -346,16 +354,18 @@ def _emit(cfg: RunConfig, command: str, result: Result) -> int:
     its message unless quiet; return its exit code.
 
     Every file is encoded before the first is written, so a file that
-    cannot be encoded leaves no partial output.
+    cannot be encoded leaves no partial output. A file's chunks are
+    written as they are, never joined.
     """
     code, files, message = result
-    blobs = {name: _encode(name, content) for name, content in files.items()}
+    encoded = {name: _encode(name, content) for name, content in files.items()}
     now = datetime.datetime.now(datetime.timezone.utc)
-    blobs["run_meta.json"] = _encode("run_meta.json", {"command": command, "timestamp": now.isoformat()})
+    encoded["run_meta.json"] = _encode("run_meta.json", {"command": command, "timestamp": now.isoformat()})
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, blob in blobs.items():
-        (out / name).write_bytes(blob)
+    for name, chunks in encoded.items():
+        with (out / name).open("wb") as f:
+            f.writelines(chunks)
     if not cfg.quiet:
         print(message)
     return code
@@ -620,9 +630,9 @@ def cmd_synth(cfg: RunConfig, spec_path: str) -> Result:
     recording = synth.synth_eeg(spec)
     files = {}
     if "csv" in outputs:
-        files["synthetic.csv"] = ingest.write_csv(recording, cfg.csv_layout)
+        files["synthetic.csv"] = _Chunks(ingest.csv_chunks(recording, cfg.csv_layout))
     if "edf" in outputs:
-        files["synthetic.edf"] = ingest.write_edf(recording)
+        files["synthetic.edf"] = _Chunks(ingest.edf_chunks(recording))
     written = list(files)
     files["synth_meta.json"] = {
         **synth.spec_metadata(spec), "schema_version": SCHEMA_VERSION, "files": written

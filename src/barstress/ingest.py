@@ -10,8 +10,12 @@ CSV text is handled one distinct line at a time: write_csv formats each
 distinct row once and read_csv parses each distinct line once, and every
 repeat is copied from its first occurrence. A recording that repeats, as
 a noise-free synthetic one does every 4 s, costs one period of text work.
-Given a window, read_csv and read_edf read only the rows or data records
-under it, so an epoch's cost does not grow with the file's length.
+csv_chunks and edf_chunks give the writers' bytes as a list of chunks
+that slice the formatted text or view the EDF data, never joined, so a
+caller that writes them holds each file's text once; write_csv and
+write_edf join them. Given a window, read_csv and read_edf read only the
+rows or data records under it, so an epoch's cost does not grow with the
+file's length.
 """
 
 from __future__ import annotations
@@ -471,13 +475,14 @@ def _row_classes(cols: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray
     return np.unique(np.where(same, rep, np.arange(n)), return_inverse=True)
 
 
-def write_csv(recording: Recording, layout: CsvLayout = CsvLayout()) -> bytes:
-    """Serialize a Recording as delimited text; read_csv inverts it.
+def csv_chunks(recording: Recording, layout: CsvLayout = CsvLayout()) -> list:
+    """write_csv's bytes as a list of byte chunks, in order: the header,
+    then one memoryview per run of rows whose text follows on in one block.
 
-    Each float is written as repr writes it, which round-trips exactly;
-    floattext.join_rows computes the texts of a whole block of rows. Each
-    distinct row is formatted once, a block of them at a time, and every
-    repeat copies its text: a periodic recording costs one period.
+    Each distinct row is formatted once, a block of _CSV_BLOCK_ROWS of them
+    at a time, and every chunk after the header is a slice of a block's
+    text, so the text exists once however often its rows repeat. A run of
+    rows that crosses a block boundary becomes one chunk per block.
     """
     delim = layout.delimiter
     n = recording.n_samples
@@ -492,25 +497,41 @@ def write_csv(recording: Recording, layout: CsvLayout = CsvLayout()) -> bytes:
     head = (delim.join(labels) + "\n").encode("utf-8") if layout.has_header else b""
     keep, inverse = _row_classes(cols, n)
 
-    blocks = []
-    row_ends = [np.zeros(1, dtype=np.intp)]
+    # With B = _CSV_BLOCK_ROWS, class c is line c % B of block b = c // B,
+    # at texts[b][ends[c + b] : ends[c + b + 1]]: each block adds a leading 0.
+    texts = []
+    ends = [np.zeros(0, np.intp)]
     for start in range(0, len(keep), _CSV_BLOCK_ROWS):
         idx = keep[start : start + _CSV_BLOCK_ROWS]
         block = recording.samples[:, idx].T
         if tcol is not None:
             block = np.insert(block, tcol, times[idx], axis=1)
         text = join_rows(block, delim)
-        row_ends.append(np.flatnonzero(np.frombuffer(text, np.uint8) == 10) + 1 + row_ends[-1][-1])
-        blocks.append(text)
-    body = memoryview(b"".join(blocks))
-    del blocks
-    row_ends = np.concatenate(row_ends)
+        ends.append(np.concatenate(([0], np.flatnonzero(np.frombuffer(text, np.uint8) == 10) + 1)))
+        texts.append(memoryview(text))
+    ends = np.concatenate(ends)
 
-    # Runs of rows whose classes follow each other copy one slice of body.
-    bounds = np.flatnonzero(np.diff(inverse, prepend=-2, append=-2) != 1)
-    starts = row_ends[inverse[bounds[:-1]]].tolist()
-    stops = row_ends[inverse[bounds[1:] - 1] + 1].tolist()
-    return b"".join([head, *map(body.__getitem__, map(slice, starts, stops))])
+    # A run is a stretch of rows whose classes follow each other within one block.
+    cut = np.diff(inverse, prepend=-2, append=-2) != 1
+    cut[:-1] |= inverse % _CSV_BLOCK_ROWS == 0
+    bounds = np.flatnonzero(cut)
+    first, last = inverse[bounds[:-1]], inverse[bounds[1:] - 1]
+    block_of = first // _CSV_BLOCK_ROWS
+    starts = ends[first + block_of].tolist()
+    stops = ends[last + block_of + 1].tolist()
+    return [head, *(texts[b][i:j] for b, i, j in zip(block_of.tolist(), starts, stops))]
+
+
+def write_csv(recording: Recording, layout: CsvLayout = CsvLayout()) -> bytes:
+    """Serialize a Recording as delimited text; read_csv inverts it.
+
+    Each float is written as repr writes it, which round-trips exactly;
+    floattext.join_rows computes the texts of a whole block of rows. Each
+    distinct row is formatted once, a block of them at a time, and every
+    repeat copies its text: a periodic recording costs one period. The
+    bytes are the join of csv_chunks.
+    """
+    return b"".join(csv_chunks(recording, layout))
 
 
 # --------------------------------------------------------------------- EDF
@@ -724,8 +745,9 @@ def _field(text: str, size: int, what: str) -> bytes:
     return raw.ljust(size)
 
 
-def write_edf(recording: Recording) -> bytes:
-    """Serialize a Recording as a single-record EDF byte string.
+def edf_chunks(recording: Recording) -> list:
+    """write_edf's bytes as a list of two chunks: the header, then a
+    memoryview of the 16-bit data record, which is never copied.
 
     Each signal gets a symmetric physical range just above its peak value,
     so the 16-bit quantization error stays below one digital quantum of
@@ -793,7 +815,13 @@ def write_edf(recording: Recording) -> bytes:
         scale = (dmax - dmin) / (2.0 * a)
         q = np.rint((recording.samples[i] + a) * scale) + dmin
         digital[i] = np.clip(q, dmin, dmax).astype("<i2")
-    return head.getvalue() + digital.reshape(1, ns, n).tobytes()
+    return [head.getvalue(), memoryview(digital).cast("B")]
+
+
+def write_edf(recording: Recording) -> bytes:
+    """Serialize a Recording as a single-record EDF byte string: the join
+    of edf_chunks, which says how each signal's physical range is set."""
+    return b"".join(edf_chunks(recording))
 
 
 # ----------------------------------------------------------------- montage

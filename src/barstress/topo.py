@@ -179,9 +179,11 @@ def render_topomap(grid: TopoGrid) -> bytes:
     t[mask] = np.clip((grid.values[mask] - vmin) / (vmax - vmin), 0.0, 1.0)
     seg = t * (len(_BLUE_RED) - 1)
     idx = np.minimum(seg.astype(np.int64), len(_BLUE_RED) - 2)
-    frac = (seg - idx)[..., None]
-    rgb = _BLUE_RED[idx] * (1.0 - frac) + _BLUE_RED[idx + 1] * frac
-    rgb = np.rint(rgb).astype(np.uint8)
+    frac = seg - idx
+    rgb = np.empty((n, n, 3), dtype=np.uint8)
+    for ch in range(3):
+        palette = _BLUE_RED[:, ch]
+        rgb[..., ch] = np.rint(palette.take(idx) * (1.0 - frac) + palette.take(idx + 1) * frac)
     rgb[~mask] = 255
     return b"P6\n%d %d\n255\n" % (n, n) + rgb.tobytes()
 

@@ -11,7 +11,9 @@ first, and the largest deviation between their samples is printed. It
 exits 1 when that deviation exceeds 1e-9 uV or when synth_eeg is less
 than 3 times faster. It then prints the best of two timings of each on
 a 3600 s spec, ungated: there tiling and the 432 MB samples array carry
-the time.
+the time. Last it prints the peak RSS of one `barstress synth` command
+writing CSV and EDF, each run in a fresh process before the timings, for
+the 120 s and the 3600 s spec, also ungated.
 
 The file name has no test_ prefix, so pytest does not collect it.
 """
@@ -19,8 +21,12 @@ The file name has no test_ prefix, so pytest does not collect it.
 from __future__ import annotations
 
 import argparse
+import json
 import math
+import os
+import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -72,11 +78,35 @@ def timed(fn, spec) -> tuple[float, np.ndarray]:
     return time.perf_counter() - t0, samples
 
 
+def synth_peak_rss_mb(seconds: float, seed: int) -> float:
+    """ru_maxrss of one synth command for the baseline spec, in a fresh process."""
+    doc = {
+        "duration_s": seconds, "sampling_rate": 500.0, "seed": seed, "outputs": ["csv", "edf"],
+        "bands": [{"name": "alpha", "f_low": 8.0, "f_high": 13.0, "power": 4.329},
+                  {"name": "beta", "f_low": 13.0, "f_high": 30.0, "power": 3.034}],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "spec.json")
+        with open(spec, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        argv = ["synth", "--spec", spec, "--out", os.path.join(tmp, "out"), "--quiet"]
+        code = "import sys; from barstress.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.Popen([sys.executable, "-c", code, *argv])
+        _, status, usage = os.wait4(proc.pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise RuntimeError(f"synth of {seconds:g} s failed with status {status}")
+    return usage.ru_maxrss / 1024
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=31)
     parser.add_argument("--repeat", type=int, default=7)
     args = parser.parse_args()
+
+    # First, while this process is small: a child's ru_maxrss counts the
+    # resident size of the process it was forked from.
+    rss = {seconds: synth_peak_rss_mb(seconds, args.seed) for seconds in (120.0, 3600.0)}
 
     orders = ((per_channel, synth.synth_eeg), (synth.synth_eeg, per_channel))
     spec = baseline_spec(120.0, args.seed)
@@ -102,6 +132,9 @@ def main() -> int:
             times[fn].append(timed(fn, long_spec)[0])
     print(f"3600 s spec (ungated, best of 2): per-channel {min(times[per_channel]):.2f} s, "
           f"shared table {min(times[synth.synth_eeg]):.2f} s")
+
+    for seconds, mb in rss.items():
+        print(f"synth command, {seconds:g} s spec to CSV and EDF (ungated): peak RSS {mb:.1f} MB")
 
     ok = deviation <= TOLERANCE and old_s / new_s >= MIN_SPEEDUP
     print("PASS" if ok else f"FAIL (deviation limit {TOLERANCE:g}, speed-up limit {MIN_SPEEDUP:g}x)")

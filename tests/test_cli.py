@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 import types
 import typing
 from pathlib import Path
@@ -406,6 +407,39 @@ class TestSynthCommand:
         assert run("synth", "--spec", str(spec), "--out", str(b), "--seed", "2", "--quiet") == 0
         assert json.loads((a / "synth_meta.json").read_text())["seed"] == 1
         assert (a / "synthetic.csv").read_bytes() != (b / "synthetic.csv").read_bytes()
+
+    def test_files_are_the_library_writers_bytes(self, tmp_path):
+        doc = {**self.spec_doc(seed=6), "duration_s": 3.0, "noise_floor": 0.4}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        cfg = write_config(tmp_path, {"csv": {"time_column": 2}})
+        out = tmp_path / "o"
+        assert run("synth", "--spec", str(spec), "--config", str(cfg), "--out", str(out), "--quiet") == 0
+        config = cli.config_from_dict(json.loads(cfg.read_text()))
+        rec = synth.synth_eeg(cli._synth_spec_from_doc(doc, config)[0])
+        assert (out / "synthetic.csv").read_bytes() == ingest.write_csv(rec, config.csv_layout)
+        assert (out / "synthetic.edf").read_bytes() == ingest.write_edf(rec)
+
+    @pytest.mark.parametrize("duration, noise_floor, text_copies", [
+        # a periodic recording's text is one 4 s period, sliced 30 times
+        (120.0, 0.0, 0.25),
+        # unrepeated text held once, not joined into a second copy
+        (60.0, 0.5, 1.6),
+    ])
+    def test_peak_memory_holds_text_at_most_once(self, tmp_path, duration, noise_floor, text_copies):
+        doc = {**self.spec_doc(seed=7), "duration_s": duration, "noise_floor": noise_floor}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        cfg = cli.RunConfig(out_dir=str(tmp_path / "o"), quiet=True)
+        tracemalloc.start()
+        try:
+            assert cli._emit(cfg, "synth", cli.cmd_synth(cfg, str(spec))) == cli.EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        samples = 30 * 500 * duration * 8
+        text = (tmp_path / "o" / "synthetic.csv").stat().st_size
+        assert peak - samples < text_copies * text, f"{(peak - samples) / text:.2f} x the CSV text"
 
     def test_output_is_ingestible_near_target(self, tmp_path, montage_30):
         spec = tmp_path / "spec.json"
@@ -838,15 +872,25 @@ class TestEmit:
             cli._emit(cfg, "bar", (cli.EXIT_OK, files, ""))
         assert not (tmp_path / "o").exists()
 
+    def test_nothing_written_when_a_file_after_chunks_cannot_be_encoded(self, tmp_path):
+        cfg = cli.RunConfig(out_dir=str(tmp_path / "o"), quiet=True)
+        files = {"a.edf": cli._Chunks([b"head", memoryview(b"data")]), "b.json": {"bad": object()}}
+        with pytest.raises(TypeError):
+            cli._emit(cfg, "synth", (cli.EXIT_OK, files, ""))
+        assert not (tmp_path / "o").exists()
+
     def test_files_in_order_then_run_meta(self, tmp_path, monkeypatch, capsys):
+        # every file is written through one Path.open, in the order given
         written = []
-        write_bytes = Path.write_bytes
-        monkeypatch.setattr(Path, "write_bytes", lambda p, b: written.append(p.name) or write_bytes(p, b))
+        path_open = Path.open
+        monkeypatch.setattr(Path, "open", lambda p, *a, **k: written.append(p.name) or path_open(p, *a, **k))
         cfg = cli.RunConfig(out_dir=str(tmp_path / "o"))
-        files = {"b.json": {"k": (1, 2.5)}, "a.csv": [["x", "y"], ("1.0", "nan")], "c.ppm": b"P6"}
+        files = {"b.json": {"k": (1, 2.5)}, "a.csv": [["x", "y"], ("1.0", "nan")], "c.ppm": b"P6",
+                 "d.edf": cli._Chunks([b"ab", memoryview(b"xcdx")[1:3], b""])}
         assert cli._emit(cfg, "fit", (cli.EXIT_DIVERGED, files, "line 1\nline 2")) == cli.EXIT_DIVERGED
-        assert written == ["b.json", "a.csv", "c.ppm", "run_meta.json"]
+        assert written == ["b.json", "a.csv", "c.ppm", "d.edf", "run_meta.json"]
         assert (tmp_path / "o" / "a.csv").read_bytes() == b"x,y\n1.0,nan\n"
+        assert (tmp_path / "o" / "d.edf").read_bytes() == b"abcd"
         assert (tmp_path / "o" / "b.json").read_text() == json.dumps({"k": [1, 2.5]}, indent=2)
         assert json.loads((tmp_path / "o" / "run_meta.json").read_text())["command"] == "fit"
         assert capsys.readouterr().out == "line 1\nline 2\n"

@@ -153,6 +153,17 @@ class TestRecording:
         bad[1, 3] = np.inf
         with pytest.raises(InvalidRecording):
             make_recording(bad)
+        bad[0, 0], bad[1, 3] = np.inf, -np.inf
+        with pytest.raises(InvalidRecording, match="NaN or infinite"):
+            make_recording(bad)
+
+    def test_finite_values_whose_sum_overflows_accepted(self, make_recording):
+        big = np.full((2, 10), 1e308)
+        big[1] = -1e308
+        big[1, 0] = 1e308
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(big.sum())
+        assert np.array_equal(make_recording(big).samples, big)
 
     def test_rejects_bad_rate_and_labels(self, montage):
         with pytest.raises(InvalidRecording):

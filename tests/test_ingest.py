@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barstress import core, ingest
+from barstress import core, ingest, synth
 from barstress.errors import (
     BadMagic,
     DigitalRangeDegenerate,
@@ -671,6 +671,76 @@ class TestWriteCsvBlocks:
         if layout.time_column is None:
             keep, inverse = ingest._row_classes(list(rec.samples), rec.n_samples)
             assert len(keep) == 2000 and inverse[0] != inverse[1]
+
+
+def synth_recording(montage, duration, noise_floor=0.0):
+    """The benchmark's baseline spec: alpha 4.329 and beta 3.034 uV^2."""
+    bands = ((core.DEFAULT_BANDS["alpha"], 4.329), (core.DEFAULT_BANDS["beta"], 3.034))
+    spec = synth.SynthSpec(duration=duration, sampling_rate=500.0, montage=montage,
+                           band_targets=bands, noise_floor=noise_floor, seed=17)
+    return synth.synth_eeg(spec)
+
+
+def chunk_sources(chunks):
+    """The distinct buffers the chunks after the header slice, by identity."""
+    return {id(c.obj): c.obj for c in chunks[1:]}
+
+
+class TestChunks:
+    @pytest.mark.parametrize("duration, noise_floor, layout", [
+        (5.0, 0.0, ingest.CsvLayout()),
+        (3.0, 0.5, ingest.CsvLayout()),
+        (5.0, 0.0, ingest.CsvLayout(time_column=0)),
+        (3.0, 0.5, ingest.CsvLayout(delimiter=";", has_header=False, time_column=31)),
+        (1.5, 0.0, ingest.CsvLayout()),
+        (0.002, 0.0, ingest.CsvLayout()),
+        (0.002, 0.0, ingest.CsvLayout(time_column=4)),
+    ])
+    def test_joined_chunks_are_the_written_bytes(self, montage, duration, noise_floor, layout):
+        rec = synth_recording(montage, duration, noise_floor)
+        csv = ingest.csv_chunks(rec, layout)
+        assert b"".join(csv) == ingest.write_csv(rec, layout) == write_csv_reference(rec, layout)
+        edf = ingest.edf_chunks(rec)
+        assert b"".join(edf) == ingest.write_edf(rec)
+
+    def test_periodic_120s_spec(self, montage):
+        rec = synth_recording(montage, 120.0)
+        chunks = ingest.csv_chunks(rec)
+        blob = b"".join(chunks)
+        assert blob == ingest.write_csv(rec)
+        # one 4 s period formatted once, then every period a slice of it
+        period = core.Recording(samples=rec.samples[:, :2000], sampling_rate=500.0,
+                                channels=rec.channels)
+        head, body = ingest.csv_chunks(period)
+        assert blob == head + bytes(body) * 30
+        assert len(chunks) == 31 and [len(s) for s in chunk_sources(chunks).values()] == [len(body)]
+
+    def test_unrepeated_text_held_once(self, montage):
+        rec = synth_recording(montage, 20.0, noise_floor=0.5)
+        chunks = ingest.csv_chunks(rec)
+        sources = chunk_sources(chunks)
+        assert len(sources) == -(-rec.n_samples // ingest._CSV_BLOCK_ROWS)
+        assert sum(map(len, sources.values())) == len(b"".join(chunks)) - len(chunks[0])
+
+    @pytest.mark.parametrize("block_rows", [13, 1000])
+    @pytest.mark.parametrize("noise_floor", [0.0, 0.5])
+    def test_runs_cut_at_block_boundaries(self, montage, monkeypatch, block_rows, noise_floor):
+        rec = synth_recording(montage, 5.0, noise_floor)
+        layout = ingest.CsvLayout(time_column=1) if noise_floor else ingest.CsvLayout()
+        monkeypatch.setattr(ingest, "_CSV_BLOCK_ROWS", block_rows)
+        chunks = ingest.csv_chunks(rec, layout)
+        assert b"".join(chunks) == write_csv_reference(rec, layout)
+        distinct = 2000 if noise_floor == 0.0 else rec.n_samples
+        assert len(chunk_sources(chunks)) == -(-distinct // block_rows)
+        # one slice or more of each block's text, each ending on a line end
+        assert all(bytes(c).endswith(b"\n") for c in chunks[1:])
+
+    def test_edf_data_record_not_copied(self, montage):
+        rec = synth_recording(montage, 2.0)
+        head, data = ingest.edf_chunks(rec)
+        assert len(head) == 256 * 31
+        assert isinstance(data.obj, np.ndarray) and data.obj.dtype == np.dtype("<i2")
+        assert len(data) == data.obj.nbytes == 2 * rec.samples.size
 
 
 class TestParseEdfHeader:

@@ -201,7 +201,39 @@ class TestSimilarity:
         assert np.all(m <= 1.0) and np.all(m >= -1.0)
 
 
+def reference_render(grid):
+    """render_topomap as one (N, N, 3) float blend over the palette."""
+    vmin, vmax = grid.palette_range
+    mask = grid.mask
+    t = np.zeros(grid.values.shape)
+    t[mask] = np.clip((grid.values[mask] - vmin) / (vmax - vmin), 0.0, 1.0)
+    seg = t * (len(topo._BLUE_RED) - 1)
+    idx = np.minimum(seg.astype(np.int64), len(topo._BLUE_RED) - 2)
+    frac = (seg - idx)[..., None]
+    rgb = topo._BLUE_RED[idx] * (1.0 - frac) + topo._BLUE_RED[idx + 1] * frac
+    rgb = np.rint(rgb).astype(np.uint8)
+    rgb[~mask] = 255
+    n = grid.resolution
+    return b"P6\n%d %d\n255\n" % (n, n) + rgb.tobytes()
+
+
 class TestRendering:
+    def test_matches_reference_blend(self, montage):
+        rng = np.random.default_rng(22)
+        grids = []
+        for res in (5, 16, 64, 256):
+            v = topo.TopoVector(values=rng.uniform(0.5, 2.0, size=30))
+            grids.append(topo.interpolate_scalp(v, montage, resolution=res))
+        for _ in range(20):
+            res = int(rng.integers(1, 40))
+            scale = 10.0 ** rng.uniform(-5, 5)
+            vals = rng.normal(size=(res, res)) * scale
+            vals[rng.random((res, res)) < 0.2] = np.nan
+            lo, hi = np.sort(rng.normal(size=2) * scale)
+            grids.append(topo.TopoGrid(resolution=res, values=vals, palette_range=(lo, hi)))
+        for g in grids:
+            assert topo.render_topomap(g) == reference_render(g)
+
     def build_grid(self, montage):
         rng = np.random.default_rng(21)
         v = topo.TopoVector(values=rng.uniform(0.5, 2.0, size=30))
