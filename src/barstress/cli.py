@@ -579,7 +579,7 @@ def cmd_topo(cfg: RunConfig) -> Result:
     for i, (ep, grid) in enumerate(zip(epochs, grids)):
         stem = f"topo_{i:02d}_{ep.t_start:g}s"
         files[f"{stem}.ppm"] = topo.render_topomap(grid)
-        files[f"{stem}.csv"] = topo.grid_to_csv(grid).encode()
+        files[f"{stem}.csv"] = topo.grid_to_csv(grid)
     files["similarity.csv"] = [list(map(repr, row)) for row in sim]
     files["similarity.json"] = {
         "schema_version": SCHEMA_VERSION,

@@ -139,7 +139,7 @@ def _sigmoid_t(xs: np.ndarray, b, c) -> tuple[np.ndarray, np.ndarray]:
     """t = (x/c)^b, overflow clamped, and b*ln(x/c); both are 0 at x = 0."""
     pos = xs > 0
     log_t = b * np.log(np.where(pos, xs, c) / c)
-    t = np.where(pos, np.exp(np.clip(log_t, -_EXP_CLAMP, _EXP_CLAMP)), 0.0)
+    t = np.where(pos, np.exp(np.minimum(np.maximum(log_t, -_EXP_CLAMP), _EXP_CLAMP)), 0.0)
     return t, log_t
 
 
@@ -260,23 +260,21 @@ def _linear_fit(u: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray
     u, w, v = (np.broadcast_to(a, p.shape + a.shape[-1:])[bad] for a in (u, w, v))
     su, sw = (-np.frexp(np.minimum(col.max(axis=-1), 0.5))[1] for col in (u, w))
     pb, qb, _, _ = _cramer(np.ldexp(u, su[:, None]), np.ldexp(w, sw[:, None]), v)
-    with np.errstate(over="ignore"):
-        p[bad], q[bad] = np.ldexp(pb, su), np.ldexp(qb, sw)
+    p[bad], q[bad] = np.ldexp(pb, su), np.ldexp(qb, sw)
     return p, q
 
 
 def _cramer(u: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
     """_linear_fit's (p, q) as solved, with the sums of squares of u and w."""
-    with np.errstate(all="ignore"):
-        g11 = np.sum(u * u, axis=-1)
-        g12 = np.sum(u * w, axis=-1)
-        g22 = np.sum(w * w, axis=-1)
-        h1 = np.sum(u * v, axis=-1)
-        h2 = np.sum(w * v, axis=-1)
-        det = g11 * g22 - g12 * g12
-        ok = det > 1e-12 * g11 * g22
-        p = np.where(ok, (g22 * h1 - g12 * h2) / det, np.nan)
-        q = np.where(ok, (g11 * h2 - g12 * h1) / det, np.nan)
+    g11 = np.add.reduce(u * u, axis=-1)
+    g12 = np.add.reduce(u * w, axis=-1)
+    g22 = np.add.reduce(w * w, axis=-1)
+    h1 = np.add.reduce(u * v, axis=-1)
+    h2 = np.add.reduce(w * v, axis=-1)
+    det = g11 * g22 - g12 * g12
+    ok = det > 1e-12 * g11 * g22
+    p = np.where(ok, (g22 * h1 - g12 * h2) / det, np.nan)
+    q = np.where(ok, (g11 * h2 - g12 * h1) / det, np.nan)
     return p, q, g11, g22
 
 
@@ -285,18 +283,18 @@ def _grid_starts(
 ) -> np.ndarray:
     """(log b, log c) of the six best (a, d)-profiled points of a log-spaced grid,
     best first, as a (starts, 2) stack; points without a finite fit are left out.
+
+    b (24, 1, 1) broadcasts against c (48, 1), so log(x/c) is taken once per c.
     """
     bs = np.geomspace(lower[0], upper[0], 24)
     cs = np.geomspace(lower[1], upper[1], 48)
-    bb, cc = (g.ravel()[:, None] for g in np.meshgrid(bs, cs, indexing="ij"))
-    u, w, _ = _basis(xs, bb, cc)
+    u, w, _ = _basis(xs, bs[:, None, None], cs[:, None])
     a, d = _linear_fit(u, w, ys)
-    with np.errstate(all="ignore"):
-        rss = np.sum((a[:, None] * u + d[:, None] * w - ys) ** 2, axis=1)
+    rss = np.add.reduce((a[..., None] * u + d[..., None] * w - ys) ** 2, axis=-1).ravel()
     rss = np.where(np.isfinite(rss), rss, np.inf)
     order = np.argsort(rss, kind="stable")[:6]
     order = order[np.isfinite(rss[order])]
-    return np.log(np.column_stack([bb[order, 0], cc[order, 0]]))
+    return np.log(np.column_stack([bs[order // cs.size], cs[order % cs.size]]))
 
 
 def _evaluate(
@@ -310,13 +308,12 @@ def _evaluate(
     are matmuls, which give each stacked value the bits a single theta's
     1-D dot product gives.
     """
-    b, c = np.moveaxis(np.clip(np.exp(theta), lower, upper), -1, 0)
-    u, w, log_t = _basis(xs, b[..., None], c[..., None])
+    bc = np.minimum(np.maximum(np.exp(theta), lower), upper)
+    u, w, log_t = _basis(xs, bc[..., :1], bc[..., 1:])
     a, d = _linear_fit(u, w, ys)
-    with np.errstate(all="ignore"):
-        r = a[..., None] * u + d[..., None] * w - ys
-        rss = (r[..., None, :] @ r[..., None])[..., 0, 0]
-    return np.where(np.isfinite(rss), rss, np.inf), (a, b, c, d, u, w, log_t, r)
+    r = a[..., None] * u + d[..., None] * w - ys
+    rss = (r[..., None, :] @ r[..., None])[..., 0, 0]
+    return np.where(np.isfinite(rss), rss, np.inf), (a, bc[..., 0], bc[..., 1], d, u, w, log_t, r)
 
 
 # Step factors 1, 1/2, ..., 2**-39: every halving of a step, tried at once.
@@ -356,10 +353,17 @@ def _lockstep_descent(
     iterations = np.zeros(len(theta), dtype=np.int64)
     active = np.arange(len(theta))
     for iteration in range(1, options.max_iterations + 1):
-        a, b, _, d, u, w, log_t, r = (s[active] for s in state)
-        here, now = theta[active], rss[active]
+        if active.size == len(theta):
+            # Every start is active: read the state as it is, not copies of it.
+            here, (a, b, _, d, u, w, log_t, r) = theta, state
+        else:
+            here = theta[active]
+            a, b, _, d, u, w, log_t, r = (s[active] for s in state)
+        now = rss[active]
         slope = (a - d)[:, None] * u * w
-        deriv = np.stack([-slope * log_t, b[:, None] * slope], axis=1)
+        deriv = np.empty((len(here), 2, len(xs)))
+        np.multiply(-slope, log_t, out=deriv[:, 0])
+        np.multiply(b[:, None], slope, out=deriv[:, 1])
         p, q = _linear_fit(u[:, None], w[:, None], deriv)
         jac = deriv - p[..., None] * u[:, None] - q[..., None] * w[:, None]
         grad = (jac @ r[..., None])[..., 0]
@@ -368,19 +372,25 @@ def _lockstep_descent(
         # One lstsq per start: a stacked SVD solve differs from it in the last
         # bits, and on the flat plateaus of a near-step fit such bits decide
         # where a descent ends (2 of 300 random series ended up to 1.5e-4 higher).
-        step = np.zeros_like(here)
-        for row, free in enumerate(~held):
-            if free.any():
-                step[row, free] = np.linalg.lstsq(jac[row, free].T, -r[row], rcond=None)[0]
+        step, rhs = np.zeros(here.shape), -r
+        for row, (held_b, held_c) in enumerate(held.tolist()):
+            if not (held_b or held_c):
+                step[row] = np.linalg.lstsq(jac[row].T, rhs[row], rcond=None)[0]
+            elif not (held_b and held_c):
+                free = ~held[row]
+                step[row, free] = np.linalg.lstsq(jac[row, free].T, rhs[row], rcond=None)[0]
+        # Unlike np.clip, this may give a zero that lands on a zero bound (an
+        # option of 1) the other sign; theta is only used through exp, a sum
+        # with a step and a distance to a bound, which a zero's sign leaves alone.
         trial = np.where(
             held[:, None],
             outward[:, None],
-            np.clip(here[:, None] + _HALVINGS[:, None] * step[:, None], lo, hi),
+            np.minimum(np.maximum(here[:, None] + _HALVINGS[:, None] * step[:, None], lo), hi),
         )
         trial_rss, trial_state = _evaluate(trial, xs, ys, lower, upper)
         drops = trial_rss < now[:, None]
         moved = drops.any(axis=1)
-        pick = np.flatnonzero(moved), drops[moved].argmax(axis=1)
+        pick = moved.nonzero()[0], drops[moved].argmax(axis=1)
         target = active[moved]
         theta[target] = trial[pick]
         rss[target] = trial_rss[pick]
@@ -415,10 +425,15 @@ def fit_4pl(points, options: FitOptions | None = None) -> FitResult:
     c_max = max(opts.c_min * 10.0, opts.c_max_factor * float(xs.max()))
     lower = np.array([opts.b_min, opts.c_min])
     upper = np.array([opts.b_max, c_max])
-    starts = _grid_starts(xs, ys, lower, upper)
-    if not len(starts):
-        raise ValidationError("no point of the (b, c) grid gives a finite fit")
-    params, rss, converged, iterations = _lockstep_descent(starts, xs, ys, opts, lower, upper)
+    # Degenerate grid cells and trial points divide by zero and overflow on
+    # purpose; their RSS reads as infinite.
+    with np.errstate(all="ignore"):
+        starts = _grid_starts(xs, ys, lower, upper)
+        if not len(starts):
+            raise ValidationError("no point of the (b, c) grid gives a finite fit")
+        params, rss, converged, iterations = _lockstep_descent(
+            starts, xs, ys, opts, lower, upper
+        )
     best = int(np.argmin(rss))
     model = FourPLModel(*(float(v) for v in params[best]))
     return _finish(

@@ -109,7 +109,10 @@ def taper_window(taper: str, m: int) -> np.ndarray:
 
 def window_power_norm(taper: str, m: int) -> float:
     """Mean squared taper value U = (1/M) sum |w(n)|^2."""
-    w = taper_window(taper, m)
+    return _mean_square(taper_window(taper, m))
+
+
+def _mean_square(w: np.ndarray) -> float:
     return float(np.mean(w * w))
 
 
@@ -127,19 +130,31 @@ def periodogram_segment(
     """
     x = np.asarray(segment, dtype=np.float64)
     m = x.shape[-1]
+    _check_segment(m, u, fft_size)
+    return _periodogram(x, taper_window(taper, m), u, fft_size, sampling_rate)
+
+
+def _check_segment(m: int, u: float, fft_size: int) -> None:
     if m < 1:
         raise EmptySegment("empty segment")
     if u <= 0:
         raise InvalidConfig(f"window power norm must be > 0, got {u}")
     if fft_size < m:
         raise InvalidConfig(f"fft_size {fft_size} < segment length {m}")
-    w = taper_window(taper, m)
+
+
+def _periodogram(
+    x: np.ndarray, w: np.ndarray, u: float, fft_size: int, sampling_rate: float
+) -> np.ndarray:
+    """periodogram_segment of x with the taper w, squared and scaled in place.
+
+    Interior bins, all but DC and an even fft_size's Nyquist, are doubled.
+    """
     spec = np.fft.rfft(x * w, n=fft_size)
-    p = (spec.real**2 + spec.imag**2) / (m * u * sampling_rate)
-    if fft_size % 2 == 0:
-        p[..., 1:-1] *= 2.0
-    else:
-        p[..., 1:] *= 2.0
+    p = np.square(spec.real)
+    p += np.square(spec.imag)
+    p /= x.shape[-1] * u * sampling_rate
+    p[..., 1 : (fft_size + 1) // 2] *= 2.0
     return p
 
 
@@ -153,13 +168,17 @@ def welch_psd(epoch: Epoch, config: WelchConfig = WelchConfig()) -> PsdEstimate:
             f"needs {win}"
         )
     nfft = config.fft_size if config.fft_size is not None else m
-    u = window_power_norm(config.taper, m)
-    acc = None
+    w = taper_window(config.taper, m)
+    u = _mean_square(w)
+    _check_segment(m, u, nfft)
+    power = None
     for d in range(config.segment_count):
-        seg = epoch.samples[:, d * hop : d * hop + m]
-        p = periodogram_segment(seg, config.taper, u, nfft, fs)
-        acc = p if acc is None else acc + p
-    power = acc / config.segment_count
+        p = _periodogram(epoch.samples[:, d * hop : d * hop + m], w, u, nfft, fs)
+        if power is None:
+            power = p
+        else:
+            power += p
+    power /= config.segment_count
     freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
     freqs.flags.writeable = False
     power.flags.writeable = False

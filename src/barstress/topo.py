@@ -188,10 +188,10 @@ def render_topomap(grid: TopoGrid) -> bytes:
     return b"P6\n%d %d\n255\n" % (n, n) + rgb.tobytes()
 
 
-def grid_to_csv(grid: TopoGrid) -> str:
-    """Row-major CSV of the grid, each value as repr writes it; masked
-    cells are empty fields."""
-    return join_rows(grid.values, blank=~grid.mask).decode("ascii")
+def grid_to_csv(grid: TopoGrid) -> bytes:
+    """Row-major ASCII CSV of the grid, each value as repr writes it;
+    masked cells are empty fields."""
+    return join_rows(grid.values, blank=~grid.mask)
 
 
 def similarity_matrix(vectors: list[TopoVector]) -> np.ndarray:

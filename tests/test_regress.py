@@ -114,6 +114,9 @@ def reference_descend(theta, xs, ys, options, lower, upper):
     return rss, converged, iterations
 
 
+# The 4PL helpers run under fit_4pl's np.errstate; callers of the helpers
+# themselves set it too.
+@np.errstate(all="ignore")
 def reference_fit_4pl(points, opts):
     """(rss, converged) of fit_4pl with each grid start descended alone:
     the lowest RSS wins, ties by start order."""
@@ -420,6 +423,7 @@ class TestLockstepDescent:
         "points",
         [published_points(s) for s in PUBLISHED_SERIES[:6]] + CORPUS[:12],
     )
+    @np.errstate(all="ignore")
     def test_each_start_ends_as_it_would_alone(self, points):
         opts = regress.FitOptions(max_iterations=25)
         xs, ys = regress._as_xy(points)
@@ -489,6 +493,7 @@ class TestLinearFitScaling:
         assert objective == pytest.approx(exact, rel=1e-12)
         assert exact == pytest.approx(0.0519755, abs=1e-7)
 
+    @np.errstate(all="ignore")
     def test_published_grid_cells_bit_identical(self):
         # the grid of _grid_starts on every published series: where no
         # square or product underflows, the power-of-two scaling is exact

@@ -218,6 +218,67 @@ class TestWelchPsd:
             )
 
 
+def reference_periodogram(x, taper, u, nfft, fs):
+    """periodogram_segment as a fresh taper, then new arrays at every step."""
+    m = x.shape[-1]
+    spec = np.fft.rfft(x * spectral.taper_window(taper, m), n=nfft)
+    p = (spec.real**2 + spec.imag**2) / (m * u * fs)
+    if nfft % 2 == 0:
+        p[..., 1:-1] *= 2.0
+    else:
+        p[..., 1:] *= 2.0
+    return p
+
+
+def per_segment_welch(samples, fs, cfg):
+    """welch_psd's power as one reference periodogram per segment, summed
+    into new arrays and divided by the segment count."""
+    win, m, hop = cfg.segment_plan(fs)
+    nfft = m if cfg.fft_size is None else cfg.fft_size
+    u = spectral.window_power_norm(cfg.taper, m)
+    acc = None
+    for d in range(cfg.segment_count):
+        p = reference_periodogram(samples[:, d * hop : d * hop + m], cfg.taper, u, nfft, fs)
+        acc = p if acc is None else acc + p
+    return acc / cfg.segment_count
+
+
+class TestWelchBitIdentical:
+    # 1000 samples at 100 Hz: four half-overlapping segments of 400, three
+    # disjoint segments of 333, or one of 1000; fft_size even and odd, with
+    # and without padding
+    PLANS = [
+        dict(),
+        dict(fft_size=401),
+        dict(fft_size=512),
+        dict(segment_count=3, overlap_fraction=0.0),
+        dict(segment_count=3, overlap_fraction=0.0, fft_size=334),
+        dict(segment_count=3, overlap_fraction=0.0, fft_size=999),
+        dict(segment_count=1),
+    ]
+
+    @pytest.mark.parametrize("taper", spectral.TAPERS)
+    @pytest.mark.parametrize("plan", PLANS)
+    def test_matches_per_segment_reference(self, taper, plan):
+        fs = 100.0
+        cfg = spectral.WelchConfig(taper=taper, **plan)
+        samples = np.random.default_rng(17).normal(scale=20.0, size=(3, 1000))
+        ch = tuple(core.ChannelInfo(f"C{i}", (0.1 * i, 0.0), "eeg") for i in range(3))
+        epoch = core.Epoch(
+            samples=samples, t_start=0.0, t_end=10.0, sampling_rate=fs, channels=ch
+        )
+        want = per_segment_welch(samples, fs, cfg)
+        got = spectral.welch_psd(epoch, cfg).power
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+        _, m, _ = cfg.segment_plan(fs)
+        nfft = m if cfg.fft_size is None else cfg.fft_size
+        u = spectral.window_power_norm(taper, m)
+        one = spectral.periodogram_segment(samples[:, :m], taper, u, nfft, fs)
+        assert one.tobytes() == reference_periodogram(samples[:, :m], taper, u, nfft, fs).tobytes()
+
+
 def flat_psd(value=1.0, fs=500.0, nfft=2000):
     freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
     power = np.full((1, len(freqs)), float(value))

@@ -296,15 +296,15 @@ class TestCsvExport:
         g = topo.interpolate_scalp(topo.TopoVector(values=np.array([1.5])), m, resolution=4)
         lines = topo.grid_to_csv(g).splitlines()
         assert len(lines) == 4
-        first = lines[0].split(",")
-        assert first[0] == "" and len(first) == 4
+        first = lines[0].split(b",")
+        assert first[0] == b"" and len(first) == 4
 
     def test_values_round_trip(self):
         m = site_montage((0.5, 0.5), (-0.5, 0.0))
         g = topo.interpolate_scalp(
             topo.TopoVector(values=np.array([0.1, 0.9])), m, resolution=5
         )
-        cells = [r.split(",") for r in topo.grid_to_csv(g).splitlines()]
+        cells = [r.decode().split(",") for r in topo.grid_to_csv(g).splitlines()]
         assert float(cells[1][3]) == 0.1
         back = np.array(
             [[np.nan if c == "" else float(c) for c in row] for row in cells]
@@ -331,4 +331,4 @@ class TestCsvExport:
             ",".join(repr(float(v)) if math.isfinite(v) else "" for v in row) + "\n"
             for row in g.values
         )
-        assert topo.grid_to_csv(g) == expected
+        assert topo.grid_to_csv(g) == expected.encode()
