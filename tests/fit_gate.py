@@ -1,9 +1,9 @@
 """Gate for fit_4pl: the same fits as the sequential reference, and their cost.
 
-    PYTHONPATH=src python tests/fit_gate.py [--repeat 3]
+    PYTHONPATH=src python tests/fit_gate.py
 
 Fits the 30 published series and seeded_corpus(300, 2024) with
-FitOptions(). Each set is timed best of --repeat and printed as ms per
+FitOptions(). Each set is timed best of REPEAT and printed as ms per
 fit. One SHA-256 is printed over every result, in order: the float.hex of
 a, b, c, d and rss, then converged and iterations. Two versions of the
 solver that print the same digest give the same fits, bit for bit.
@@ -20,7 +20,6 @@ The file name has no test_ prefix, so pytest does not collect it.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import sys
 import time
@@ -32,6 +31,7 @@ SETS = (
     ("published", [published_points(s) for s in PUBLISHED_SERIES], 1e-12),
     ("seeded_corpus(300, 2024)", seeded_corpus(300, 2024), 1e-9),
 )
+REPEAT = 3
 
 
 def digest_line(fit: regress.FitResult) -> str:
@@ -41,23 +41,19 @@ def digest_line(fit: regress.FitResult) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--repeat", type=int, default=3)
-    args = parser.parse_args()
-
     opts = regress.FitOptions()
     digest = hashlib.sha256()
     failures = 0
     for name, series, tolerance in SETS:
         best = float("inf")
-        for _ in range(args.repeat):
+        for _ in range(REPEAT):
             t0 = time.perf_counter()
             fits = [regress.fit_4pl(points, opts) for points in series]
             best = min(best, time.perf_counter() - t0)
         for fit in fits:
             digest.update(digest_line(fit).encode())
         print(f"{name}: {len(series)} fits, {1e3 * best / len(series):.2f} ms per fit "
-              f"(best of {args.repeat})")
+              f"(best of {REPEAT})")
         for i, (points, fit) in enumerate(zip(series, fits)):
             want_rss, want_converged = reference_fit_4pl(points, opts)
             if not (fit.rss <= want_rss * (1.0 + tolerance) and fit.converged == want_converged):

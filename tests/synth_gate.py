@@ -11,9 +11,9 @@ runs first, and the largest deviation between their samples is printed.
 It exits 1 when that deviation exceeds 1e-9 uV or when the median over
 the pairs of per-channel time / shared table time is below 3: a pair's
 two calls run under the same load, so a burst of contention on a shared
-host moves one pair's ratio, not the median. It then prints the best of two timings of each on
-a 3600 s spec, ungated: there tiling and the 432 MB samples array carry
-the time. Last it prints the peak RSS of one `barstress synth` command
+host moves one pair's ratio, not the median. It then prints the best of
+two timings of each on a 3600 s spec, ungated: there tiling and the
+432 MB samples array carry the time. Last it prints the peak RSS of one `barstress synth` command
 writing CSV and EDF, each run in a fresh process before the timings, for
 the 120 s and the 3600 s spec, also ungated.
 

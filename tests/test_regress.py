@@ -495,8 +495,10 @@ class TestLinearFitScaling:
 
     @np.errstate(all="ignore")
     def test_published_grid_cells_bit_identical(self):
-        # the grid of _grid_starts on every published series: where no
-        # square or product underflows, the power-of-two scaling is exact
+        # the grid of _grid_starts, built flat from a meshgrid, on every
+        # published series: where no square or product underflows, the
+        # power-of-two scaling is exact, and _grid_starts' broadcast grid
+        # picks the same starts
         opts = regress.FitOptions()
         compared = 0
         for series in PUBLISHED_SERIES:
@@ -515,6 +517,17 @@ class TestLinearFitScaling:
             for g, r in zip(got, want):
                 assert g[normal].tobytes() == r[normal].tobytes(), series
             compared += normal.sum()
+            # the six best cells of this flat b-major grid, picked as
+            # _grid_starts picks them from its broadcast one
+            a, d = got
+            rss = np.sum((a[:, None] * u + d[:, None] * w - ys) ** 2, axis=1)
+            rss = np.where(np.isfinite(rss), rss, np.inf)
+            order = np.argsort(rss, kind="stable")[:6]
+            order = order[np.isfinite(rss[order])]
+            starts = np.log(np.column_stack([bb[order, 0], cc[order, 0]]))
+            got_starts = regress._grid_starts(xs, ys, lower, upper)
+            assert got_starts.shape == starts.shape, series
+            assert got_starts.tobytes() == starts.tobytes(), series
         assert compared >= 0.9 * len(PUBLISHED_SERIES) * 24 * 48
 
 
