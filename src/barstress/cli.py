@@ -25,6 +25,7 @@ import json
 import math
 import mmap
 import os
+import platform
 import sys
 import types
 import typing
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import core, floattext, ingest, regress, spectral, synth, topo
+from . import __version__, core, floattext, ingest, regress, spectral, synth, topo
 from .errors import (
     EmptyProtocol,
     InvalidConfig,
@@ -349,6 +350,10 @@ def _encode(name: str, content) -> list:
     return [("\n".join(map(",".join, content)) + "\n").encode()]
 
 
+# What made a run: a fit's last bits come from numpy's LAPACK.
+_VERSIONS = {"barstress": __version__, "numpy": np.__version__, "python": platform.python_version()}
+
+
 def _emit(cfg: RunConfig, command: str, result: Result) -> int:
     """Write a command's files into cfg.out_dir, then run_meta.json; print
     its message unless quiet; return its exit code.
@@ -360,7 +365,8 @@ def _emit(cfg: RunConfig, command: str, result: Result) -> int:
     code, files, message = result
     encoded = {name: _encode(name, content) for name, content in files.items()}
     now = datetime.datetime.now(datetime.timezone.utc)
-    encoded["run_meta.json"] = _encode("run_meta.json", {"command": command, "timestamp": now.isoformat()})
+    meta = {"command": command, "timestamp": now.isoformat(), "versions": _VERSIONS}
+    encoded["run_meta.json"] = _encode("run_meta.json", meta)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, chunks in encoded.items():
@@ -773,7 +779,9 @@ COMMANDS = {
 
 # --------------------------------------------------------------- entrypoint
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it as it is."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON config document")
     common.add_argument("--out", help="output directory (overrides config)")

@@ -22,6 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# The LAPACK gelsd gufunc that np.linalg.lstsq calls once per matrix; imported
+# here so that a numpy without it fails at import, not in the middle of a fit.
+from numpy.linalg._umath_linalg import lstsq as _gelsd
 
 from .errors import (
     DegenerateX,
@@ -316,6 +319,26 @@ def _evaluate(
     return np.where(np.isfinite(rss), rss, np.inf), (a, bc[..., 0], bc[..., 1], d, u, w, log_t, r)
 
 
+_EPS = np.finfo(np.float64).eps
+
+
+def _svd_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_stack(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq(a[i], rhs[i], rcond=None)[0] for every i of a (k, n, m)
+    stack and its (k, n) right-hand sides, bit for bit, in one call.
+
+    lstsq solves one matrix by one call to the gelsd gufunc; this calls it once
+    for the whole stack, with lstsq's rcond, signature and error state, so a
+    failed SVD raises LinAlgError as lstsq does.
+    """
+    rcond = _EPS * max(a.shape[-2:])
+    with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _gelsd(a, rhs[..., None], rcond, signature="ddd->ddid")[0][..., 0]
+
+
 # Step factors 1, 1/2, ..., 2**-39: every halving of a step, tried at once.
 _HALVINGS = 0.5 ** np.arange(40)
 
@@ -335,7 +358,9 @@ def _lockstep_descent(
     Kaufman's: the theta-derivative of the model projected off the span of
     u and w. theta is clipped to the box; a coordinate on a bound whose
     gradient points outward is held there for that step, and the step of
-    the free coordinates is lstsq's. Each start takes the first of its
+    the free coordinates is the one np.linalg.lstsq gives, bit for bit: one
+    gelsd call takes every start with both coordinates free, and one every
+    start with one held. Each start takes the first of its
     step's 40 halvings that lowers its RSS; a relative drop within the
     tolerance, or no drop at all, ends that start as converged, and it
     leaves the active set. Starts do not interact: each ends as it would
@@ -369,16 +394,23 @@ def _lockstep_descent(
         grad = (jac @ r[..., None])[..., 0]
         outward = np.where(grad > 0, lo, hi)
         held = (grad != 0) & (np.abs(here - outward) <= _BOUND_SNAP)
-        # One lstsq per start: a stacked SVD solve differs from it in the last
-        # bits, and on the flat plateaus of a near-step fit such bits decide
-        # where a descent ends (2 of 300 random series ended up to 1.5e-4 higher).
+        # Each start's step is the gelsd solve np.linalg.lstsq makes for it
+        # alone, not a closed-form 2x2 solve or one through np.linalg.svd: those
+        # differ in the last bits, and on the flat plateaus of a near-step fit
+        # such bits decide where a descent ends (2 of 300 random series ended up
+        # to 1.5e-4 higher). gelsd solves each matrix of a stack as it would
+        # alone, so one call covers every start with both coordinates free and
+        # one every start with one held.
         step, rhs = np.zeros(here.shape), -r
-        for row, (held_b, held_c) in enumerate(held.tolist()):
-            if not (held_b or held_c):
-                step[row] = np.linalg.lstsq(jac[row].T, rhs[row], rcond=None)[0]
-            elif not (held_b and held_c):
-                free = ~held[row]
-                step[row, free] = np.linalg.lstsq(jac[row, free].T, rhs[row], rcond=None)[0]
+        held_b, held_c = held.T
+        both = (~(held_b | held_c)).nonzero()[0]
+        if both.size:
+            step[both] = _lstsq_stack(jac[both].transpose(0, 2, 1), rhs[both])
+        one = (held_b != held_c).nonzero()[0]
+        if one.size:
+            # the free coordinate: c where b is held, b where c is
+            col = held_b[one].astype(np.intp)
+            step[one, col] = _lstsq_stack(jac[one, col, :, None], rhs[one])[:, 0]
         # Unlike np.clip, this may give a zero that lands on a zero bound (an
         # option of 1) the other sign; theta is only used through exp, a sum
         # with a step and a distance to a bound, which a zero's sign leaves alone.

@@ -6,7 +6,9 @@ Fits the 30 published series and seeded_corpus(300, 2024) with
 FitOptions(). Each set is timed best of REPEAT and printed as ms per
 fit. One SHA-256 is printed over every result, in order: the float.hex of
 a, b, c, d and rss, then converged and iterations. Two versions of the
-solver that print the same digest give the same fits, bit for bit.
+solver that print the same digest give the same fits, bit for bit; the
+digest is compared with DIGEST, the current solver's, and reported as
+unchanged or CHANGED. A changed digest alone does not fail the gate.
 
 Every fit is then checked against test_regress.reference_fit_4pl, which
 descends each grid start alone, trying the step halvings one at a time,
@@ -32,6 +34,7 @@ SETS = (
     ("seeded_corpus(300, 2024)", seeded_corpus(300, 2024), 1e-9),
 )
 REPEAT = 3
+DIGEST = "416204ade83746ea4979d1bbbe66520cb53b92699709a581ce02bf4e6f6a7eb9"
 
 
 def digest_line(fit: regress.FitResult) -> str:
@@ -60,7 +63,8 @@ def main() -> int:
                 failures += 1
                 print(f"  {name}[{i}]: rss {fit.rss!r} converged {fit.converged}, "
                       f"reference rss {want_rss!r} converged {want_converged}")
-    print(f"sha256 {digest.hexdigest()}")
+    sha = digest.hexdigest()
+    print(f"sha256 {sha} " + ("digest unchanged" if sha == DIGEST else f"digest CHANGED (was {DIGEST})"))
     print("PASS" if not failures else f"FAIL ({failures} fits worse than the reference)")
     return 0 if not failures else 1
 

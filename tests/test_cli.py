@@ -1,5 +1,6 @@
 import json
 import math
+import platform
 import re
 import tempfile
 import tracemalloc
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import barstress
 from barstress import cli, core, ingest, regress, spectral, synth
 from barstress.errors import InvalidConfig, PipelineError
 from edf_records import split_records
@@ -653,6 +655,19 @@ class TestFitCommand:
         assert not (out / "fit_4pl.json").exists()
         assert not (out / "comparison.json").exists()
 
+    def test_calls_in_one_process_share_no_state(self, tmp_path, capsys):
+        # main parses with one parser per process; no flag of a call
+        # reaches the next one
+        pts = self.trajectory_file(tmp_path)
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert run("fit", "--points", str(pts), "--model", "quartic", "--out", str(one), "--quiet") == 0
+        assert capsys.readouterr().out == ""
+        assert run("fit", "--points", str(pts), "--out", str(two)) == 0
+        assert capsys.readouterr().out != ""
+        assert not (one / "fit_4pl.json").exists()
+        assert {"fit_4pl.json", "fit_quartic.json", "comparison.json"} <= {p.name for p in two.iterdir()}
+        assert cli.build_parser() is cli.build_parser()
+
     def test_five_point_run_flags_interpolation(self, tmp_path):
         pts = tmp_path / "five.csv"
         rows = [(0.0, 0.701), (15.0, 0.729), (30.0, 0.874), (45.0, 1.297), (60.0, 1.541)]
@@ -892,7 +907,10 @@ class TestEmit:
         assert (tmp_path / "o" / "a.csv").read_bytes() == b"x,y\n1.0,nan\n"
         assert (tmp_path / "o" / "d.edf").read_bytes() == b"abcd"
         assert (tmp_path / "o" / "b.json").read_text() == json.dumps({"k": [1, 2.5]}, indent=2)
-        assert json.loads((tmp_path / "o" / "run_meta.json").read_text())["command"] == "fit"
+        meta = json.loads((tmp_path / "o" / "run_meta.json").read_text())
+        assert meta["command"] == "fit"
+        assert meta["versions"] == {"barstress": barstress.__version__, "numpy": np.__version__,
+                                    "python": platform.python_version()}
         assert capsys.readouterr().out == "line 1\nline 2\n"
 
 

@@ -460,6 +460,50 @@ class TestLockstepDescent:
         assert exhausted > 0
 
 
+def lstsq_per_matrix(a, rhs):
+    """np.linalg.lstsq on each matrix of a stack, one call per matrix."""
+    return np.array([np.linalg.lstsq(a[i], rhs[i], rcond=None)[0] for i in range(len(a))])
+
+
+class TestLstsqStack:
+    """The descent's one gelsd call per stack gives each matrix the bytes its
+    own np.linalg.lstsq call gives; a numpy whose gufunc differs fails here."""
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_random_stacks_bit_identical(self, columns):
+        rng = np.random.default_rng(18)
+        for k in range(1, 9):
+            for n in range(4, 10):
+                # (k, columns, n) transposed, as the descent passes its Jacobian
+                scale = 10.0 ** rng.uniform(-150, 150, (k, columns, 1))
+                a = (rng.standard_normal((k, columns, n)) * scale).transpose(0, 2, 1)
+                rhs = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-150, 150, (k, 1))
+                got = regress._lstsq_stack(a, rhs)
+                assert got.shape == (k, columns)
+                assert got.tobytes() == lstsq_per_matrix(a, rhs).tobytes(), (k, n)
+
+    def test_rank_deficient_stacks_bit_identical(self):
+        rng = np.random.default_rng(5)
+        a, rhs = rng.standard_normal((3, 7, 2)), rng.standard_normal((3, 7))
+        zero = a.copy()
+        zero[1, :, 0] = 0.0
+        parallel = a.copy()
+        parallel[2, :, 1] = -3.0 * parallel[2, :, 0]
+        for stack in (zero, parallel):
+            assert regress._lstsq_stack(stack, rhs).tobytes() == lstsq_per_matrix(stack, rhs).tobytes()
+
+    def test_nan_raises_like_lstsq(self):
+        rng = np.random.default_rng(6)
+        a, rhs = rng.standard_normal((2, 6, 2)), rng.standard_normal((2, 6))
+        a[1, 4, 0] = np.nan
+        # fit_4pl runs the descent with every floating-point error ignored
+        with np.errstate(all="ignore"):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.lstsq(a[1], rhs[1], rcond=None)
+            with pytest.raises(np.linalg.LinAlgError):
+                regress._lstsq_stack(a, rhs)
+
+
 def unscaled_linear_fit(u, w, v):
     """regress._linear_fit's normal equations on u and w as given."""
     with np.errstate(all="ignore"):
