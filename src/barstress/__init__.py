@@ -25,7 +25,9 @@ from .ingest import (
     load_montage,
     parse_edf_header,
     read_csv,
+    read_csv_windows,
     read_edf,
+    read_edf_windows,
     write_csv,
     write_edf,
 )
@@ -100,7 +102,9 @@ __all__ = [
     "parse_edf_header",
     "periodogram_segment",
     "read_csv",
+    "read_csv_windows",
     "read_edf",
+    "read_edf_windows",
     "relative_increase",
     "render_topomap",
     "slice_epochs",

@@ -252,48 +252,39 @@ def load_config(args, extras: list[str]) -> RunConfig:
 
 # ------------------------------------------------------------------ helpers
 
-def _windowed_epochs(
-    cfg: RunConfig, read, data, protocol: core.SessionProtocol
-) -> list[core.Epoch]:
-    """One windowed read per epoch time, each cut by slice_epochs."""
-    if not protocol.epoch_times:
-        raise EmptyProtocol("protocol has no epoch times")
-    window_len = cfg.welch.window_len
-    return [
-        epoch
-        for t in protocol.epoch_times
-        for epoch in core.slice_epochs(
-            read(data, window=(t, t + window_len)),
-            replace(protocol, epoch_times=(t,)),
-            window_len,
-        )
-    ]
-
-
 def _load_epochs(
     cfg: RunConfig, path_str: str | None, protocol: core.SessionProtocol
 ) -> list[core.Epoch]:
     """The protocol's epochs of the recording at path_str.
 
-    The file is memory-mapped and read one epoch window at a time: an EDF
-    file decodes the data records under the window, a CSV file parses its
-    header line and the rows under the window (see ingest.read_csv).
+    The file is memory-mapped and every epoch window is read in one reader
+    call: an EDF file parses its header once and decodes the data records
+    under the windows, a CSV file parses its header line and the rows
+    under the windows in one line scan (see ingest.read_csv_windows). Each
+    window's Recording is then cut by slice_epochs.
     """
     if not path_str:
         raise InvalidConfig("no input recording configured (input.recording)")
     path = Path(path_str)
     if path.suffix.lower() == ".edf":
-        read = functools.partial(ingest.read_edf, montage=cfg.montage)
+        read = functools.partial(ingest.read_edf_windows, montage=cfg.montage)
     else:
         read = functools.partial(
-            ingest.read_csv, layout=cfg.csv_layout, sampling_rate=cfg.sampling_rate, montage=cfg.montage
+            ingest.read_csv_windows, layout=cfg.csv_layout, sampling_rate=cfg.sampling_rate, montage=cfg.montage
         )
+    window_len = cfg.welch.window_len
+    windows = [(t, t + window_len) for t in protocol.epoch_times]
     with path.open("rb") as f:
+        if not windows:
+            raise EmptyProtocol("protocol has no epoch times")
         if os.fstat(f.fileno()).st_size == 0:
             # mmap rejects an empty file; the reader reports it from no bytes.
-            return _windowed_epochs(cfg, read, b"", protocol)
-        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as data:
-            return _windowed_epochs(cfg, read, data, protocol)
+            recordings = read(b"", windows=windows)
+        else:
+            with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as data:
+                recordings = read(data, windows=windows)
+    ones = [replace(protocol, epoch_times=(t,)) for t in protocol.epoch_times]
+    return [core.slice_epochs(rec, one, window_len)[0] for rec, one in zip(recordings, ones)]
 
 
 class _FloatText(list):

@@ -13,9 +13,10 @@ a noise-free synthetic one does every 4 s, costs one period of text work.
 csv_chunks and edf_chunks give the writers' bytes as a list of chunks
 that slice the formatted text or view the EDF data, never joined, so a
 caller that writes them holds each file's text once; write_csv and
-write_edf join them. Given a window, read_csv and read_edf read only the
-rows or data records under it, so an epoch's cost does not grow with the
-file's length.
+write_edf join them. read_csv_windows and read_edf_windows read all the
+epoch windows of a file in one call, with one line scan or header parse,
+and only the rows or data records under them, so an epoch's cost does
+not grow with the file's length; read_csv and read_edf read one window.
 """
 
 from __future__ import annotations
@@ -293,58 +294,65 @@ def _release(data, end: int) -> None:
         data.madvise(mmap.MADV_DONTNEED, 0, end)
 
 
-def _window_lines(data, first: int, stop: int, header: bool) -> bytes | None:
-    """Line 0 when header is set, then lines [first, stop) of data, as one
-    bytes object; None when data has fewer than stop lines or its lines
-    before stop are not all plain (see _plain_lines).
+def _window_texts(data, spans: list[tuple[int, int]], header: bool):
+    """For each line span (first, stop), in order: line 0 when header is
+    set, then lines [first, stop) of data, as one bytes object; None when
+    data has fewer than stop lines or its lines before stop are not all
+    plain (see _plain_lines).
 
-    Lines are counted by \\n, a chunk of whole lines at a time, and no byte
-    after the end of line stop - 1 is checked. The pages of a memory map
-    are released once scanned, so memory does not grow with the prefix.
+    One scan counts lines by \\n, a chunk of whole lines at a time, and
+    goes on from the last plain line it reached, so spans in increasing
+    order scan a plain file's bytes once and no byte after the last stop.
+    The pages of a memory map are released once scanned, so memory does
+    not grow with the prefix.
     """
-    size = len(data)
     ends = {}  # end offset of line j, for each j in wanted
-    wanted = {stop - 1, first - 1, 0 if header else -1}
+    wanted = {j for span in spans for j in (span[0] - 1, span[1] - 1)} | {0 if header else -1}
     pos = line = 0
-    while line < stop:
-        n = _SCAN_BYTES
-        while True:  # grow the chunk until it holds a whole line
-            chunk = data[pos : pos + n]
-            eof = pos + len(chunk) >= size
-            cut = chunk.rfind(b"\n") + 1
-            if cut or eof:
+    for first, stop in spans:
+        while line < stop:
+            n = _SCAN_BYTES
+            while True:  # grow the chunk until it holds a whole line
+                chunk = data[pos : pos + n]
+                eof = pos + len(chunk) >= len(data)
+                cut = chunk.rfind(b"\n") + 1
+                if cut or eof:
+                    break
+                n *= 2
+            if not chunk:
                 break
-            n *= 2
-        if not chunk:
-            return None
-        # From the start, not from pos: a page fault may map again the
-        # earlier pages of a large page-cache folio.
-        _release(data, pos + len(chunk))
-        if not eof:
-            chunk = chunk[:cut]
-        line_ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == 10) + 1
-        if not chunk.endswith(b"\n"):
-            line_ends = np.append(line_ends, len(chunk))
-        if stop - line <= len(line_ends):
-            line_ends = line_ends[: stop - line]
-            chunk = chunk[: line_ends[-1]]
-        ends.update((j, pos + int(line_ends[j - line])) for j in wanted if 0 <= j - line < len(line_ends))
-        if not _plain_lines(chunk, line_ends):
-            return None
-        pos += len(chunk)
-        line += len(line_ends)
-    head = data[: ends[0]] if header else b""
-    return head + data[ends.get(first - 1, 0) : ends[stop - 1]]
+            # From the start, not from pos: a page fault may map again the
+            # earlier pages of a large page-cache folio.
+            _release(data, pos + len(chunk))
+            if not eof:
+                chunk = chunk[:cut]
+            line_ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == 10) + 1
+            if not chunk.endswith(b"\n"):
+                line_ends = np.append(line_ends, len(chunk))
+            if stop - line <= len(line_ends):
+                line_ends = line_ends[: stop - line]
+                chunk = chunk[: line_ends[-1]]
+            ends.update((j, pos + int(line_ends[j - line])) for j in wanted if 0 <= j - line < len(line_ends))
+            if not _plain_lines(chunk, line_ends):
+                break
+            pos += len(chunk)
+            line += len(line_ends)
+        chunk = None  # not held while the caller parses the window
+        head = data[: ends.get(0, 0)] if header else b""
+        yield (head + data[ends.get(first - 1, 0) : ends[stop - 1]]) if line >= stop else None
 
 
 def read_csv(
-    data,
-    layout: CsvLayout,
-    sampling_rate: float,
-    montage: Montage,
-    window: tuple[float, float] | None = None,
+    data, layout: CsvLayout, sampling_rate: float, montage: Montage, window: tuple[float, float] | None = None
 ) -> Recording:
-    """Parse a delimited text recording into a Recording.
+    """The Recording read_csv_windows reads for one window."""
+    return read_csv_windows(data, layout, sampling_rate, montage, [window])[0]
+
+
+def read_csv_windows(
+    data, layout: CsvLayout, sampling_rate: float, montage: Montage, windows: list[tuple[float, float] | None]
+) -> list[Recording]:
+    """Parse a delimited text recording into one Recording per window.
 
     data is text, or a byte buffer: bytes, or a read-only mmap of the file.
     Values are microvolts. A time column, when declared, is checked for
@@ -361,34 +369,36 @@ def read_csv(
     field with float(), which returns the values or raises the typed error
     naming the first bad row or field.
 
-    window=(t_start, t_end), in seconds from the first sample, parses the
-    header line and only the rows that hold the samples core.slice_epochs
-    cuts for an epoch of t_end - t_start seconds at t_start; the
-    Recording's start_offset is the time of the first row parsed. No byte
-    after the window's last row is checked, so the checks above cover the
-    window's rows only. This needs the bytes up to the window's last row
-    to be plain ASCII with \\n or \\r\\n line ends and no blank line (see
-    _plain_lines). Text, an empty window, a file that breaks these rules
-    or ends before the window does, and a window whose rows fail to parse
-    are read whole as without a window, so every error is the whole
-    read's.
+    A window of None reads every line. A window (t_start, t_end), in
+    seconds from the first sample, parses the header line and only the
+    rows that hold the samples core.slice_epochs cuts for an epoch of
+    t_end - t_start seconds at t_start, if the lines up to its last row
+    are plain (see _plain_lines); start_offset is its first row's time.
+    Text, an empty window, a file that breaks this rule or ends before the
+    window, and a window whose rows fail to parse take the whole read,
+    made once per call at most, so every error is the whole read's.
     """
-    # A bad sampling rate is the Recording's to report.
-    if window is not None and math.isfinite(sampling_rate) and sampling_rate > 0:
-        lo, hi = _window_samples(window, sampling_rate)
-        skip = int(layout.has_header)
-        text = None
-        if hi > lo and not isinstance(data, str):
-            text = _window_lines(data, skip + lo, skip + hi, layout.has_header)
-        if text is not None:
+    # A bad sampling rate is the Recording's to report, from the whole read.
+    fs_ok = math.isfinite(sampling_rate) and sampling_rate > 0
+    spans = [_window_samples(w, sampling_rate) if fs_ok and w is not None else None for w in windows]
+    spans = [s if s and s[0] < s[1] and not isinstance(data, str) else None for s in spans]
+    skip = int(layout.has_header)
+    texts = _window_texts(data, [(skip + lo, skip + hi) for lo, hi in filter(None, spans)], layout.has_header)
+    whole, out = None, []
+    for span in spans:
+        rec = None
+        if span and (text := next(texts)):
             try:
-                return _parse_csv(text, layout, sampling_rate, montage, lo / sampling_rate)
+                rec = _parse_csv(text, layout, sampling_rate, montage, span[0] / sampling_rate)
             except IngestError:
                 pass  # the whole read names the file's first defect
-    if not isinstance(data, (bytes, str)):
-        data, mapped = bytes(data), data
-        _release(mapped, len(data))
-    return _parse_csv(data, layout, sampling_rate, montage)
+            del text  # not held while the next window is scanned
+        if rec is None and whole is None:
+            raw = data if isinstance(data, (bytes, str)) else bytes(data)
+            _release(data, len(raw))
+            whole = _parse_csv(raw, layout, sampling_rate, montage)
+        out.append(whole if rec is None else rec)
+    return out
 
 
 def _parse_csv(
@@ -665,7 +675,7 @@ def _decode_records(
     index in signals, decoded from their byte offsets into a new read-only
     array.
 
-    Kept apart from read_edf so that no view into data outlives this call;
+    Kept apart from its caller so that no view into data outlives this call;
     a memory-mapped file can then be closed while an error propagates.
     """
     ns, spr = hdr.signal_count, hdr.samples_per_record[0]
@@ -691,17 +701,23 @@ def _decode_records(
 
 
 def read_edf(data, montage: Montage, window: tuple[float, float] | None = None) -> Recording:
-    """Parse EDF bytes into a Recording in physical units (microvolts).
+    """The Recording read_edf_windows reads for one window."""
+    return read_edf_windows(data, montage, [window])[0]
+
+
+def read_edf_windows(data, montage: Montage, windows: list[tuple[float, float] | None]) -> list[Recording]:
+    """Parse EDF bytes into one Recording per window, in microvolts.
 
     data is any byte buffer: bytes, or a read-only mmap of the file.
     Digital values map linearly onto [physical_min, physical_max]; records
-    concatenate in order. All signals must share one sampling rate.
+    concatenate in order. All signals must share one sampling rate. The
+    header and payload-length checks run once and cover the whole file.
 
-    window=(t_start, t_end), in seconds from the first sample, decodes only
-    the data records that hold the samples core.slice_epochs cuts for an
-    epoch of t_end - t_start seconds at t_start, clipped to the file; the
-    Recording's start_offset is the first decoded record's time. Header
-    and payload-length checks cover the whole file whatever the window.
+    A window of None decodes every data record. A window (t_start, t_end),
+    in seconds from the first sample, decodes only the data records that
+    hold the samples core.slice_epochs cuts for an epoch of t_end - t_start
+    seconds at t_start, clipped to the file; the Recording's start_offset
+    is the first decoded record's time.
     """
     hdr = parse_edf_header(data)
     ns = hdr.signal_count
@@ -712,21 +728,20 @@ def read_edf(data, montage: Montage, window: tuple[float, float] | None = None) 
             f"need {expected} data bytes, got {len(data) - hdr.header_bytes}"
         )
     mapping = _map_columns(list(hdr.labels), montage)
+    channels, signals = tuple(info for _, info in mapping), [col for col, _ in mapping]
     fs = spr / hdr.record_duration
 
-    first, stop = 0, hdr.record_count
-    if window is not None:
-        lo, hi = _window_samples(window, fs)
-        first = min(lo // spr, hdr.record_count)
-        stop = min(-(-hi // spr), hdr.record_count)
-
-    samples = _decode_records(data, hdr, first, stop, [col for col, _ in mapping])
-    return Recording(
-        channels=tuple(info for _, info in mapping),
-        samples=samples,
-        sampling_rate=fs,
-        start_offset=first * hdr.record_duration,
-    )
+    out = []
+    for window in windows:
+        first, stop = 0, hdr.record_count
+        if window is not None:
+            lo, hi = _window_samples(window, fs)
+            first = min(lo // spr, hdr.record_count)
+            stop = min(-(-hi // spr), hdr.record_count)
+        samples = _decode_records(data, hdr, first, stop, signals)
+        start = first * hdr.record_duration
+        out.append(Recording(channels=channels, samples=samples, sampling_rate=fs, start_offset=start))
+    return out
 
 
 def _fit_decimal(value: float, size: int) -> str:

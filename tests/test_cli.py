@@ -228,20 +228,44 @@ class TestEdfInput:
 
     def test_decodes_only_records_under_epochs(self, tmp_path, session_edf, monkeypatch):
         decoded = []
-        read_edf = ingest.read_edf
+        read_edf_windows = ingest.read_edf_windows
 
-        def counting(data, montage, window=None):
-            rec = read_edf(data, montage, window=window)
-            decoded.append(rec.n_samples)
-            return rec
+        def counting(data, montage, windows):
+            recs = read_edf_windows(data, montage, windows)
+            decoded.extend(rec.n_samples for rec in recs)
+            return recs
 
-        monkeypatch.setattr(ingest, "read_edf", counting)
+        monkeypatch.setattr(ingest, "read_edf_windows", counting)
         cfg = write_config(tmp_path, {"protocol": {"epoch_times": EDF_EPOCHS}})
         assert run("bar", "--config", str(cfg), "--input", str(session_edf[0]),
                    "--out", str(tmp_path / "o"), "--quiet") == 0
         # 10 s windows of 1 s records: 10 records, or 11 off a boundary;
         # 21.001 s is sample 10500.5, which rounds to 10500, a boundary
         assert decoded == [5000, 5500, 5000, 5000]
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["edf", "csv"])
+    def test_one_reader_call_per_file(self, tmp_path, session_edf, rest_edf, monkeypatch, kind):
+        reader = ("read_edf_windows", "read_csv_windows")[kind]
+        read, parse_edf_header = getattr(ingest, reader), ingest.parse_edf_header
+        calls, headers = [], []
+        monkeypatch.setattr(
+            ingest, reader, lambda data, **kw: calls.append(kw["windows"]) or read(data, **kw)
+        )
+        monkeypatch.setattr(
+            ingest, "parse_edf_header", lambda data: headers.append(len(data)) or parse_edf_header(data)
+        )
+        cfg = write_config(
+            tmp_path,
+            {
+                "input": {"baseline_recording": str(rest_edf[kind])},
+                "protocol": {"epoch_times": EDF_EPOCHS},
+            },
+        )
+        assert run("bar", "--config", str(cfg), "--input", str(session_edf[kind]),
+                   "--out", str(tmp_path / "o"), "--quiet") == 0
+        assert calls == [[(0.0, 10.0)], [(t, t + 10.0) for t in EDF_EPOCHS]]
+        sizes = [rest_edf[kind].stat().st_size, session_edf[kind].stat().st_size]
+        assert headers == (sizes if kind == 0 else [])
 
     def test_montage_loaded_once(self, tmp_path, session_edf, rest_edf, monkeypatch):
         calls = []
@@ -309,14 +333,14 @@ class TestCsvInput:
 
     def test_parses_only_rows_under_epochs(self, tmp_path, session_csv, monkeypatch):
         parsed = []
-        read_csv = ingest.read_csv
+        read_csv_windows = ingest.read_csv_windows
 
         def counting(*args, **kwargs):
-            rec = read_csv(*args, **kwargs)
-            parsed.append((rec.start_offset, rec.n_samples))
-            return rec
+            recs = read_csv_windows(*args, **kwargs)
+            parsed.extend((rec.start_offset, rec.n_samples) for rec in recs)
+            return recs
 
-        monkeypatch.setattr(ingest, "read_csv", counting)
+        monkeypatch.setattr(ingest, "read_csv_windows", counting)
         assert self.bar(tmp_path, session_csv.read_bytes(), "o") == 0
         assert parsed == [(5.0, 5000), (20.0, 5000)]
 
@@ -926,9 +950,20 @@ UNRESOLVED_BANDS = [
 
 @pytest.mark.parametrize("argv", UNRESOLVED_BANDS)
 def test_bands_resolved_before_input_read(tmp_path, rest_csv, argv):
-    with mock.patch.object(ingest, "read_csv", wraps=ingest.read_csv) as reader:
+    with mock.patch.object(ingest, "read_csv_windows", wraps=ingest.read_csv_windows) as reader:
         rc = run(*argv, "--input", str(rest_csv), "--out", str(tmp_path / "o"), "--quiet")
     assert rc == cli.EXIT_VALIDATION
+    assert reader.call_count == 0
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["psd", "bar", "topo"])
+def test_empty_protocol_exits_2_before_the_read(tmp_path, rest_csv, capsys, command):
+    cfg = write_config(tmp_path, {"protocol": {"epoch_times": []}})
+    with mock.patch.object(ingest, "read_csv_windows", wraps=ingest.read_csv_windows) as reader:
+        rc = run(command, "--config", str(cfg), "--input", str(rest_csv), "--out", str(tmp_path / "o"))
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: protocol has no epoch times\n"
     assert reader.call_count == 0
     assert not (tmp_path / "o").exists()
 

@@ -608,6 +608,131 @@ class TestReadCsvWindow:
             ingest.read_csv(b"A,B\n1,2\n", ingest.CsvLayout(), 10.0, small_montage("A", "B"), window=window)
 
 
+def windows_outcome(read, *args):
+    """Start offset, labels, shape and sample bytes of each Recording of a
+    windowed read, or its error type and message."""
+    try:
+        recs = read(*args)
+    except PipelineError as exc:
+        return type(exc), str(exc)
+    return [(rec.start_offset, rec.labels, rec.samples.shape, rec.samples.tobytes()) for rec in recs]
+
+
+def csv_windows_model(blob, layout, fs, m, windows):
+    """windows_outcome of read_csv_windows from whole reads alone: a window
+    whose lines window_falls_back accepts is its header and window lines
+    read whole, with the window's start; any other window, or one whose
+    lines fail to parse, is the whole file read whole, or its error."""
+    whole = csv_outcome(ingest.read_csv, blob, layout, fs, m)
+    lines = newline_lines(blob)
+    out = []
+    for window in windows:
+        lo, hi = ingest._window_samples(window, fs)
+        first, stop = layout.has_header + lo, layout.has_header + hi
+        alone = (PipelineError,)
+        if not window_falls_back(blob, stop):
+            alone_blob = b"".join(lines[: layout.has_header] + lines[first:stop])
+            alone = csv_outcome(ingest.read_csv, alone_blob, layout, fs, m)
+        if not isinstance(alone[0], type):
+            out.append((lo / fs, *alone))
+        elif isinstance(whole[0], type):
+            return whole
+        else:
+            out.append((0.0, *whole))
+    return out
+
+
+# Forty rows of two channels at 10 Hz, 4 s.
+ROWS_40 = [f"{i}.5,{-i}" for i in range(40)]
+
+
+class TestReadCsvWindows:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        csv_documents(),
+        st.lists(st.tuples(st.integers(0, 16), st.integers(2, 12)), min_size=1, max_size=4),
+        SCAN_BYTES,
+    )
+    def test_same_as_whole_reads(self, doc, spans, scan_bytes):
+        blob, layout, m = doc
+        windows = [(start / 100, (start + length) / 100) for start, length in spans]
+        with mock.patch.object(ingest, "_SCAN_BYTES", scan_bytes):
+            got = windows_outcome(ingest.read_csv_windows, blob, layout, FS, m, windows)
+        assert got == csv_windows_model(blob, layout, FS, m, windows)
+
+    def read(self, rows, windows, scan_bytes):
+        """read_csv_windows of rows at 10 Hz, and the whole read."""
+        blob = ("A,B\n" + "\n".join(rows) + "\n").encode()
+        m = small_montage("A", "B")
+        with mock.patch.object(ingest, "_SCAN_BYTES", scan_bytes):
+            recs = ingest.read_csv_windows(blob, ingest.CsvLayout(), 10.0, m, windows)
+        whole = ingest.read_csv(blob, ingest.CsvLayout(), 10.0, m)
+        return recs, whole
+
+    def check(self, recs, whole, windows, windowed):
+        """Each Recording is the whole read's rows from its start_offset on,
+        bit for bit: a windowed one starts at its window, any other is the
+        whole read. Every epoch cut from it is the one slice_epochs cuts
+        from the whole read, or the same error."""
+        for rec, (t0, t1), inside in zip(recs, windows, windowed):
+            lo = round(rec.start_offset * 10.0)
+            assert rec.start_offset == (round(t0 * 10.0) / 10.0 if inside else 0.0)
+            assert rec.n_samples == (round((t1 - t0) * 10.0) if inside else whole.n_samples)
+            assert rec.samples.tobytes() == whole.samples[:, lo : lo + rec.n_samples].tobytes()
+            assert epoch_outcome(lambda: rec, t0, t1 - t0) == epoch_outcome(lambda: whole, t0, t1 - t0)
+
+    @pytest.mark.parametrize("scan_bytes", [1, 7, 1 << 20])
+    def test_overlapping_windows(self, scan_bytes):
+        windows = [(0.2, 0.7), (0.5, 1.0), (0.8, 1.3), (3.5, 4.0)]
+        recs, whole = self.read(ROWS_40, windows, scan_bytes)
+        self.check(recs, whole, windows, [True] * 4)
+
+    @pytest.mark.parametrize("scan_bytes", [1, 7, 1 << 20])
+    @pytest.mark.parametrize("text", ["12.5,-12\x0c", "\u0661.5,-12"], ids=["form-feed", "non-ascii"])
+    def test_unplain_line_between_windows(self, scan_bytes, text):
+        # the first window ends before row 12, the others after it
+        rows = ROWS_40[:12] + [text] + ROWS_40[13:]
+        windows = [(0.2, 0.7), (2.0, 2.5), (3.0, 3.5)]
+        recs, whole = self.read(rows, windows, scan_bytes)
+        self.check(recs, whole, windows, [True, False, False])
+        assert recs[1] is recs[2]  # one whole read for both
+
+    @pytest.mark.parametrize("scan_bytes", [1, 7, 1 << 20])
+    def test_malformed_row_in_the_second_window_only(self, scan_bytes):
+        rows = ROWS_40[:21] + ["x,1"] + ROWS_40[22:]
+        with pytest.raises(NonNumericSample, match=re.escape("row 21 column 0: 'x'")):
+            self.read(rows, [(0.2, 0.7), (2.0, 2.5), (3.0, 3.5)], scan_bytes)
+
+    @pytest.mark.parametrize("scan_bytes", [1, 7, 1 << 20])
+    def test_file_ending_inside_the_last_window(self, scan_bytes):
+        windows = [(0.2, 0.7), (2.0, 2.5), (3.8, 4.3)]
+        recs, whole = self.read(ROWS_40, windows, scan_bytes)
+        self.check(recs, whole, windows, [True, True, False])
+        assert epoch_outcome(lambda: recs[2], 3.8, 0.5) == (
+            EpochOutOfRange, "epoch at 3.8 s needs samples [38, 43) but recording has 40"
+        )
+
+    @pytest.mark.parametrize("scan_bytes", [1, 7, 1 << 12, 1 << 20])
+    def test_five_windows_scan_the_file_at_most_once(self, scan_bytes):
+        m = small_montage("A", "B", "C")
+        rng = np.random.default_rng(9)
+        samples = rng.normal(scale=30.0, size=(3, 3000))
+        blob = ingest.write_csv(core.Recording(channels=m.electrodes, samples=samples, sampling_rate=100.0))
+        windows = [(t, t + 1.0) for t in (0.0, 7.0, 14.0, 21.0, 29.0)]
+        scanned = []
+        plain_lines = ingest._plain_lines
+
+        def counting(text, ends):
+            scanned.append(len(text))
+            return plain_lines(text, ends)
+
+        with mock.patch.object(ingest, "_SCAN_BYTES", scan_bytes), \
+                mock.patch.object(ingest, "_plain_lines", counting):
+            recs = ingest.read_csv_windows(blob, ingest.CsvLayout(), 100.0, m, windows)
+        assert [r.start_offset for r in recs] == [t for t, _ in windows]
+        assert 0.9 * len(blob) < sum(scanned) <= len(blob)
+
+
 def write_csv_reference(recording, layout):
     """write_csv as one repr per value, row by row."""
     lines = []
@@ -956,6 +1081,48 @@ class TestReadEdfWindow:
     def test_bad_window_rejected(self, window):
         with pytest.raises(EpochOutOfRange):
             ingest.read_edf(random_edf(2, 500, "1"), self.montage, window=window)
+
+
+class TestReadEdfWindows:
+    montage = small_montage("A", "B", "C")
+    # Overlapping windows, one that ends on the last sample, one that runs
+    # past the end and one after it, out of order.
+    WINDOWS = [
+        (3.0, 5.0), (4.3, 6.3), (5.001, 7.001), (18.0, 20.0), (19.5, 29.5), (25.0, 27.0), (1.0, 2.0)
+    ]
+
+    @pytest.mark.parametrize("records, spr, duration", [(20, 500, "1"), (40, 250, "0.5")])
+    def test_same_as_the_whole_decode(self, records, spr, duration):
+        blob = random_edf(records, spr, duration)
+        with mock.patch.object(ingest, "parse_edf_header", wraps=ingest.parse_edf_header) as parse:
+            recs = ingest.read_edf_windows(blob, self.montage, self.WINDOWS)
+        assert parse.call_count == 1
+        whole = ingest.read_edf(blob, self.montage)
+        for rec, (t0, t1) in zip(recs, self.WINDOWS, strict=True):
+            first_record = min(int(round(t0 * 500.0)) // spr, records)
+            assert rec.start_offset == first_record * float(duration)
+            lo = first_record * spr
+            assert rec.samples.tobytes() == whole.samples[:, lo : lo + rec.n_samples].tobytes()
+            assert epoch_outcome(lambda: rec, t0, t1 - t0) == epoch_outcome(lambda: whole, t0, t1 - t0)
+        assert recs[5].n_samples == 0
+        assert epoch_outcome(lambda: recs[4], 19.5, 10.0) == (
+            EpochOutOfRange, "epoch at 19.5 s needs samples [9750, 14750) but recording has 10000"
+        )
+
+    def test_none_is_the_whole_decode(self):
+        blob = random_edf(20, 500, "1")
+        recs = ingest.read_edf_windows(blob, self.montage, [None, (4.3, 6.3), None])
+        whole = ingest.read_edf(blob, self.montage).samples.tobytes()
+        assert recs[0].samples.tobytes() == recs[2].samples.tobytes() == whole
+        assert recs[1].start_offset == 4.0
+
+    def test_whole_read_error(self):
+        blob = random_edf(20, 500, "1")[:-3]
+        with pytest.raises(TruncatedData) as whole:
+            ingest.read_edf(blob, self.montage)
+        with pytest.raises(TruncatedData) as windowed:
+            ingest.read_edf_windows(blob, self.montage, self.WINDOWS)
+        assert str(windowed.value) == str(whole.value)
 
 
 class TestWriteEdf:
