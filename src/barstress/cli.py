@@ -9,7 +9,9 @@ given, or as the byte chunks of a _Chunks list, written in order and
 never joined (synth's CSV and EDF). Only then does it write them, and
 run_meta.json last, so a failed run leaves no partial output. Wall-clock
 metadata goes to run_meta.json only, keeping the analysis artifacts
-byte-reproducible.
+byte-reproducible. `session` runs the commands session.commands names
+in one process, each writing the files its own run writes; psd, bar and
+topo then read each recording and estimate its epoch spectra once.
 
 Exit codes: 0 success, 2 validation or usage error, 3 IO error,
 4 fit non-convergence (partial output still written).
@@ -27,6 +29,7 @@ import mmap
 import os
 import platform
 import sys
+import time
 import types
 import typing
 from dataclasses import MISSING, dataclass, fields, replace
@@ -73,6 +76,7 @@ class RunConfig:
     topo_resolution: int = 64
     topo_scalar: str = "bar"
     seed: int = 0
+    session_commands: tuple[str, ...] = ("psd", "bar", "fit", "topo", "report")
     quiet: bool = False
 
     def band(self, name: str) -> core.BandDefinition:
@@ -118,6 +122,7 @@ CONFIG_KEYS = {
     "topo.resolution": ("topo_resolution", int),
     "topo.scalar": ("topo_scalar", str),
     "seed": ("seed", int),
+    "session.commands": ("session_commands", list[str]),
 }
 _CONFIG_TYPES = {key: tp for key, (_, tp) in CONFIG_KEYS.items()}
 
@@ -186,6 +191,10 @@ def config_from_dict(doc: dict) -> RunConfig:
         raise InvalidConfig(f"unsupported schema_version {version!r}")
     if values.get("channels") == ():
         raise InvalidConfig("channels must name at least one channel, got []")
+    names = RunConfig.session_commands  # the default: every command a session may run
+    commands = values.get("session.commands", names)
+    if not commands or not set(commands) <= set(names):
+        raise InvalidConfig(f"session.commands must name some of {list(names)}, got {list(commands)}")
     if "bands" in values:
         values["bands"] = tuple(core.BandDefinition(k, *v) for k, v in values["bands"].items())
     tree: dict = {}
@@ -252,39 +261,71 @@ def load_config(args, extras: list[str]) -> RunConfig:
 
 # ------------------------------------------------------------------ helpers
 
-def _load_epochs(
+# The spectra of the last files read, oldest first: (key, file identity,
+# ((epoch start, PsdEstimate), ...)). Two files: a recording and its baseline.
+_PSD_MEMO: list = []
+_PSD_MEMO_FILES = 2
+# A file changed less than this long before its read began is not kept: a
+# change within one timestamp tick would not show in its identity (git's
+# "racy clean" rule).
+_RACY_NS = 2_000_000_000
+
+
+def _epoch_psds(
     cfg: RunConfig, path_str: str | None, protocol: core.SessionProtocol
-) -> list[core.Epoch]:
-    """The protocol's epochs of the recording at path_str.
+) -> list[tuple[float, spectral.PsdEstimate]]:
+    """(epoch start, Welch PSD) at each protocol epoch of the recording at path_str.
 
     The file is memory-mapped and every epoch window is read in one reader
     call: an EDF file parses its header once and decodes the data records
     under the windows, a CSV file parses its header line and the rows
     under the windows in one line scan (see ingest.read_csv_windows). Each
-    window's Recording is then cut by slice_epochs.
+    window's Recording is cut by slice_epochs and its PSD estimated.
+
+    The spectra of the last two files stay in _PSD_MEMO for the life of
+    the process, so psd, bar and topo in one process read and transform
+    each file once. A hit needs the same key: the real path; the reader
+    with its inputs (CSV layout, sampling rate, the loaded montage); the
+    windows; the WelchConfig; and the Welch function, so a replaced one
+    never gets spectra it did not compute. It also needs the same identity
+    of the file opened for the read: device, inode, size, mtime and ctime.
+    A failed read, or one of a file changed within _RACY_NS, stores nothing.
     """
     if not path_str:
         raise InvalidConfig("no input recording configured (input.recording)")
     path = Path(path_str)
     if path.suffix.lower() == ".edf":
-        read = functools.partial(ingest.read_edf_windows, montage=cfg.montage)
+        reader, inputs = ingest.read_edf_windows, {"montage": cfg.montage}
     else:
-        read = functools.partial(
-            ingest.read_csv_windows, layout=cfg.csv_layout, sampling_rate=cfg.sampling_rate, montage=cfg.montage
-        )
+        reader = ingest.read_csv_windows
+        inputs = {"layout": cfg.csv_layout, "sampling_rate": cfg.sampling_rate, "montage": cfg.montage}
     window_len = cfg.welch.window_len
     windows = [(t, t + window_len) for t in protocol.epoch_times]
+    began = time.time_ns()
     with path.open("rb") as f:
         if not windows:
             raise EmptyProtocol("protocol has no epoch times")
-        if os.fstat(f.fileno()).st_size == 0:
+        st = os.fstat(f.fileno())
+        identity = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+        key = (os.path.realpath(path), reader, inputs, windows, cfg.welch, spectral.welch_psd)
+        hit = next((e for e in _PSD_MEMO if e[:2] == (key, identity)), None)
+        if hit is not None:
+            _PSD_MEMO.remove(hit)
+            _PSD_MEMO.append(hit)
+            return list(hit[2])
+        if st.st_size == 0:
             # mmap rejects an empty file; the reader reports it from no bytes.
-            recordings = read(b"", windows=windows)
+            recordings = reader(b"", windows=windows, **inputs)
         else:
             with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as data:
-                recordings = read(data, windows=windows)
+                recordings = reader(data, windows=windows, **inputs)
     ones = [replace(protocol, epoch_times=(t,)) for t in protocol.epoch_times]
-    return [core.slice_epochs(rec, one, window_len)[0] for rec, one in zip(recordings, ones)]
+    epochs = [core.slice_epochs(rec, one, window_len)[0] for rec, one in zip(recordings, ones)]
+    psds = tuple((ep.t_start, spectral.welch_psd(ep, cfg.welch)) for ep in epochs)
+    if began - max(st.st_mtime_ns, st.st_ctime_ns) >= _RACY_NS:
+        kept = [e for e in _PSD_MEMO if e[0] != key][1 - _PSD_MEMO_FILES :]
+        _PSD_MEMO[:] = [*kept, (key, identity, psds)]
+    return list(psds)
 
 
 class _FloatText(list):
@@ -345,24 +386,35 @@ def _encode(name: str, content) -> list:
 _VERSIONS = {"barstress": __version__, "numpy": np.__version__, "python": platform.python_version()}
 
 
-def _emit(cfg: RunConfig, command: str, result: Result) -> int:
-    """Write a command's files into cfg.out_dir, then run_meta.json; print
-    its message unless quiet; return its exit code.
+def _write(cfg: RunConfig, files: dict[str, typing.Any]) -> None:
+    """Write files into cfg.out_dir, in order.
 
     Every file is encoded before the first is written, so a file that
     cannot be encoded leaves no partial output. A file's chunks are
     written as they are, never joined.
     """
-    code, files, message = result
     encoded = {name: _encode(name, content) for name, content in files.items()}
-    now = datetime.datetime.now(datetime.timezone.utc)
-    meta = {"command": command, "timestamp": now.isoformat(), "versions": _VERSIONS}
-    encoded["run_meta.json"] = _encode("run_meta.json", meta)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, chunks in encoded.items():
         with (out / name).open("wb") as f:
             f.writelines(chunks)
+
+
+def _run_meta(command: str, **fields) -> dict:
+    """run_meta.json's document: what made a run's files, and when."""
+    now = datetime.datetime.now(datetime.timezone.utc)
+    return {"command": command, "timestamp": now.isoformat(), "versions": _VERSIONS, **fields}
+
+
+def _emit(cfg: RunConfig, command: str | None, result: Result) -> int:
+    """Write a command's files into cfg.out_dir, then run_meta.json (none
+    for a session's command, whose session writes it last); print its
+    message unless quiet; return its exit code."""
+    code, files, message = result
+    if command is not None:
+        files = {**files, "run_meta.json": _run_meta(command)}
+    _write(cfg, files)
     if not cfg.quiet:
         print(message)
     return code
@@ -376,8 +428,8 @@ def _bar_points(
     # Bands first, so an undefined band fails before the recording is read.
     num, den = cfg.band(cfg.numerator), cfg.band(cfg.denominator)
     points = [
-        (ep.t_start, spectral.band_ratio(spectral.welch_psd(ep, cfg.welch), num, den, cfg.channels))
-        for ep in _load_epochs(cfg, path, protocol)
+        (t, spectral.band_ratio(psd, num, den, cfg.channels))
+        for t, psd in _epoch_psds(cfg, path, protocol)
     ]
     if not all(r > 0 and math.isfinite(r) for _, r in points):
         raise InvalidConfig("ratios must be finite and > 0")
@@ -397,15 +449,15 @@ def _measure_baseline(cfg: RunConfig) -> float | None:
 # ----------------------------------------------------------------- commands
 
 def cmd_psd(cfg: RunConfig) -> Result:
-    epochs = _load_epochs(cfg, cfg.recording, cfg.protocol)
-    channels = epochs[0].channels
-    psds = [spectral.welch_psd(ep, cfg.welch) for ep in epochs]
+    epochs = _epoch_psds(cfg, cfg.recording, cfg.protocol)
+    psds = [psd for _, psd in epochs]
+    channels = psds[0].channels
     # Every value is formatted once; the CSVs and psd.json share the text.
     freq_txt = floattext.reprs(psds[0].frequencies)
     text = floattext.reprs(np.stack([p.power for p in psds]))
     rows = [text[i : i + len(freq_txt)] for i in range(0, len(text), len(freq_txt))]
     power_txt = [rows[i : i + len(channels)] for i in range(0, len(rows), len(channels))]
-    header = ["frequency_hz", *(f"epoch_{ep.t_start:g}s" for ep in epochs)]
+    header = ["frequency_hz", *(f"epoch_{t:g}s" for t, _ in epochs)]
     files = {}
     for row, ch in enumerate(channels):
         # Lazy rows: built as lists for all channels at once, they cost time and memory.
@@ -416,10 +468,10 @@ def cmd_psd(cfg: RunConfig) -> Result:
         "frequencies_hz": _FloatText(freq_txt),
         "epochs": [
             {
-                "t_start": ep.t_start,
+                "t_start": t,
                 "power": {ch.label: _FloatText(txt[i]) for i, ch in enumerate(channels)},
             }
-            for ep, txt in zip(epochs, power_txt)
+            for (t, _), txt in zip(epochs, power_txt)
         ],
     }
     return EXIT_OK, files, f"wrote PSD for {len(channels)} channels, {len(epochs)} epochs"
@@ -564,24 +616,22 @@ def _epoch_vector(
 def cmd_topo(cfg: RunConfig) -> Result:
     montage = cfg.montage
     bands = _topo_bands(cfg)  # before the read, like _bar_points
-    epochs = _load_epochs(cfg, cfg.recording, cfg.protocol)
-    vectors = [
-        _epoch_vector(spectral.welch_psd(ep, cfg.welch), bands, montage) for ep in epochs
-    ]
+    epochs = _epoch_psds(cfg, cfg.recording, cfg.protocol)
+    vectors = [_epoch_vector(psd, bands, montage) for _, psd in epochs]
     grids = [
         topo.interpolate_scalp(v, montage, cfg.topo_resolution) for v in vectors
     ]
     sim = topo.similarity_matrix(vectors).tolist()
     files = {}
-    for i, (ep, grid) in enumerate(zip(epochs, grids)):
-        stem = f"topo_{i:02d}_{ep.t_start:g}s"
+    for i, ((t, _), grid) in enumerate(zip(epochs, grids)):
+        stem = f"topo_{i:02d}_{t:g}s"
         files[f"{stem}.ppm"] = topo.render_topomap(grid)
         files[f"{stem}.csv"] = topo.grid_to_csv(grid)
     files["similarity.csv"] = [list(map(repr, row)) for row in sim]
     files["similarity.json"] = {
         "schema_version": SCHEMA_VERSION,
         "scalar": cfg.topo_scalar,
-        "epochs": [ep.t_start for ep in epochs],
+        "epochs": [t for t, _ in epochs],
         "similarity": sim,
     }
     return EXIT_OK, files, f"wrote {len(grids)} topography maps"
@@ -768,6 +818,40 @@ COMMANDS = {
 }
 
 
+def _guarded(run: typing.Callable[[], int]) -> int:
+    """run()'s exit code; a PipelineError is reported and exits 2, an OSError 3."""
+    try:
+        return run()
+    except PipelineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_IO
+
+
+def _run_session(cfg: RunConfig, args) -> int:
+    """Run cfg.session_commands in order, in this process.
+
+    Each command writes its files, and prints its message, as its own run
+    would. An exit 2 or 3 stops the session and is its exit code; an exit 4
+    lets the rest run and is its exit code unless a later command stops
+    it. run_meta.json is written last, once any command has written files:
+    each command's name, exit code and wall time.
+    """
+    code, steps = EXIT_OK, []
+    for name in cfg.session_commands:
+        t0 = time.perf_counter()
+        rc = _guarded(lambda: _emit(cfg, None, COMMANDS[name](cfg, args)))
+        steps.append({"command": name, "exit_code": rc, "wall_s": time.perf_counter() - t0})
+        code = rc if rc != EXIT_OK else code
+        if rc in (EXIT_VALIDATION, EXIT_IO):
+            break
+    if any(s["exit_code"] in (EXIT_OK, EXIT_DIVERGED) for s in steps):
+        _write(cfg, {"run_meta.json": _run_meta("session", commands=steps)})
+    return code
+
+
 # --------------------------------------------------------------- entrypoint
 
 @functools.cache
@@ -805,20 +889,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="synthesis spec JSON")
 
     sub.add_parser("report", parents=[common], help="aggregate prior outputs")
+
+    p = sub.add_parser("session", parents=[common], help="session.commands in one process")
+    p.add_argument("--input", help="recording file (.csv or .edf)")
+    p.set_defaults(model="both")  # fit's own default
     return parser
 
 
 def main(argv=None) -> int:
     args, extras = build_parser().parse_known_args(argv)
-    try:
+
+    def run() -> int:
         cfg = load_config(args, extras)
+        if args.command == "session":
+            return _run_session(cfg, args)
         return _emit(cfg, args.command, COMMANDS[args.command](cfg, args))
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+
+    return _guarded(run)
 
 
 if __name__ == "__main__":

@@ -260,11 +260,15 @@ def slice_epochs(
     if window_len <= 0:
         raise EpochOutOfRange(f"window_len must be > 0, got {window_len}")
     fs = recording.sampling_rate
+    if not math.isfinite(window_len * fs):
+        raise EpochOutOfRange(f"epochs of {window_len} s have no sample count at {fs} Hz")
     win = int(round(window_len * fs))
     first = int(round(recording.start_offset * fs))
     end = first + recording.n_samples
     epochs = []
     for t in protocol.epoch_times:
+        if not math.isfinite(t * fs):
+            raise EpochOutOfRange(f"epoch at {t} s has no sample index at {fs} Hz")
         start = int(round(t * fs))
         if start < first:
             raise EpochOutOfRange(

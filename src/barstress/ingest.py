@@ -103,10 +103,13 @@ def _window_samples(window: tuple[float, float], fs: float) -> tuple[int, int]:
     t_start, t_end = window
     if not (math.isfinite(t_start) and math.isfinite(t_end) and 0 <= t_start <= t_end):
         raise EpochOutOfRange(f"window {window} needs 0 <= t_start <= t_end")
-    lo = int(round(t_start * fs))
+    start, length = t_start * fs, (t_end - t_start) * fs
+    if not (math.isfinite(start) and math.isfinite(length)):
+        raise EpochOutOfRange(f"epoch at {t_start} s to {t_end} s has no sample index at {fs} Hz")
     # Round half up with slack for the round-off in t_end - t_start, so
     # the window covers slice_epochs' round(window_len * fs) samples.
-    return lo, lo + math.floor((t_end - t_start) * fs + 0.5 + 1e-6)
+    lo = int(round(start))
+    return lo, lo + math.floor(length + 0.5 + 1e-6)
 
 
 # --------------------------------------------------------------------- CSV

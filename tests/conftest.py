@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from barstress import core
+from barstress import cli, core
+
+
+@pytest.fixture(autouse=True)
+def no_kept_spectra():
+    """Every test starts with no epoch spectra kept by an earlier one, so
+    the order tests run in never hides a read."""
+    cli._PSD_MEMO.clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import platform
 import re
 import tempfile
@@ -60,16 +61,22 @@ def session_csv(tmp_path_factory, montage_30):
     return path
 
 
-def edf_and_decoded_csv(directory, name, duration, seed, montage):
-    """A synthetic recording as an EDF with 1 s data records, and the CSV of
-    that EDF's full read_edf decode (CSV floats round-trip exactly)."""
+def edf_blob(duration, seed, montage):
+    """A synthetic recording as EDF bytes with 1 s data records; every
+    recording of one duration has the same size."""
     rec = synth.synth_eeg(
         synth.SynthSpec(
             duration=duration, sampling_rate=500.0, montage=montage,
             band_targets=((ALPHA, 4.329), (BETA, 3.034)), seed=seed,
         )
     )
-    blob = split_records(ingest.write_edf(rec), 500)
+    return split_records(ingest.write_edf(rec), 500)
+
+
+def edf_and_decoded_csv(directory, name, duration, seed, montage):
+    """A synthetic recording as an EDF with 1 s data records, and the CSV of
+    that EDF's full read_edf decode (CSV floats round-trip exactly)."""
+    blob = edf_blob(duration, seed, montage)
     edf, csv = directory / f"{name}.edf", directory / f"{name}.csv"
     edf.write_bytes(blob)
     csv.write_bytes(ingest.write_csv(ingest.read_edf(blob, montage)))
@@ -793,9 +800,8 @@ def reference_psd_files(epochs, psds):
 
 def run_psd_writer(epochs, psds):
     """The files cmd_psd returns for the given epochs and spectra, as written."""
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(cli, "_load_epochs", return_value=epochs), \
-            mock.patch.object(cli.spectral, "welch_psd", side_effect=psds):
+    spectra = [(ep.t_start, psd) for ep, psd in zip(epochs, psds)]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_epoch_psds", return_value=spectra):
         cfg = cli.RunConfig(recording="in.csv", out_dir=tmp, quiet=True)
         assert cli._emit(cfg, "psd", cli.cmd_psd(cfg)) == 0
         return {p.name: p.read_bytes() for p in Path(tmp).iterdir() if p.name != "run_meta.json"}
@@ -1335,3 +1341,248 @@ class TestConfigTable:
     def test_empty_flags_set_nothing(self):
         assert parse("bar", "--out", "", "--input", "") == cli.RunConfig()
         assert parse("fit", "--points", "") == cli.RunConfig()
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of reader calls (with their windows) and Welch calls."""
+    counts = {"windows": [], "welch_psd": 0}
+    for name in ("read_edf_windows", "read_csv_windows"):
+        reader = getattr(ingest, name)
+        monkeypatch.setattr(
+            ingest, name,
+            lambda data, reader=reader, **kw: counts["windows"].append(kw["windows"]) or reader(data, **kw),
+        )
+    welch_psd = spectral.welch_psd
+
+    def counting_welch(*args):
+        counts["welch_psd"] += 1
+        return welch_psd(*args)
+
+    monkeypatch.setattr(spectral, "welch_psd", counting_welch)
+    return counts
+
+
+def write_montage(path, shift=0.0):
+    """The standard montage as a montage file, Fp1 moved shift along x."""
+    doc = {"name": "file", "electrodes": [
+        {"label": e.label, "x": e.position[0] + (shift if e.label == "Fp1" else 0.0), "y": e.position[1]}
+        for e in core.standard_montage().electrodes
+    ]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+class TestEpochSpectra:
+    """psd, bar and topo in one process read each file and estimate each
+    epoch's spectrum once; anything that could change a spectrum misses."""
+
+    def run_all(self, tmp_path, cfg, recording, out, commands=("psd", "bar", "topo"), forget=False):
+        for command in commands:
+            if forget:
+                cli._PSD_MEMO.clear()
+            assert run(command, "--config", str(cfg), "--input", str(recording),
+                       "--out", str(tmp_path / out), "--quiet") == 0
+
+    def test_psd_bar_topo_read_once_and_welch_once_per_epoch(self, tmp_path, session_edf, counted, monkeypatch):
+        monkeypatch.setattr(cli, "_RACY_NS", 0)  # the fixture file may be under 2 s old
+        cfg = write_config(tmp_path, {"protocol": {"epoch_times": EDF_EPOCHS}})
+        self.run_all(tmp_path, cfg, session_edf[0], "kept")
+        assert counted["windows"] == [[(t, t + 10.0) for t in EDF_EPOCHS]]
+        assert counted["welch_psd"] == len(EDF_EPOCHS)
+        self.run_all(tmp_path, cfg, session_edf[0], "fresh", forget=True)
+        assert counted["welch_psd"] == 4 * len(EDF_EPOCHS)
+        assert outputs(tmp_path / "kept") == outputs(tmp_path / "fresh")
+
+    def test_recording_and_baseline_each_read_once(self, tmp_path, session_edf, rest_edf, counted, monkeypatch):
+        monkeypatch.setattr(cli, "_RACY_NS", 0)
+        cfg = write_config(
+            tmp_path,
+            {"input": {"baseline_recording": str(rest_edf[0])},
+             "protocol": {"phase": "during_gameplay", "epoch_times": EDF_EPOCHS}},
+        )
+        self.run_all(tmp_path, cfg, session_edf[0], "o", commands=("bar", "topo"))
+        assert counted["windows"] == [[(0.0, 10.0)], [(t, t + 10.0) for t in EDF_EPOCHS]]
+        assert counted["welch_psd"] == 1 + len(EDF_EPOCHS)
+        assert len(cli._PSD_MEMO) == 2
+
+    def test_rewritten_file_of_equal_size_and_mtime_misses(self, tmp_path, montage_30, counted, monkeypatch):
+        monkeypatch.setattr(cli, "_RACY_NS", 0)
+        first, second = edf_blob(12.0, 1, montage_30), edf_blob(12.0, 2, montage_30)
+        assert len(first) == len(second) and first != second
+        path = tmp_path / "rec.edf"
+        path.write_bytes(first)
+        before = path.stat()
+        self.run_all(tmp_path, write_config(tmp_path, {}), path, "one", commands=("bar",))
+        path.write_bytes(second)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert (after.st_ino, after.st_ctime_ns) != (before.st_ino, before.st_ctime_ns)
+        self.run_all(tmp_path, write_config(tmp_path, {}), path, "two", commands=("bar",))
+        assert counted["welch_psd"] == 2 and len(counted["windows"]) == 2
+        self.run_all(tmp_path, write_config(tmp_path, {}), path, "fresh", commands=("bar",), forget=True)
+        assert outputs(tmp_path / "two") == outputs(tmp_path / "fresh") != outputs(tmp_path / "one")
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"protocol": {"epoch_times": [0.0, 20.0]}},
+            {"welch": {"taper": "hann"}},
+            {"csv": {"delimiter": ";"}},
+            {"sampling_rate": 250.0},
+            "montage",
+        ],
+        ids=["epoch-times", "welch", "csv-layout", "sampling-rate", "montage-file"],
+    )
+    def test_any_change_to_the_spectra_misses(self, tmp_path, session_csv, counted, monkeypatch, change):
+        monkeypatch.setattr(cli, "_RACY_NS", 0)
+        montage = tmp_path / "montage.json"
+        write_montage(montage)
+        base = {"montage": str(montage), "protocol": {"epoch_times": CSV_EPOCHS}}
+        self.run_all(tmp_path, write_config(tmp_path, base), session_csv, "base", commands=("bar",))
+        if change == "montage":
+            write_montage(montage, shift=0.01)  # same labels, so the same spectra; still a miss
+            change = {}
+        cfg = write_config(tmp_path, {**base, **change})
+        codes = []
+        for out in ("changed", "fresh"):
+            if out == "fresh":
+                cli._PSD_MEMO.clear()
+            codes.append(run("bar", "--config", str(cfg), "--input", str(session_csv),
+                             "--out", str(tmp_path / out), "--quiet"))
+        assert len(counted["windows"]) == 3
+        assert codes[0] == codes[1] and outputs(tmp_path / "changed") == outputs(tmp_path / "fresh")
+
+    @pytest.mark.parametrize("failure", ["read", "welch"])
+    def test_failed_run_stores_nothing(self, tmp_path, session_csv, counted, monkeypatch, capsys, failure):
+        monkeypatch.setattr(cli, "_RACY_NS", 0)
+        path = tmp_path / "in.csv"
+        flags = []
+        if failure == "read":
+            path.write_bytes(edit_rows(session_csv.read_bytes(), {3000: b"x,1"}))
+        else:
+            path.write_bytes(session_csv.read_bytes())
+            flags = ["--welch.fft_size", "16"]  # shorter than a segment
+        cfg = write_config(tmp_path, {"protocol": {"epoch_times": CSV_EPOCHS}})
+        results = []
+        for _ in range(2):
+            rc = run("bar", "--config", str(cfg), "--input", str(path), "--out", str(tmp_path / "o"), *flags)
+            results.append((rc, capsys.readouterr().err))
+        assert results[0] == results[1] and results[0][0] == cli.EXIT_VALIDATION
+        assert len(counted["windows"]) == 2 and cli._PSD_MEMO == []
+        assert not (tmp_path / "o").exists()
+
+    def test_file_changed_within_the_racy_window_is_not_kept(self, tmp_path, rest_csv, counted, monkeypatch):
+        monkeypatch.setattr(cli, "_RACY_NS", 3600 * 10**9)
+        path = tmp_path / "in.csv"
+        path.write_bytes(rest_csv.read_bytes())
+        old = path.stat().st_mtime_ns - 2 * 3600 * 10**9
+        os.utime(path, ns=(old, old))  # only the ctime is young
+        cfg = write_config(tmp_path, {"protocol": {"epoch_times": [0.0]}})
+        self.run_all(tmp_path, cfg, path, "o", commands=("bar", "topo"))
+        assert len(counted["windows"]) == 2 and counted["welch_psd"] == 2
+        assert cli._PSD_MEMO == []
+
+    def test_keeps_only_the_last_two_files(self, tmp_path, rest_edf, session_edf, counted, monkeypatch):
+        monkeypatch.setattr(cli, "_RACY_NS", 0)
+        cfg = write_config(tmp_path, {"protocol": {"epoch_times": [0.0]}})
+        for path in (rest_edf[0], rest_edf[1], session_edf[0], rest_edf[0]):
+            self.run_all(tmp_path, cfg, path, "o", commands=("bar",))
+        assert len(counted["windows"]) == 4 and len(cli._PSD_MEMO) == 2
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["edf", "csv"])
+def test_huge_epoch_time_exits_2(tmp_path, session_edf, capsys, kind):
+    # t * fs overflows to inf, which no sample index holds
+    cfg = write_config(tmp_path, {"protocol": {"epoch_times": [1e308]}})
+    rc = run("bar", "--config", str(cfg), "--input", str(session_edf[kind]), "--out", str(tmp_path / "o"))
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: epoch at 1e+308 s")
+    assert not (tmp_path / "o").exists()
+
+
+# The commands of a paper session, in order: session.commands' default.
+SESSION = ("psd", "bar", "fit", "topo", "report")
+
+
+class TestSessionCommand:
+    def config(self, tmp_path, baseline, **extra):
+        return write_config(
+            tmp_path,
+            {"input": {"baseline_recording": str(baseline), **extra.pop("input", {})},
+             "protocol": {"phase": "during_gameplay", "epoch_times": EDF_EPOCHS}, **extra},
+        )
+
+    def one_by_one(self, tmp_path, cfg, recording, out):
+        """Each command as its own run in a fresh process would make it."""
+        codes = []
+        for command in SESSION:
+            cli._PSD_MEMO.clear()
+            flags = ["--input", str(recording)] if command in ("psd", "bar", "topo") else []
+            codes.append(run(command, "--config", str(cfg), *flags, "--out", str(tmp_path / out), "--quiet"))
+        return codes
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["edf", "csv"])
+    def test_same_files_as_the_commands_one_by_one(self, tmp_path, session_edf, rest_edf, monkeypatch, kind):
+        monkeypatch.setattr(cli, "_RACY_NS", 0)
+        cfg = self.config(tmp_path, rest_edf[kind])
+        codes = self.one_by_one(tmp_path, cfg, session_edf[kind], "each")
+        cli._PSD_MEMO.clear()
+        rc = run("session", "--config", str(cfg), "--input", str(session_edf[kind]),
+                 "--out", str(tmp_path / "one"), "--quiet")
+        assert codes == [0] * 5 and rc == 0
+        got = outputs(tmp_path / "one")
+        assert len(got) > 40 and got == outputs(tmp_path / "each")
+        meta = json.loads((tmp_path / "one" / "run_meta.json").read_text())
+        assert meta["command"] == "session"
+        assert [(c["command"], c["exit_code"]) for c in meta["commands"]] == [(c, 0) for c in SESSION]
+        assert all(c["wall_s"] >= 0 for c in meta["commands"])
+
+    def test_fit_exit_4_lets_topo_and_report_run(self, tmp_path, session_edf, rest_edf, monkeypatch):
+        fit_4pl = regress.fit_4pl
+        monkeypatch.setattr(
+            cli.regress, "fit_4pl", lambda points: fit_4pl(points, regress.FitOptions(max_iterations=1))
+        )
+        # the power-law ridge series, which one iteration does not settle
+        pts = tmp_path / "points.csv"
+        rows = [(0.0, 0.701), (15.0, 1.084), (30.0, 1.295), (45.0, 1.742), (60.0, 2.149)]
+        pts.write_text("\n".join(f"{x},{y}" for x, y in rows) + "\n")
+        cfg = self.config(tmp_path, rest_edf[0], input={"points": str(pts)})
+        codes = self.one_by_one(tmp_path, cfg, session_edf[0], "each")
+        rc = run("session", "--config", str(cfg), "--input", str(session_edf[0]),
+                 "--out", str(tmp_path / "one"), "--quiet")
+        assert codes == [0, 0, cli.EXIT_DIVERGED, 0, 0] and rc == cli.EXIT_DIVERGED
+        assert outputs(tmp_path / "one") == outputs(tmp_path / "each")
+        meta = json.loads((tmp_path / "one" / "run_meta.json").read_text())
+        assert [c["exit_code"] for c in meta["commands"]] == codes
+        assert (tmp_path / "one" / "similarity.json").is_file() and (tmp_path / "one" / "report.md").is_file()
+
+    def test_bad_input_exits_3_before_fit(self, tmp_path, rest_edf, capsys):
+        cfg = self.config(tmp_path, rest_edf[0])
+        with mock.patch.object(cli, "cmd_fit", wraps=cli.cmd_fit) as fit:
+            rc = run("session", "--config", str(cfg), "--input", str(tmp_path / "nope.edf"),
+                     "--out", str(tmp_path / "o"))
+        assert rc == cli.EXIT_IO and fit.call_count == 0
+        assert capsys.readouterr().err.startswith("io error: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_stop_after_files_written_keeps_them_and_run_meta(self, tmp_path, session_edf, rest_edf):
+        cfg = self.config(tmp_path, rest_edf[0], session={"commands": ["bar", "topo", "report"]},
+                          topo={"scalar": "band:gamma"})
+        rc = run("session", "--config", str(cfg), "--input", str(session_edf[0]),
+                 "--out", str(tmp_path / "o"), "--quiet")
+        assert rc == cli.EXIT_VALIDATION
+        meta = json.loads((tmp_path / "o" / "run_meta.json").read_text())
+        assert [(c["command"], c["exit_code"]) for c in meta["commands"]] == [("bar", 0), ("topo", 2)]
+        assert (tmp_path / "o" / "bar_series.json").is_file()
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("commands", [["psd", "synth"], ["session"], []])
+    def test_unknown_command_exits_2_before_anything_runs(self, tmp_path, session_edf, capsys, commands):
+        cfg = write_config(tmp_path, {"session": {"commands": commands}})
+        with mock.patch.object(ingest, "read_edf_windows") as reader:
+            rc = run("session", "--config", str(cfg), "--input", str(session_edf[0]),
+                     "--out", str(tmp_path / "o"))
+        assert rc == cli.EXIT_VALIDATION and reader.call_count == 0
+        assert capsys.readouterr().err.startswith("error: session.commands must name some of")
+        assert not (tmp_path / "o").exists()

@@ -221,6 +221,16 @@ class TestSliceEpochs:
         with pytest.raises(EpochOutOfRange):
             core.slice_epochs(rec, proto, window_len=10.0)
 
+    def test_no_sample_index_is_out_of_range(self, make_recording):
+        # t * fs or window_len * fs overflows to inf, which no int holds
+        rec = make_recording(np.zeros((1, 5000)))
+        proto = core.SessionProtocol(phase="baseline", epoch_times=(0.0, 1e308))
+        with pytest.raises(EpochOutOfRange, match=r"^epoch at 1e\+308 s has no sample index at 500.0 Hz"):
+            core.slice_epochs(rec, proto, window_len=10.0)
+        proto = core.SessionProtocol(phase="baseline", epoch_times=(0.0,))
+        with pytest.raises(EpochOutOfRange, match=r"^epochs of 1e\+308 s have no sample count"):
+            core.slice_epochs(rec, proto, window_len=1e308)
+
     def test_empty_protocol(self, make_recording):
         rec = make_recording(np.zeros((1, 100)))
         proto = core.SessionProtocol(phase="baseline", epoch_times=())
