@@ -838,7 +838,21 @@ def _run_session(cfg: RunConfig, args) -> int:
     lets the rest run and is its exit code unless a later command stops
     it. run_meta.json is written last, once any command has written files:
     each command's name, exit code and wall time.
+
+    A fit that would read fewer points than the quartic needs from bar's
+    bar_points.csv exits 2 before any command runs.
     """
+    if "fit" in cfg.session_commands and not cfg.points:
+        p = cfg.protocol
+        baseline = cfg.baseline_bar is not None or bool(cfg.baseline_recording)
+        count = len(p.epoch_times) + (p.phase == "during_gameplay" and baseline)
+        if count < 5:
+            raise InvalidConfig(
+                f"session's fit would read {count} points from bar_points.csv, and the quartic "
+                "needs >= 5: list more protocol.epoch_times, set baseline_bar or "
+                "input.baseline_recording (phase during_gameplay), set input.points, "
+                "or leave fit out of session.commands"
+            )
     code, steps = EXIT_OK, []
     for name in cfg.session_commands:
         t0 = time.perf_counter()

@@ -6,10 +6,11 @@ bytes without crashing. The EDF subset keeps the standard 256-byte header
 and field-major signal header layout, little-endian 16-bit records, one
 sampling rate for every signal, no annotation channels.
 
-CSV text is handled one distinct line at a time: write_csv formats each
-distinct row once and read_csv parses each distinct line once, and every
-repeat is copied from its first occurrence. A recording that repeats, as
-a noise-free synthetic one does every 4 s, costs one period of text work.
+CSV text work is done once per repeated part: write_csv formats one
+period of a periodic recording and repeats its text, and read_csv parses
+each distinct line once and copies every repeat from its first
+occurrence. A recording that repeats, as a noise-free synthetic one does
+every 4 s, costs one period of text work.
 csv_chunks and edf_chunks give the writers' bytes as a list of chunks
 that slice the formatted text or view the EDF data, never joined, so a
 caller that writes them holds each file's text once; write_csv and
@@ -463,39 +464,42 @@ def _parse_csv(
     )
 
 
-# Odd 64-bit multiplier of the row hash (the golden-ratio constant).
-_ROW_HASH = np.uint64(0x9E3779B97F4A7C15)
+# Candidate periods _period verifies in full before it gives up on one.
+_PERIOD_TRIES = 4
 
 
-def _row_classes(cols: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first row of each class of bit-identical rows, in row order,
-    and every row's class.
+def _period(cols: list[np.ndarray], n: int) -> int:
+    """The smallest P such that every row r >= P equals row r - P, or n
+    when there is none among the first _PERIOD_TRIES candidates.
 
-    Rows are hashed by a multiply-xor fold of their 64-bit patterns over
-    the columns. A row whose bits differ from the first row of its hash is
-    its own class, so a collision costs a format, never a wrong row. Bits,
-    not floats, are compared: -0.0 == 0.0, yet they print apart.
+    A period starts with row 0's bits, so one column screens the rows
+    that could start one, the other columns check only those, and each
+    surviving candidate is compared in full, smallest first. Bits, not
+    floats, are compared: -0.0 == 0.0, yet they print apart.
     """
+    if n < 2 or not cols:
+        return min(n, 1)  # without columns every row is the empty row
     bits = [c.view(np.uint64) for c in cols]
-    h = np.zeros(n, np.uint64)
-    for b in bits:
-        h = (h ^ b) * _ROW_HASH
-    _, first, inverse = np.unique(h, return_index=True, return_inverse=True)
-    rep = first[inverse]
-    same = np.ones(n, dtype=bool)
-    for b in bits:
-        same &= b[rep] == b
-    return np.unique(np.where(same, rep, np.arange(n)), return_inverse=True)
+    first, *rest = bits
+    cand = np.flatnonzero(first[1:] == first[0]) + 1
+    for b in rest:
+        cand = cand[b[cand] == b[0]]
+    for p in cand[:_PERIOD_TRIES].tolist():
+        if all(np.array_equal(b[p:], b[:-p]) for b in bits):
+            return p
+    return n
 
 
 def csv_chunks(recording: Recording, layout: CsvLayout = CsvLayout()) -> list:
     """write_csv's bytes as a list of byte chunks, in order: the header,
-    then one memoryview per run of rows whose text follows on in one block.
+    then memoryviews of the text of one period of rows.
 
-    Each distinct row is formatted once, a block of _CSV_BLOCK_ROWS of them
-    at a time, and every chunk after the header is a slice of a block's
-    text, so the text exists once however often its rows repeat. A run of
-    rows that crosses a block boundary becomes one chunk per block.
+    The rows of the recording's period P (_period) are formatted once,
+    _CSV_BLOCK_ROWS at a time; the body is that text n // P times, then
+    the first n % P rows of it as slices. A recording with no period is
+    its own period, so every row is formatted once and its text is held
+    once. Rows that repeat without forming a period are formatted each
+    time, and a time column makes every row distinct.
     """
     delim = layout.delimiter
     n = recording.n_samples
@@ -508,41 +512,31 @@ def csv_chunks(recording: Recording, layout: CsvLayout = CsvLayout()) -> list:
         times = np.arange(n) / recording.sampling_rate
         cols.insert(tcol, times)
     head = (delim.join(labels) + "\n").encode("utf-8") if layout.has_header else b""
-    keep, inverse = _row_classes(cols, n)
+    period = _period(cols, n)
 
-    # With B = _CSV_BLOCK_ROWS, class c is line c % B of block b = c // B,
-    # at texts[b][ends[c + b] : ends[c + b + 1]]: each block adds a leading 0.
     texts = []
-    ends = [np.zeros(0, np.intp)]
-    for start in range(0, len(keep), _CSV_BLOCK_ROWS):
-        idx = keep[start : start + _CSV_BLOCK_ROWS]
-        block = recording.samples[:, idx].T
+    for start in range(0, period, _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, period)
+        block = recording.samples[:, start:stop].T
         if tcol is not None:
-            block = np.insert(block, tcol, times[idx], axis=1)
-        text = join_rows(block, delim)
-        ends.append(np.concatenate(([0], np.flatnonzero(np.frombuffer(text, np.uint8) == 10) + 1)))
-        texts.append(memoryview(text))
-    ends = np.concatenate(ends)
-
-    # A run is a stretch of rows whose classes follow each other within one block.
-    cut = np.diff(inverse, prepend=-2, append=-2) != 1
-    cut[:-1] |= inverse % _CSV_BLOCK_ROWS == 0
-    bounds = np.flatnonzero(cut)
-    first, last = inverse[bounds[:-1]], inverse[bounds[1:] - 1]
-    block_of = first // _CSV_BLOCK_ROWS
-    starts = ends[first + block_of].tolist()
-    stops = ends[last + block_of + 1].tolist()
-    return [head, *(texts[b][i:j] for b, i, j in zip(block_of.tolist(), starts, stops))]
+            block = np.insert(block, tcol, times[start:stop], axis=1)
+        texts.append(memoryview(join_rows(block, delim)))
+    reps, tail = divmod(n, period or 1)  # period is 0 only when n is
+    blocks, lines = divmod(tail, _CSV_BLOCK_ROWS)
+    chunks = [head, *texts * reps, *texts[:blocks]]
+    if lines:
+        ends = np.flatnonzero(np.frombuffer(texts[blocks], np.uint8) == 10)
+        chunks.append(texts[blocks][: ends[lines - 1] + 1])
+    return chunks
 
 
 def write_csv(recording: Recording, layout: CsvLayout = CsvLayout()) -> bytes:
     """Serialize a Recording as delimited text; read_csv inverts it.
 
     Each float is written as repr writes it, which round-trips exactly;
-    floattext.join_rows computes the texts of a whole block of rows. Each
-    distinct row is formatted once, a block of them at a time, and every
-    repeat copies its text: a periodic recording costs one period. The
-    bytes are the join of csv_chunks.
+    floattext.join_rows computes the texts of a whole block of rows. A
+    periodic recording formats one period and repeats its text; any other
+    formats every row once. The bytes are the join of csv_chunks.
     """
     return b"".join(csv_chunks(recording, layout))
 

@@ -1577,6 +1577,22 @@ class TestSessionCommand:
         assert (tmp_path / "o" / "bar_series.json").is_file()
         assert not (tmp_path / "o" / "report.json").exists()
 
+    @pytest.mark.parametrize("doc", [
+        {},
+        {"protocol": {"phase": "during_gameplay", "epoch_times": EDF_EPOCHS}},
+        {"protocol": {"phase": "during_gameplay", "epoch_times": EDF_EPOCHS},
+         "input": {"baseline_recording": ""}, "session": {"commands": ["fit", "report"]}},
+    ], ids=["one-baseline-epoch", "four-epochs-no-baseline", "fit-alone"])
+    def test_too_few_fit_points_exit_2_before_anything_runs(self, tmp_path, session_edf, capsys, doc):
+        cfg = write_config(tmp_path, doc)
+        with mock.patch.object(ingest, "read_edf_windows") as reader:
+            rc = run("session", "--config", str(cfg), "--input", str(session_edf[0]),
+                     "--out", str(tmp_path / "o"))
+        assert rc == cli.EXIT_VALIDATION and reader.call_count == 0
+        err = capsys.readouterr().err
+        assert err.startswith("error: session's fit would read") and "input.points" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("commands", [["psd", "synth"], ["session"], []])
     def test_unknown_command_exits_2_before_anything_runs(self, tmp_path, session_edf, capsys, commands):
         cfg = write_config(tmp_path, {"session": {"commands": commands}})

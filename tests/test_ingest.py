@@ -780,22 +780,50 @@ class TestWriteCsvBlocks:
         rec = core.Recording(samples=samples, sampling_rate=500.0, channels=m.electrodes)
         assert ingest.write_csv(rec, layout) == write_csv_reference(rec, layout)
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_periodic_recording(self, layout):
-        # a 2000-row period, which does not divide the block size, whose
-        # rows 0 and 1 differ only in the sign of a zero
+    @pytest.mark.parametrize("layout, shape", [
+        *(pytest.param(layout, "signed_zero", id=f"layout{i}") for i, layout in enumerate(LAYOUTS)),
+        pytest.param(ingest.CsvLayout(), "constant", id="constant"),
+        pytest.param(ingest.CsvLayout(time_column=0), "constant", id="constant-time-column"),
+        pytest.param(ingest.CsvLayout(), "long", id="longer-than-a-block"),
+        pytest.param(ingest.CsvLayout(delimiter=";"), "false_start", id="false-candidate"),
+        pytest.param(ingest.CsvLayout(), "noisy", id="noisy"),
+    ])
+    def test_periodic_recording(self, layout, shape):
         m = small_montage("A", "B", "C")
-        period = np.random.default_rng(3).normal(scale=40.0, size=(3, 2000))
+        samples, period = periodic_samples(shape)
+        rec = core.Recording(samples=samples, sampling_rate=500.0, channels=m.electrodes)
+        chunks = ingest.csv_chunks(rec, layout)
+        assert b"".join(chunks) == ingest.write_csv(rec, layout) == write_csv_reference(rec, layout)
+        # a time column makes every row distinct
+        assert rows_formatted(chunks) == (period if layout.time_column is None else rec.n_samples)
+
+
+def periodic_samples(shape):
+    """(samples, P) of a 3-channel recording of the named shape, where P
+    is its period, or its length when it has none. No length is a multiple
+    of its period."""
+    rng = np.random.default_rng(3)
+    if shape == "noisy":
+        return rng.normal(scale=40.0, size=(3, 5000)), 5000
+    rows, n = {
+        # 2000 does not divide the block size
+        "signed_zero": (2000, 5 * 2000 - 7),
+        "constant": (1, 5000),
+        # the tail is one whole block of the period and part of the next
+        "long": (5000, 2 * 5000 + ingest._CSV_BLOCK_ROWS + 404),
+        "false_start": (3000, 7500),
+    }[shape]
+    assert ingest._CSV_BLOCK_ROWS % 2000 and ingest._CSV_BLOCK_ROWS < 5000
+    period = rng.normal(scale=40.0, size=(3, rows))
+    if shape == "signed_zero":
+        # rows 0 and 1 differ only in the sign of a zero
         period[:, 0] = [0.0, 1.5, -2.0]
         period[:, 1] = [-0.0, 1.5, -2.0]
-        samples = np.tile(period, 2 * ingest._CSV_BLOCK_ROWS // 2000 + 1)[:, :-7]
-        assert ingest._CSV_BLOCK_ROWS % 2000
-        rec = core.Recording(samples=samples, sampling_rate=500.0, channels=m.electrodes)
-        blob = ingest.write_csv(rec, layout)
-        assert blob == write_csv_reference(rec, layout)
-        if layout.time_column is None:
-            keep, inverse = ingest._row_classes(list(rec.samples), rec.n_samples)
-            assert len(keep) == 2000 and inverse[0] != inverse[1]
+    if shape == "false_start":
+        # row 0's first field recurs at row 500, and the whole row at 1000
+        period[0, 500] = period[0, 0]
+        period[:, 1000] = period[:, 0]
+    return np.tile(period, -(-n // rows))[:, :n], rows
 
 
 def synth_recording(montage, duration, noise_floor=0.0):
@@ -811,6 +839,11 @@ def chunk_sources(chunks):
     return {id(c.obj): c.obj for c in chunks[1:]}
 
 
+def rows_formatted(chunks):
+    """The lines in the distinct buffers the chunks after the header slice."""
+    return sum(bytes(text).count(b"\n") for text in chunk_sources(chunks).values())
+
+
 class TestChunks:
     @pytest.mark.parametrize("duration, noise_floor, layout", [
         (5.0, 0.0, ingest.CsvLayout()),
@@ -820,11 +853,15 @@ class TestChunks:
         (1.5, 0.0, ingest.CsvLayout()),
         (0.002, 0.0, ingest.CsvLayout()),
         (0.002, 0.0, ingest.CsvLayout(time_column=4)),
+        # two and a half 4 s periods
+        (10.0, 0.0, ingest.CsvLayout()),
     ])
     def test_joined_chunks_are_the_written_bytes(self, montage, duration, noise_floor, layout):
         rec = synth_recording(montage, duration, noise_floor)
         csv = ingest.csv_chunks(rec, layout)
         assert b"".join(csv) == ingest.write_csv(rec, layout) == write_csv_reference(rec, layout)
+        periodic = noise_floor == 0.0 and layout.time_column is None
+        assert rows_formatted(csv) == (min(rec.n_samples, 2000) if periodic else rec.n_samples)
         edf = ingest.edf_chunks(rec)
         assert b"".join(edf) == ingest.write_edf(rec)
 
@@ -859,6 +896,17 @@ class TestChunks:
         assert len(chunk_sources(chunks)) == -(-distinct // block_rows)
         # one slice or more of each block's text, each ending on a line end
         assert all(bytes(c).endswith(b"\n") for c in chunks[1:])
+
+    def test_period_found_without_sorting(self, montage, monkeypatch):
+        recs = [synth_recording(montage, 20.0), synth_recording(montage, 20.0, noise_floor=0.5)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv_chunks sorted")
+
+        for name in ("unique", "sort", "argsort", "lexsort"):
+            monkeypatch.setattr(np, name, refuse)
+        for rec in recs:
+            ingest.csv_chunks(rec)
 
     def test_edf_data_record_not_copied(self, montage):
         rec = synth_recording(montage, 2.0)
