@@ -464,38 +464,12 @@ def _parse_csv(
     )
 
 
-# Candidate periods _period verifies in full before it gives up on one.
-_PERIOD_TRIES = 4
-
-
-def _period(cols: list[np.ndarray], n: int) -> int:
-    """The smallest P such that every row r >= P equals row r - P, or n
-    when there is none among the first _PERIOD_TRIES candidates.
-
-    A period starts with row 0's bits, so one column screens the rows
-    that could start one, the other columns check only those, and each
-    surviving candidate is compared in full, smallest first. Bits, not
-    floats, are compared: -0.0 == 0.0, yet they print apart.
-    """
-    if n < 2 or not cols:
-        return min(n, 1)  # without columns every row is the empty row
-    bits = [c.view(np.uint64) for c in cols]
-    first, *rest = bits
-    cand = np.flatnonzero(first[1:] == first[0]) + 1
-    for b in rest:
-        cand = cand[b[cand] == b[0]]
-    for p in cand[:_PERIOD_TRIES].tolist():
-        if all(np.array_equal(b[p:], b[:-p]) for b in bits):
-            return p
-    return n
-
-
 def csv_chunks(recording: Recording, layout: CsvLayout = CsvLayout()) -> list:
     """write_csv's bytes as a list of byte chunks, in order: the header,
     then memoryviews of the text of one period of rows.
 
-    The rows of the recording's period P (_period) are formatted once,
-    _CSV_BLOCK_ROWS at a time; the body is that text n // P times, then
+    The rows of the recording's period P (Recording.period) are formatted
+    once, _CSV_BLOCK_ROWS at a time; the body is that text n // P times, then
     the first n % P rows of it as slices. A recording with no period is
     its own period, so every row is formatted once and its text is held
     once. Rows that repeat without forming a period are formatted each
@@ -505,14 +479,12 @@ def csv_chunks(recording: Recording, layout: CsvLayout = CsvLayout()) -> list:
     n = recording.n_samples
     tcol = layout.time_column
     labels = list(recording.labels)
-    cols = list(recording.samples)
     if tcol is not None:
         tcol = min(tcol, len(labels))
         labels.insert(tcol, "time_s")
         times = np.arange(n) / recording.sampling_rate
-        cols.insert(tcol, times)
     head = (delim.join(labels) + "\n").encode("utf-8") if layout.has_header else b""
-    period = _period(cols, n)
+    period = n if tcol is not None else recording.period
 
     texts = []
     for start in range(0, period, _CSV_BLOCK_ROWS):
@@ -544,6 +516,10 @@ def write_csv(recording: Recording, layout: CsvLayout = CsvLayout()) -> bytes:
 # --------------------------------------------------------------------- EDF
 
 _EDF_MAGIC = b"0       "
+
+# Samples edf_chunks quantizes per block: its float64 scratch stays near
+# the size of a core's cache.
+_EDF_BLOCK_SAMPLES = 1 << 18
 
 
 def _ascii(buf: bytes, what: str) -> str:
@@ -758,8 +734,17 @@ def _field(text: str, size: int, what: str) -> bytes:
 
 
 def edf_chunks(recording: Recording) -> list:
-    """write_edf's bytes as a list of two chunks: the header, then a
-    memoryview of the 16-bit data record, which is never copied.
+    """write_edf's bytes as a list of chunks, in order: the header, then
+    memoryviews of the 16-bit data records of one period of samples.
+
+    Data records are 1 s long when one second is a whole number of
+    samples that divides the recording's length, as the EDF spec
+    recommends; otherwise the whole recording is one data record. The
+    recording's period P (Recording.period), or the whole recording when
+    P is not a whole number of records, is quantized once into one
+    record-major buffer, _EDF_BLOCK_SAMPLES samples at a time; the body
+    is that buffer n // P times, then a slice of it for the n % P samples
+    left over. The buffer is never copied.
 
     Each signal gets a symmetric physical range just above its peak value,
     so the 16-bit quantization error stays below one digital quantum of
@@ -770,19 +755,22 @@ def edf_chunks(recording: Recording) -> list:
     n = recording.n_samples
     if n < 1:
         raise InvalidHeaderField("cannot write an EDF with zero samples")
-    duration = _fit_decimal(n / recording.sampling_rate, 8)
-    if n / float(duration) != recording.sampling_rate:
+    fs = recording.sampling_rate
+    spr = int(fs) if float(fs).is_integer() and n % int(fs) == 0 else n
+    duration = _fit_decimal(spr / fs, 8)
+    if spr / float(duration) != fs:
         raise InvalidHeaderField(
-            f"record duration {n / recording.sampling_rate!r} has no exact "
-            "8-character decimal form"
+            f"record duration {spr / fs!r} has no exact 8-character decimal form"
         )
+    period = recording.period if recording.period % spr == 0 else n
     dmin, dmax = -32768, 32767
 
     # Physical max strings are held to 7 chars so the negated min fits 8,
-    # keeping the written range exactly symmetric after parse-back.
+    # keeping the written range exactly symmetric after parse-back. By the
+    # definition of P, the peak of its samples is the recording's.
+    x = recording.samples[:, :period]
     phys: list[tuple[float, str]] = []
-    for i in range(ns):
-        peak = float(np.max(np.abs(recording.samples[i]))) if n else 0.0
+    for peak in np.maximum(x.max(axis=1), -x.min(axis=1)).tolist():
         target = peak if peak > 0 else 1.0
         for _ in range(64):
             s = _fit_decimal(target, 7)
@@ -802,7 +790,7 @@ def edf_chunks(recording: Recording) -> list:
     head.write(_field("00.00.00", 8, "start time"))
     head.write(_field(str(256 * (ns + 1)), 8, "header size"))
     head.write(_field("", 44, "reserved"))
-    head.write(_field("1", 8, "record count"))
+    head.write(_field(str(n // spr), 8, "record count"))
     head.write(_field(duration, 8, "record duration"))
     head.write(_field(str(ns), 4, "signal count"))
 
@@ -818,21 +806,40 @@ def edf_chunks(recording: Recording) -> list:
     head.write(column([str(dmin)] * ns, 8, "digital min"))
     head.write(column([str(dmax)] * ns, 8, "digital max"))
     head.write(column([""] * ns, 80, "prefilter"))
-    head.write(column([str(n)] * ns, 8, "samples per record"))
+    head.write(column([str(spr)] * ns, 8, "samples per record"))
     head.write(column([""] * ns, 32, "reserved"))
 
-    digital = np.empty((ns, n), dtype="<i2")
-    for i in range(ns):
-        a, _ = phys[i]
-        scale = (dmax - dmin) / (2.0 * a)
-        q = np.rint((recording.samples[i] + a) * scale) + dmin
-        digital[i] = np.clip(q, dmin, dmax).astype("<i2")
-    return [head.getvalue(), memoryview(digital).cast("B")]
+    # Blocks of whole records of every signal; a record longer than a
+    # block is quantized a few signals at a time.
+    amp = np.array([a for a, _ in phys])[:, None]
+    scale = (dmax - dmin) / (2.0 * amp)
+    records = period // spr
+    digital = np.empty((records, ns, spr), dtype="<i2")
+    step = max(1, _EDF_BLOCK_SAMPLES // (max(ns, 1) * spr))
+    width = max(1, _EDF_BLOCK_SAMPLES // (step * spr))
+    for first in range(0, records, step):
+        stop = min(first + step, records)
+        for lo in range(0, ns, width):
+            hi = min(lo + width, ns)
+            q = x[lo:hi, first * spr : stop * spr] + amp[lo:hi]
+            q *= scale[lo:hi]
+            np.rint(q, out=q)
+            q += dmin
+            np.clip(q, dmin, dmax, out=q)
+            digital[first:stop, lo:hi] = q.reshape(hi - lo, stop - first, spr).swapaxes(0, 1)
+    body = memoryview(digital).cast("B")
+    reps, tail = divmod(n, period)
+    chunks = [head.getvalue(), *[body] * reps]
+    if tail:
+        chunks.append(body[: tail * ns * 2])
+    return chunks
 
 
 def write_edf(recording: Recording) -> bytes:
-    """Serialize a Recording as a single-record EDF byte string: the join
-    of edf_chunks, which says how each signal's physical range is set."""
+    """Serialize a Recording as EDF bytes, in 1 s data records where one
+    second is a whole number of samples that divides the recording's
+    length and in one record otherwise: the join of edf_chunks, which
+    says how each signal's physical range is set."""
     return b"".join(edf_chunks(recording))
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import platform
 import re
+import shlex
 import tempfile
 import tracemalloc
 import types
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 import barstress
 from barstress import cli, core, ingest, regress, spectral, synth
 from barstress.errors import InvalidConfig, PipelineError
-from edf_records import split_records
 
 ALPHA = core.DEFAULT_BANDS["alpha"]
 BETA = core.DEFAULT_BANDS["beta"]
@@ -70,7 +70,7 @@ def edf_blob(duration, seed, montage):
             band_targets=((ALPHA, 4.329), (BETA, 3.034)), seed=seed,
         )
     )
-    return split_records(ingest.write_edf(rec), 500)
+    return ingest.write_edf(rec)
 
 
 def edf_and_decoded_csv(directory, name, duration, seed, montage):
@@ -422,6 +422,20 @@ class TestSynthCommand:
         assert "PCG64" in meta["rng"]
         assert meta["files"] == ["synthetic.csv", "synthetic.edf"]
         assert json.loads((out / "run_meta.json").read_text())["command"] == "synth"
+
+    def test_one_period_scan_for_both_files(self, tmp_path, monkeypatch):
+        scans = []
+        scan = core.Recording.period.func
+
+        def counted(recording):
+            scans.append(recording.n_samples)
+            return scan(recording)
+
+        monkeypatch.setattr(core.Recording.period, "func", counted)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(self.spec_doc(seed=5)))
+        assert run("synth", "--spec", str(spec), "--out", str(tmp_path / "o"), "--quiet") == 0
+        assert scans == [5000]
 
     def test_same_seed_same_bytes(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -1167,6 +1181,25 @@ def test_session_chain_writes_each_command_its_fixed_files(tmp_path):
         assert set(after) - set(before) == names | {"run_meta.json"}, argv[0]
         assert {name: after[name] for name in before} == before, argv[0]
         before = {name: blob for name, blob in after.items() if name != "run_meta.json"}
+
+
+def test_readme_cli_tour_runs_in_order(tmp_path, monkeypatch):
+    """Every line of README's CLI tour, as written, with the spec and
+    config documents the README gives, exits 0."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documents = dict(re.findall(r"`(\w+\.json)`(?:(?!```).)*?```json\n(.*?)```", text, re.S))
+    (tour,) = re.findall(r"^```\n(barstress synth .*?)^```", text, re.M | re.S)
+    for name in ("spec.json", "tour.json"):
+        (tmp_path / name).write_text(documents[name])
+    monkeypatch.chdir(tmp_path)
+    lines = tour.splitlines()
+    assert [shlex.split(line)[1] for line in lines] == [
+        "synth", "psd", "bar", "fit", "topo", "report", "session"
+    ]
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "barstress"
+        assert run(*argv[1:], "--quiet") == 0, line
 
 
 # JSON values of every kind, a little nested.

@@ -26,6 +26,7 @@ from barstress.errors import (
     TruncatedHeader,
     UnknownChannelLabel,
 )
+from edf_records import relay_records
 from handover import handed_samples
 
 
@@ -908,12 +909,20 @@ class TestChunks:
         for rec in recs:
             ingest.csv_chunks(rec)
 
-    def test_edf_data_record_not_copied(self, montage):
-        rec = synth_recording(montage, 2.0)
-        head, data = ingest.edf_chunks(rec)
-        assert len(head) == 256 * 31
-        assert isinstance(data.obj, np.ndarray) and data.obj.dtype == np.dtype("<i2")
-        assert len(data) == data.obj.nbytes == 2 * rec.samples.size
+    @pytest.mark.parametrize("shape", ["signed_zero", "constant", "long", "false_start", "noisy"])
+    def test_edf_buffers_hold_one_period(self, shape):
+        m = small_montage("A", "B", "C")
+        samples, period = periodic_samples(shape)
+        rec = core.Recording(samples=samples, sampling_rate=500.0, channels=m.electrodes)
+        head, *body = ingest.edf_chunks(rec)
+        assert relay_records(head + b"".join(body), rec.n_samples) == write_edf_reference(rec)
+        # views of one buffer, never copied into a joined bytes object
+        assert all(isinstance(c, memoryview) for c in body)
+        (digital,) = chunk_sources([head, *body]).values()
+        assert isinstance(digital, np.ndarray) and digital.dtype == np.dtype("<i2")
+        # a period that is not a whole number of 1 s records is the recording
+        whole = period % 500 == 0 and rec.n_samples % 500 == 0
+        assert digital.nbytes == 2 * 3 * (period if whole else rec.n_samples)
 
 
 class TestParseEdfHeader:
@@ -1082,7 +1091,7 @@ class TestReadEdfWindow:
             sampling_rate=500.0,
             channels=montage.electrodes,
         )
-        blob = ingest.write_edf(rec)
+        blob = relay_records(ingest.write_edf(rec), 5000)
         part, got, want = window_epoch(blob, montage, t, window_len)
         assert got.samples.tobytes() == want.samples.tobytes()
         assert part.start_offset == 0.0 and part.n_samples == 5000
@@ -1214,6 +1223,82 @@ class TestWriteEdf:
         )
         with pytest.raises(InvalidHeaderField):
             ingest.write_edf(rec)
+
+    @pytest.mark.parametrize("duration, fs", [(120.0, 500.0), (1.0, 3.0), (7.0, 250.0)])
+    def test_whole_seconds_written_in_1s_records(self, montage, duration, fs):
+        rng = np.random.default_rng(5)
+        n = int(duration * fs)
+        rec = core.Recording(samples=rng.normal(size=(30, n)), sampling_rate=fs, channels=montage.electrodes)
+        hdr = ingest.parse_edf_header(ingest.write_edf(rec))
+        assert (hdr.record_count, hdr.record_duration) == (duration, 1.0)
+        assert hdr.samples_per_record == (int(fs),) * 30
+
+    @pytest.mark.parametrize("n, fs, duration", [
+        (1250, 500.0, 2.5),  # not a whole number of seconds
+        (501, 250.5, 2.0),  # one second is not a whole number of samples
+        (3, 0.5, 6.0),
+    ])
+    def test_otherwise_one_record(self, n, fs, duration):
+        m = small_montage("A", "B")
+        rng = np.random.default_rng(6)
+        rec = core.Recording(samples=rng.normal(size=(2, n)), sampling_rate=fs, channels=m.electrodes)
+        blob = ingest.write_edf(rec)
+        hdr = ingest.parse_edf_header(blob)
+        assert (hdr.record_count, hdr.record_duration, hdr.samples_per_record) == (1, duration, (n, n))
+        assert blob == write_edf_reference(rec)
+
+    @pytest.mark.parametrize("duration, noise_floor", [
+        (120.0, 0.0),
+        (20.0, 0.5),
+        # 30 whole periods and half of the next
+        (122.0, 0.0),
+    ])
+    def test_same_samples_as_one_record(self, montage, duration, noise_floor):
+        rec = synth_recording(montage, duration, noise_floor)
+        blob = ingest.write_edf(rec)
+        one = write_edf_reference(rec)
+        assert relay_records(blob, rec.n_samples) == one
+        back = ingest.read_edf(blob, montage).samples
+        assert back.tobytes() == ingest.read_edf(one, montage).samples.tobytes()
+
+    def test_window_decodes_only_its_records(self, montage):
+        blob = ingest.write_edf(synth_recording(montage, 20.0))
+        with mock.patch.object(ingest, "_decode_records", wraps=ingest._decode_records) as decode:
+            part, got, want = window_epoch(blob, montage, 4.3, 2.0)
+        # samples [2150, 3150) lie in the 1 s records 4, 5 and 6
+        assert decode.call_args_list[0].args[2:4] == (4, 7)
+        assert (part.start_offset, part.n_samples) == (4.0, 1500)
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def write_edf_reference(recording):
+    """write_edf as one data record, each signal quantized on its own."""
+    ns, n = recording.samples.shape
+    phys = []
+    for x in recording.samples:
+        peak = float(np.max(np.abs(x)))
+        target = peak if peak > 0 else 1.0
+        while not peak <= float(ingest._fit_decimal(target, 7)) > 0:
+            target *= 1.01
+        phys.append(ingest._fit_decimal(target, 7))
+    fields = [
+        ("0", 8), ("X", 80), ("X", 80), ("01.01.00", 8), ("00.00.00", 8),
+        (str(256 * (ns + 1)), 8), ("", 44), ("1", 8),
+        (ingest._fit_decimal(n / recording.sampling_rate, 8), 8), (str(ns), 4),
+    ]
+    for values, size in [
+        (recording.labels, 16), ([""] * ns, 80), (["uV"] * ns, 8),
+        (["-" + p for p in phys], 8), (phys, 8), (["-32768"] * ns, 8), (["32767"] * ns, 8),
+        ([""] * ns, 80), ([str(n)] * ns, 8), ([""] * ns, 32),
+    ]:
+        fields += [(v, size) for v in values]
+    head = b"".join(v.encode("ascii").ljust(size) for v, size in fields)
+    digital = np.empty((ns, n), dtype="<i2")
+    for i, (x, p) in enumerate(zip(recording.samples, phys)):
+        a = float(p)
+        q = np.rint((x + a) * (65535 / (2.0 * a))) - 32768
+        digital[i] = np.clip(q, -32768, 32767).astype("<i2")
+    return head + digital.tobytes()
 
 
 def montage_json(montage):
