@@ -32,7 +32,6 @@ from .ingest import (
     write_edf,
 )
 from .regress import (
-    FitOptions,
     FitResult,
     FourPLModel,
     QuarticModel,
@@ -49,10 +48,8 @@ from .spectral import (
     WelchConfig,
     band_power,
     band_ratio,
-    periodogram_segment,
     relative_increase,
     welch_psd,
-    window_power_norm,
 )
 from .synth import SynthSpec, synth_eeg
 from .topo import (
@@ -72,7 +69,6 @@ __all__ = [
     "DEFAULT_BANDS",
     "EdfHeader",
     "Epoch",
-    "FitOptions",
     "FitResult",
     "FourPLModel",
     "Montage",
@@ -100,7 +96,6 @@ __all__ = [
     "interpolate_scalp",
     "load_montage",
     "parse_edf_header",
-    "periodogram_segment",
     "read_csv",
     "read_csv_windows",
     "read_edf",
@@ -112,7 +107,6 @@ __all__ = [
     "synth_eeg",
     "topo_similarity",
     "welch_psd",
-    "window_power_norm",
     "write_csv",
     "write_edf",
 ]

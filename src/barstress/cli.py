@@ -436,6 +436,13 @@ def _bar_points(
     return points
 
 
+def _baseline_leads(cfg: RunConfig) -> bool:
+    """Whether bar_points.csv starts with the baseline at x = 0: in phase
+    during_gameplay, with baseline_bar or input.baseline_recording set."""
+    has_baseline = cfg.baseline_bar is not None or bool(cfg.baseline_recording)
+    return cfg.protocol.phase == "during_gameplay" and has_baseline
+
+
 def _measure_baseline(cfg: RunConfig) -> float | None:
     """Baseline ratio from config, or measured from the baseline recording."""
     if cfg.baseline_bar is not None:
@@ -490,7 +497,7 @@ def cmd_bar(cfg: RunConfig) -> Result:
         return [repr(base), repr(spectral.relative_increase(r, base))]
 
     points = [(t / 60.0, r) for t, r in series]
-    if p.phase == "during_gameplay" and baseline is not None:
+    if _baseline_leads(cfg):
         points.insert(0, (0.0, baseline))
     files = {
         "bar_series.csv": [
@@ -843,9 +850,7 @@ def _run_session(cfg: RunConfig, args) -> int:
     bar_points.csv exits 2 before any command runs.
     """
     if "fit" in cfg.session_commands and not cfg.points:
-        p = cfg.protocol
-        baseline = cfg.baseline_bar is not None or bool(cfg.baseline_recording)
-        count = len(p.epoch_times) + (p.phase == "during_gameplay" and baseline)
+        count = len(cfg.protocol.epoch_times) + _baseline_leads(cfg)
         if count < 5:
             raise InvalidConfig(
                 f"session's fit would read {count} points from bar_points.csv, and the quartic "

@@ -480,7 +480,8 @@ def csv_chunks(recording: Recording, layout: CsvLayout = CsvLayout()) -> list:
     tcol = layout.time_column
     labels = list(recording.labels)
     if tcol is not None:
-        tcol = min(tcol, len(labels))
+        if tcol > len(labels):
+            raise MalformedRow(f"time_column {tcol} outside {len(labels) + 1} columns")
         labels.insert(tcol, "time_s")
         times = np.arange(n) / recording.sampling_rate
     head = (delim.join(labels) + "\n").encode("utf-8") if layout.has_header else b""

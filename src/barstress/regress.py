@@ -43,6 +43,17 @@ _EXACT_FIT_REL = 1e-12
 # stalls short of the optimum on the bound.
 _BOUND_SNAP = 1e-6
 
+# fit_4pl's budget, tolerance and box. Each start may take _MAX_ITERATIONS
+# Gauss-Newton steps; a relative RSS drop of at most _TOLERANCE ends it as
+# converged. _box gives the (b, c) box; the factor of its c bound is
+# generous because near-power-law data pushes c orders of magnitude past the
+# sample range, and such a series converges with c on this bound.
+_MAX_ITERATIONS = 500
+_TOLERANCE = 1e-12
+_B_MIN, _B_MAX = 0.01, 50.0
+_C_MIN = 0.1
+_C_MAX_FACTOR = 1e6
+
 
 @dataclass(frozen=True)
 class FourPLModel:
@@ -79,35 +90,6 @@ class QuarticModel:
     @property
     def coefficients(self) -> tuple[float, float, float, float, float]:
         return (self.a, self.b, self.c, self.d, self.e)
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Iteration, convergence and bound settings for fit_4pl.
-
-    max_iterations is the Gauss-Newton budget of each start; tolerance is
-    the relative RSS drop below which a step counts as converged. b lies in
-    [b_min, b_max] and c in [c_min, c_max_factor * max x]; the factor is
-    generous because near-power-law data pushes c orders of magnitude past
-    the sample range, and such a series converges with c on this bound.
-    """
-
-    max_iterations: int = 500
-    tolerance: float = 1e-12
-    b_min: float = 0.01
-    b_max: float = 50.0
-    c_min: float = 0.1
-    c_max_factor: float = 1e6
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
-        if not self.tolerance > 0:
-            raise ValidationError("tolerance must be > 0")
-        if not (0 < self.b_min < self.b_max):
-            raise ValidationError("need 0 < b_min < b_max")
-        if not (0 < self.c_min and self.c_max_factor > 0):
-            raise ValidationError("need c_min > 0 and c_max_factor > 0")
 
 
 @dataclass(frozen=True)
@@ -347,7 +329,6 @@ def _lockstep_descent(
     thetas: np.ndarray,
     xs: np.ndarray,
     ys: np.ndarray,
-    options: FitOptions,
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -365,7 +346,7 @@ def _lockstep_descent(
     tolerance, or no drop at all, ends that start as converged, and it
     leaves the active set. Starts do not interact: each ends as it would
     alone. One iteration evaluates every halving of every
-    active start at once, so a descent makes at most max_iterations + 1
+    active start at once, so a descent makes at most _MAX_ITERATIONS + 1
     evaluations, however many starts it carries.
 
     Returns, per start, (a, b, c, d) as a (starts, 4) array, the RSS,
@@ -377,7 +358,7 @@ def _lockstep_descent(
     converged = np.zeros(len(theta), dtype=bool)
     iterations = np.zeros(len(theta), dtype=np.int64)
     active = np.arange(len(theta))
-    for iteration in range(1, options.max_iterations + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         if active.size == len(theta):
             # Every start is active: read the state as it is, not copies of it.
             here, (a, b, _, d, u, w, log_t, r) = theta, state
@@ -411,8 +392,8 @@ def _lockstep_descent(
             # the free coordinate: c where b is held, b where c is
             col = held_b[one].astype(np.intp)
             step[one, col] = _lstsq_stack(jac[one, col, :, None], rhs[one])[:, 0]
-        # Unlike np.clip, this may give a zero that lands on a zero bound (an
-        # option of 1) the other sign; theta is only used through exp, a sum
+        # Unlike np.clip, this may give a zero that lands on a zero bound (a
+        # bound of 1) the other sign; theta is only used through exp, a sum
         # with a step and a distance to a bound, which a zero's sign leaves alone.
         trial = np.where(
             held[:, None],
@@ -429,7 +410,7 @@ def _lockstep_descent(
         for s, t in zip(state, trial_state):
             s[target] = t[pick]
         done = ~moved
-        done[moved] = now[moved] - rss[target] <= options.tolerance * rss[target]
+        done[moved] = now[moved] - rss[target] <= _TOLERANCE * rss[target]
         iterations[active] = iteration
         converged[active[done]] = True
         active = active[~done]
@@ -438,15 +419,21 @@ def _lockstep_descent(
     return np.column_stack(state[:4]), rss, converged, iterations
 
 
-def fit_4pl(points, options: FitOptions | None = None) -> FitResult:
+def _box(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (lower, upper) bounds of (b, c) for a fit to the x values xs:
+    b in [_B_MIN, _B_MAX], c in [_C_MIN, max(10 * _C_MIN, _C_MAX_FACTOR * max x)]."""
+    c_max = max(_C_MIN * 10.0, _C_MAX_FACTOR * float(xs.max()))
+    return np.array([_B_MIN, _C_MIN]), np.array([_B_MAX, c_max])
+
+
+def fit_4pl(points) -> FitResult:
     """Least-squares sigmoid by variable projection over (log b, log c).
 
     The best profiled grid points start one lockstep damped Gauss-Newton
     descent; the lowest RSS wins, ties by start order. b and c lie inside
-    the FitOptions box exactly. converged and iterations are the winning
-    start's: converged=False means it used up max_iterations.
+    _box exactly. converged and iterations are the winning start's:
+    converged=False means it used up _MAX_ITERATIONS.
     """
-    opts = options if options is not None else FitOptions()
     xs, ys = _as_xy(points)
     if len(xs) < 4:
         raise TooFewPoints(f"sigmoid needs >= 4 points, got {len(xs)}")
@@ -454,18 +441,14 @@ def fit_4pl(points, options: FitOptions | None = None) -> FitResult:
         raise DegenerateX("all x values identical")
     if np.any(xs < 0):
         raise ValidationError("sigmoid fit requires x >= 0")
-    c_max = max(opts.c_min * 10.0, opts.c_max_factor * float(xs.max()))
-    lower = np.array([opts.b_min, opts.c_min])
-    upper = np.array([opts.b_max, c_max])
+    lower, upper = _box(xs)
     # Degenerate grid cells and trial points divide by zero and overflow on
     # purpose; their RSS reads as infinite.
     with np.errstate(all="ignore"):
         starts = _grid_starts(xs, ys, lower, upper)
         if not len(starts):
             raise ValidationError("no point of the (b, c) grid gives a finite fit")
-        params, rss, converged, iterations = _lockstep_descent(
-            starts, xs, ys, opts, lower, upper
-        )
+        params, rss, converged, iterations = _lockstep_descent(starts, xs, ys, lower, upper)
     best = int(np.argmin(rss))
     model = FourPLModel(*(float(v) for v in params[best]))
     return _finish(

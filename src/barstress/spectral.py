@@ -107,48 +107,13 @@ def taper_window(taper: str, m: int) -> np.ndarray:
     raise InvalidConfig(f"taper must be one of {TAPERS}, got {taper!r}")
 
 
-def window_power_norm(taper: str, m: int) -> float:
-    """Mean squared taper value U = (1/M) sum |w(n)|^2."""
-    return _mean_square(taper_window(taper, m))
-
-
-def _mean_square(w: np.ndarray) -> float:
-    return float(np.mean(w * w))
-
-
-def periodogram_segment(
-    segment: np.ndarray,
-    taper: str,
-    u: float,
-    fft_size: int,
-    sampling_rate: float,
-) -> np.ndarray:
-    """One-sided modified periodogram of a single segment.
-
-    |DFT(x * w)|^2 / (M * U), doubled on interior bins, scaled by the
-    sampling rate to a density. The result has fft_size//2 + 1 bins.
-    """
-    x = np.asarray(segment, dtype=np.float64)
-    m = x.shape[-1]
-    _check_segment(m, u, fft_size)
-    return _periodogram(x, taper_window(taper, m), u, fft_size, sampling_rate)
-
-
-def _check_segment(m: int, u: float, fft_size: int) -> None:
-    if m < 1:
-        raise EmptySegment("empty segment")
-    if u <= 0:
-        raise InvalidConfig(f"window power norm must be > 0, got {u}")
-    if fft_size < m:
-        raise InvalidConfig(f"fft_size {fft_size} < segment length {m}")
-
-
 def _periodogram(
     x: np.ndarray, w: np.ndarray, u: float, fft_size: int, sampling_rate: float
 ) -> np.ndarray:
-    """periodogram_segment of x with the taper w, squared and scaled in place.
-
-    Interior bins, all but DC and an even fft_size's Nyquist, are doubled.
+    """One-sided modified periodogram of each segment of x (last axis) with
+    the taper w of mean square u: |DFT(x * w)|^2 / (M * u * sampling_rate)
+    in fft_size//2 + 1 bins, squared and scaled in place. Interior bins, all
+    but DC and an even fft_size's Nyquist, are doubled.
     """
     spec = np.fft.rfft(x * w, n=fft_size)
     p = np.square(spec.real)
@@ -169,8 +134,10 @@ def welch_psd(epoch: Epoch, config: WelchConfig = WelchConfig()) -> PsdEstimate:
         )
     nfft = config.fft_size if config.fft_size is not None else m
     w = taper_window(config.taper, m)
-    u = _mean_square(w)
-    _check_segment(m, u, nfft)
+    u = float(np.mean(w * w))
+    if u <= 0:
+        # a Hann taper of one sample is all zero
+        raise InvalidConfig(f"window power norm must be > 0, got {u}")
     power = None
     for d in range(config.segment_count):
         p = _periodogram(epoch.samples[:, d * hop : d * hop + m], w, u, nfft, fs)

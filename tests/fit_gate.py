@@ -2,13 +2,14 @@
 
     PYTHONPATH=src python tests/fit_gate.py
 
-Fits the 30 published series and seeded_corpus(300, 2024) with
-FitOptions(). Each set is timed best of REPEAT and printed as ms per
-fit. One SHA-256 is printed over every result, in order: the float.hex of
-a, b, c, d and rss, then converged and iterations. Two versions of the
-solver that print the same digest give the same fits, bit for bit; the
-digest is compared with DIGEST, the current solver's, and reported as
-unchanged or CHANGED. A changed digest alone does not fail the gate.
+Fits the 30 published series and seeded_corpus(300, 2024) with fit_4pl's
+budget of 500 iterations per start (regress._MAX_ITERATIONS). Each set is
+timed best of REPEAT and printed as ms per fit. One SHA-256 is printed
+over every result, in order: the float.hex of a, b, c, d and rss, then
+converged and iterations. Two versions of the solver that print the same
+digest give the same fits, bit for bit; the digest is compared with
+DIGEST, the current solver's, and reported as unchanged or CHANGED. A
+changed digest alone does not fail the gate.
 
 Every fit is then checked against test_regress.reference_fit_4pl, which
 descends each grid start alone, trying the step halvings one at a time,
@@ -44,21 +45,20 @@ def digest_line(fit: regress.FitResult) -> str:
 
 
 def main() -> int:
-    opts = regress.FitOptions()
     digest = hashlib.sha256()
     failures = 0
     for name, series, tolerance in SETS:
         best = float("inf")
         for _ in range(REPEAT):
             t0 = time.perf_counter()
-            fits = [regress.fit_4pl(points, opts) for points in series]
+            fits = [regress.fit_4pl(points) for points in series]
             best = min(best, time.perf_counter() - t0)
         for fit in fits:
             digest.update(digest_line(fit).encode())
         print(f"{name}: {len(series)} fits, {1e3 * best / len(series):.2f} ms per fit "
               f"(best of {REPEAT})")
         for i, (points, fit) in enumerate(zip(series, fits)):
-            want_rss, want_converged = reference_fit_4pl(points, opts)
+            want_rss, want_converged = reference_fit_4pl(points, regress._MAX_ITERATIONS)
             if not (fit.rss <= want_rss * (1.0 + tolerance) and fit.converged == want_converged):
                 failures += 1
                 print(f"  {name}[{i}]: rss {fit.rss!r} converged {fit.converged}, "

@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 
-# Default search box; wider than the FitOptions bounds (b <= 50,
-# c <= 1e6 * max x) so that an oracle run on it does not share them.
+# Default search box; wider than fit_4pl's box (b <= regress._B_MAX = 50,
+# c <= regress._C_MAX_FACTOR * max x = 1e6 * max x) so that an oracle run on
+# it does not share its bounds.
 ORACLE_B_RANGE = (1e-2, 2e3)
 ORACLE_C_RANGE = (1e-2, 1e8)
 

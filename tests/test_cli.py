@@ -183,11 +183,7 @@ class TestExitCodes:
     def test_ridge_fit_reports_divergence_with_output(self, tmp_path, monkeypatch):
         # a fit that uses up its iteration budget is flagged, but the command
         # still writes what it found
-        fit_4pl = regress.fit_4pl
-        monkeypatch.setattr(
-            cli.regress, "fit_4pl",
-            lambda points: fit_4pl(points, regress.FitOptions(max_iterations=1)),
-        )
+        monkeypatch.setattr(regress, "_MAX_ITERATIONS", 1)
         pts = tmp_path / "points.csv"
         rows = [(0.0, 0.701), (15.0, 1.084), (30.0, 1.295), (45.0, 1.742), (60.0, 2.149)]
         pts.write_text("\n".join(f"{x},{y}" for x, y in rows) + "\n")
@@ -466,6 +462,18 @@ class TestSynthCommand:
         rec = synth.synth_eeg(cli._synth_spec_from_doc(doc, config)[0])
         assert (out / "synthetic.csv").read_bytes() == ingest.write_csv(rec, config.csv_layout)
         assert (out / "synthetic.edf").read_bytes() == ingest.write_edf(rec)
+
+    @pytest.mark.parametrize("time_column", [31, 40])
+    def test_time_column_past_the_last_exits_2_writing_nothing(self, tmp_path, capsys, time_column):
+        # 30 channels and the time make 31 columns, so index 31 is one too far
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(self.spec_doc(seed=6)))
+        cfg = write_config(tmp_path, {"csv": {"time_column": time_column}})
+        out = tmp_path / "o"
+        rc = run("synth", "--spec", str(spec), "--config", str(cfg), "--out", str(out))
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: time_column {time_column} outside 31 columns\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("duration, noise_floor, text_copies", [
         # a periodic recording's text is one 4 s period, sliced 30 times
@@ -1572,10 +1580,7 @@ class TestSessionCommand:
         assert all(c["wall_s"] >= 0 for c in meta["commands"])
 
     def test_fit_exit_4_lets_topo_and_report_run(self, tmp_path, session_edf, rest_edf, monkeypatch):
-        fit_4pl = regress.fit_4pl
-        monkeypatch.setattr(
-            cli.regress, "fit_4pl", lambda points: fit_4pl(points, regress.FitOptions(max_iterations=1))
-        )
+        monkeypatch.setattr(regress, "_MAX_ITERATIONS", 1)
         # the power-law ridge series, which one iteration does not settle
         pts = tmp_path / "points.csv"
         rows = [(0.0, 0.701), (15.0, 1.084), (30.0, 1.295), (45.0, 1.742), (60.0, 2.149)]
@@ -1625,6 +1630,29 @@ class TestSessionCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: session's fit would read") and "input.points" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["none", "baseline_bar", "baseline_recording"])
+    @pytest.mark.parametrize("phase", ["baseline", "during_gameplay"])
+    def test_fit_point_count_is_the_rows_bar_writes(
+        self, tmp_path, session_edf, rest_edf, capsys, phase, source
+    ):
+        # three epochs give 3 or 4 points, too few for the quartic, so the
+        # session states its count and stops before bar runs
+        doc = {"protocol": {"phase": phase, "epoch_times": EDF_EPOCHS[:3]},
+               "session": {"commands": ["bar", "fit"]}}
+        if source == "baseline_bar":
+            doc["baseline_bar"] = 0.7
+        if source == "baseline_recording":
+            doc["input"] = {"baseline_recording": str(rest_edf[0])}
+        cfg = write_config(tmp_path, doc)
+        rc = run("session", "--config", str(cfg), "--input", str(session_edf[0]),
+                 "--out", str(tmp_path / "s"))
+        assert rc == cli.EXIT_VALIDATION
+        count = int(re.search(r"would read (\d+) points", capsys.readouterr().err)[1])
+        assert run("bar", "--config", str(cfg), "--input", str(session_edf[0]),
+                   "--out", str(tmp_path / "o"), "--quiet") == 0
+        rows = (tmp_path / "o" / "bar_points.csv").read_text().splitlines()[1:]
+        assert count == len(rows) == 3 + (phase == "during_gameplay" and source != "none")
 
     @pytest.mark.parametrize("commands", [["psd", "synth"], ["session"], []])
     def test_unknown_command_exits_2_before_anything_runs(self, tmp_path, session_edf, capsys, commands):

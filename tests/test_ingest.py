@@ -201,6 +201,28 @@ class TestWriteCsv:
         back = ingest.read_csv(blob, layout, 10.0, m)
         np.testing.assert_array_equal(back.samples, rec.samples)
 
+    @pytest.mark.parametrize("time_column", [0, 3])
+    def test_time_column_first_and_last_round_trip(self, time_column):
+        m = small_montage("A", "B", "C")
+        data = np.random.default_rng(8).normal(scale=20.0, size=(3, 50))
+        rec = core.Recording(samples=data, sampling_rate=100.0, channels=m.electrodes)
+        layout = ingest.CsvLayout(time_column=time_column)
+        blob = ingest.write_csv(rec, layout)
+        assert blob.split(b"\n", 1)[0].split(b",")[time_column] == b"time_s"
+        back = ingest.read_csv(blob, layout, 100.0, m)
+        np.testing.assert_array_equal(back.samples, rec.samples)
+
+    def test_time_column_past_the_last_rejected_as_the_reader_does(self):
+        m = small_montage("A", "B", "C")
+        rec = core.Recording(samples=np.zeros((3, 4)), sampling_rate=10.0, channels=m.electrodes)
+        blob = ingest.write_csv(rec, ingest.CsvLayout(time_column=3))
+        for run in (
+            lambda layout: ingest.csv_chunks(rec, layout),
+            lambda layout: ingest.read_csv(blob, layout, 10.0, m),
+        ):
+            with pytest.raises(MalformedRow, match="^time_column 4 outside 4 columns$"):
+                run(ingest.CsvLayout(time_column=4))
+
 
 def read_csv_reference(blob, layout, fs, montage):
     """read_csv with numpy's loadtxt bypassed: every line goes through
@@ -739,15 +761,13 @@ def write_csv_reference(recording, layout):
     lines = []
     labels = list(recording.labels)
     if layout.time_column is not None:
-        labels.insert(min(layout.time_column, len(labels)), "time_s")
+        labels.insert(layout.time_column, "time_s")
     if layout.has_header:
         lines.append(layout.delimiter.join(labels))
     for i, row in enumerate(recording.samples.T):
         fields = [repr(float(v)) for v in row]
         if layout.time_column is not None:
-            fields.insert(
-                min(layout.time_column, len(fields)), repr(i / recording.sampling_rate)
-            )
+            fields.insert(layout.time_column, repr(i / recording.sampling_rate))
         lines.append(layout.delimiter.join(fields))
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
@@ -756,7 +776,8 @@ LAYOUTS = [
     ingest.CsvLayout(),
     ingest.CsvLayout(time_column=0),
     ingest.CsvLayout(delimiter=";", time_column=1),
-    ingest.CsvLayout(delimiter="%", has_header=False, time_column=9),
+    # the time column last
+    ingest.CsvLayout(delimiter="%", has_header=False, time_column=3),
     # two UTF-8 bytes
     ingest.CsvLayout(delimiter="§", time_column=2),
 ]
@@ -850,7 +871,7 @@ class TestChunks:
         (5.0, 0.0, ingest.CsvLayout()),
         (3.0, 0.5, ingest.CsvLayout()),
         (5.0, 0.0, ingest.CsvLayout(time_column=0)),
-        (3.0, 0.5, ingest.CsvLayout(delimiter=";", has_header=False, time_column=31)),
+        (3.0, 0.5, ingest.CsvLayout(delimiter=";", has_header=False, time_column=30)),
         (1.5, 0.0, ingest.CsvLayout()),
         (0.002, 0.0, ingest.CsvLayout()),
         (0.002, 0.0, ingest.CsvLayout(time_column=4)),

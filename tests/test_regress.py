@@ -32,16 +32,15 @@ def published_points(series):
     return gameplay_points(*key) if protocol == "gameplay" else relaxation_points(*key)
 
 
-def fit_box(points, opts):
-    """The (b, c) box fit_4pl searches under opts, as (b_range, c_range)."""
-    c_max = max(opts.c_min * 10.0, opts.c_max_factor * max(x for x, _ in points))
-    return (opts.b_min, opts.b_max), (opts.c_min, c_max)
+def box_arrays(points):
+    """The (lower, upper) arrays of (b, c) that fit_4pl searches for points."""
+    return regress._box(regress._as_xy(points)[0])
 
 
-def box_arrays(points, opts):
-    """fit_box as the (lower, upper) arrays of (b, c) that fit_4pl uses."""
-    b_range, c_range = fit_box(points, opts)
-    return np.array([b_range[0], c_range[0]]), np.array([b_range[1], c_range[1]])
+def fit_box(points):
+    """box_arrays as (b_range, c_range)."""
+    lower, upper = box_arrays(points)
+    return (lower[0], upper[0]), (lower[1], upper[1])
 
 
 def seeded_corpus(count, seed):
@@ -69,9 +68,10 @@ def seeded_corpus(count, seed):
 CORPUS = seeded_corpus(40, seed=2024)
 
 
-def reference_descend(theta, xs, ys, options, lower, upper):
+def reference_descend(theta, xs, ys, max_iterations, lower, upper):
     """The sequential damped Gauss-Newton descent from one start, step
-    halvings tried one at a time: the reference for the lockstep descent.
+    halvings tried one at a time, with a budget of max_iterations: the
+    reference for the lockstep descent.
 
     Returns the start's (rss, converged, iterations).
     """
@@ -88,7 +88,7 @@ def reference_descend(theta, xs, ys, options, lower, upper):
     rss, state = evaluate(theta)
     converged = False
     iterations = 0
-    for iterations in range(1, options.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         a, b, _, d, u, w, log_t, r = state
         slope = (a - d) * u * w
         deriv = np.stack([-slope * log_t, b * slope])
@@ -104,7 +104,7 @@ def reference_descend(theta, xs, ys, options, lower, upper):
             trial = np.where(held, outward, np.clip(theta + 0.5**halving * step, lo, hi))
             trial_rss, trial_state = evaluate(trial)
             if trial_rss < rss:
-                converged = rss - trial_rss <= options.tolerance * trial_rss
+                converged = rss - trial_rss <= regress._TOLERANCE * trial_rss
                 theta, rss, state = trial, trial_rss, trial_state
                 break
         else:
@@ -117,14 +117,14 @@ def reference_descend(theta, xs, ys, options, lower, upper):
 # The 4PL helpers run under fit_4pl's np.errstate; callers of the helpers
 # themselves set it too.
 @np.errstate(all="ignore")
-def reference_fit_4pl(points, opts):
-    """(rss, converged) of fit_4pl with each grid start descended alone:
-    the lowest RSS wins, ties by start order."""
+def reference_fit_4pl(points, max_iterations):
+    """(rss, converged) of fit_4pl with a budget of max_iterations and each
+    grid start descended alone: the lowest RSS wins, ties by start order."""
     xs, ys = regress._as_xy(points)
-    lower, upper = box_arrays(points, opts)
+    lower, upper = box_arrays(points)
     best = None
     for theta in regress._grid_starts(xs, ys, lower, upper):
-        rss, converged, _ = reference_descend(theta, xs, ys, opts, lower, upper)
+        rss, converged, _ = reference_descend(theta, xs, ys, max_iterations, lower, upper)
         if best is None or rss < best[0]:
             best = (rss, converged)
     return best
@@ -319,27 +319,27 @@ class TestFit4pl:
         fit = regress.fit_4pl(gameplay_points(*key))
         assert fit.r_squared >= printed_r2 - 5e-5
 
-    def test_flat_ridge_reports_iteration_exhaustion(self):
+    def test_flat_ridge_reports_iteration_exhaustion(self, monkeypatch):
         # near-linear data puts the optimum on the power-law ridge (c -> inf);
         # a budget too small to get there must say so, the default one reaches
         # the c bound and converges there
         pts = gameplay_points("combinational", "non_gamer")
-        capped = regress.fit_4pl(pts, regress.FitOptions(max_iterations=1))
+        with monkeypatch.context() as m:
+            m.setattr(regress, "_MAX_ITERATIONS", 1)
+            capped = regress.fit_4pl(pts)
         assert not capped.converged
         assert capped.iterations == 1
-        opts = regress.FitOptions()
-        fit = regress.fit_4pl(pts, opts)
+        fit = regress.fit_4pl(pts)
         assert fit.converged
-        assert fit.model.c == opts.c_max_factor * 60.0
+        assert fit.model.c == regress._C_MAX_FACTOR * 60.0
         assert fit.rss <= 1.0335215e-2
 
     @pytest.mark.parametrize("series", PUBLISHED_SERIES, ids="/".join)
     def test_reaches_profiled_grid_optimum(self, series):
         points = published_points(series)
-        opts = regress.FitOptions()
-        b_range, c_range = fit_box(points, opts)
+        b_range, c_range = fit_box(points)
         oracle_rss, _ = profiled_grid_optimum(points, b_range, c_range)
-        fit = regress.fit_4pl(points, opts)
+        fit = regress.fit_4pl(points)
         assert fit.rss <= oracle_rss * (1.0 + 1e-6)
         assert b_range[0] <= fit.model.b <= b_range[1]
         assert c_range[0] <= fit.model.c <= c_range[1]
@@ -354,11 +354,10 @@ class TestFit4pl:
         # a sharp late rise puts the optimum on b = b_max; a step clipped at
         # that bound must not stall the descent short of it
         points = [(6.0, 0.7913), (27.0, 0.7933), (36.0, 0.7832), (46.5, 0.8843), (57.0, 1.0589)]
-        opts = regress.FitOptions()
-        oracle_rss, _ = profiled_grid_optimum(points, *fit_box(points, opts))
-        fit = regress.fit_4pl(points, opts)
+        oracle_rss, _ = profiled_grid_optimum(points, *fit_box(points))
+        fit = regress.fit_4pl(points)
         assert fit.rss <= oracle_rss * (1.0 + 1e-6)
-        assert fit.model.b == pytest.approx(opts.b_max)
+        assert fit.model.b == pytest.approx(regress._B_MAX)
         assert fit.converged
 
     def test_too_few_points(self):
@@ -379,16 +378,6 @@ class TestFit4pl:
         with pytest.raises(ValidationError):
             regress.fit_4pl([(-1.0, 1.0), (0.0, 1.1), (1.0, 1.3), (2.0, 1.4)])
 
-    def test_options_validation(self):
-        with pytest.raises(ValidationError):
-            regress.FitOptions(max_iterations=0)
-        with pytest.raises(ValidationError):
-            regress.FitOptions(tolerance=0.0)
-        with pytest.raises(ValidationError):
-            regress.FitOptions(b_min=2.0, b_max=1.0)
-        with pytest.raises(ValidationError):
-            regress.FitOptions(c_max_factor=0.0)
-
     def test_deterministic(self):
         pts = gameplay_points("puzzle", "non_gamer")
         one = regress.fit_4pl(pts)
@@ -398,22 +387,21 @@ class TestFit4pl:
 
 class TestLockstepDescent:
     def test_published_series_match_sequential_reference(self):
-        opts = regress.FitOptions()
         for series in PUBLISHED_SERIES:
             points = published_points(series)
-            want_rss, want_converged = reference_fit_4pl(points, opts)
-            fit = regress.fit_4pl(points, opts)
+            want_rss, want_converged = reference_fit_4pl(points, regress._MAX_ITERATIONS)
+            fit = regress.fit_4pl(points)
             assert fit.rss <= want_rss * (1.0 + 1e-12), series
             assert fit.converged == want_converged, series
 
-    def test_seeded_corpus_matches_sequential_reference(self):
+    def test_seeded_corpus_matches_sequential_reference(self, monkeypatch):
         # a budget of 10 keeps the reference's stalled starts cheap; some
         # fits end on it, so both values of converged are compared
-        opts = regress.FitOptions(max_iterations=10)
+        monkeypatch.setattr(regress, "_MAX_ITERATIONS", 10)
         outcomes = set()
         for i, points in enumerate(CORPUS):
-            want_rss, want_converged = reference_fit_4pl(points, opts)
-            fit = regress.fit_4pl(points, opts)
+            want_rss, want_converged = reference_fit_4pl(points, 10)
+            fit = regress.fit_4pl(points)
             assert fit.rss <= want_rss * (1.0 + 1e-9), i
             assert fit.converged == want_converged, i
             outcomes.add(fit.converged)
@@ -424,16 +412,14 @@ class TestLockstepDescent:
         [published_points(s) for s in PUBLISHED_SERIES[:6]] + CORPUS[:12],
     )
     @np.errstate(all="ignore")
-    def test_each_start_ends_as_it_would_alone(self, points):
-        opts = regress.FitOptions(max_iterations=25)
+    def test_each_start_ends_as_it_would_alone(self, points, monkeypatch):
+        monkeypatch.setattr(regress, "_MAX_ITERATIONS", 25)
         xs, ys = regress._as_xy(points)
-        lower, upper = box_arrays(points, opts)
+        lower, upper = box_arrays(points)
         starts = regress._grid_starts(xs, ys, lower, upper)
-        _, rss, converged, iterations = regress._lockstep_descent(
-            starts, xs, ys, opts, lower, upper
-        )
+        _, rss, converged, iterations = regress._lockstep_descent(starts, xs, ys, lower, upper)
         for k in range(len(starts)):
-            one = regress._lockstep_descent(starts[k : k + 1], xs, ys, opts, lower, upper)
+            one = regress._lockstep_descent(starts[k : k + 1], xs, ys, lower, upper)
             assert one[1][0] == pytest.approx(rss[k], rel=1e-12, abs=0.0)
             assert one[2][0] == converged[k]
             assert one[3][0] == iterations[k]
@@ -441,7 +427,8 @@ class TestLockstepDescent:
     def test_stalled_starts_share_one_budget(self, monkeypatch):
         # every halving of every active start is one evaluation, so a fit
         # costs at most the budget plus one, not the budget once per start
-        opts = regress.FitOptions(max_iterations=20)
+        budget = 20
+        monkeypatch.setattr(regress, "_MAX_ITERATIONS", budget)
         calls = []
         evaluate = regress._evaluate
 
@@ -453,8 +440,8 @@ class TestLockstepDescent:
         exhausted = 0
         for points in CORPUS:
             calls.clear()
-            fit = regress.fit_4pl(points, opts)
-            assert len(calls) <= opts.max_iterations + 1
+            fit = regress.fit_4pl(points)
+            assert len(calls) <= budget + 1
             assert calls[0][1:] == (2,) and all(shape[1:] == (40, 2) for shape in calls[1:])
             exhausted += not fit.converged
         assert exhausted > 0
@@ -543,12 +530,11 @@ class TestLinearFitScaling:
         # published series: where no square or product underflows, the
         # power-of-two scaling is exact, and _grid_starts' broadcast grid
         # picks the same starts
-        opts = regress.FitOptions()
         compared = 0
         for series in PUBLISHED_SERIES:
             points = published_points(series)
             xs, ys = regress._as_xy(points)
-            lower, upper = box_arrays(points, opts)
+            lower, upper = box_arrays(points)
             bs = np.geomspace(lower[0], upper[0], 24)
             cs = np.geomspace(lower[1], upper[1], 48)
             bb, cc = (g.ravel()[:, None] for g in np.meshgrid(bs, cs, indexing="ij"))

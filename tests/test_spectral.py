@@ -62,14 +62,26 @@ def reference_welch(x, fs, cfg):
     return np.arange(bins) * fs / nfft, acc / cfg.segment_count
 
 
+def window_power(taper, m):
+    """The mean square of the taper welch_psd divides by."""
+    w = spectral.taper_window(taper, m)
+    return float(np.mean(w * w))
+
+
+def single_segment_psd(x, fs, taper):
+    """welch_psd's power for x as one segment, no padding."""
+    cfg = spectral.WelchConfig(window_len=len(x) / fs, segment_count=1, taper=taper)
+    return spectral.welch_psd(one_channel_epoch(x, fs), cfg).power[0]
+
+
 class TestWindowPowerNorm:
     def test_rectangular_is_unity(self):
         for m in (1, 7, 2000):
-            assert spectral.window_power_norm("rectangular", m) == 1.0
+            assert window_power("rectangular", m) == 1.0
 
     def test_hann_m4_periodic(self):
         # w = [0, 0.5, 1, 0.5] -> mean square 1.5/4
-        assert spectral.window_power_norm("hann", 4) == pytest.approx(0.375, abs=1e-15)
+        assert window_power("hann", 4) == pytest.approx(0.375, abs=1e-15)
 
     def test_hamming_matches_direct_summation(self):
         m = 2000
@@ -77,22 +89,26 @@ class TestWindowPowerNorm:
             sum((0.54 - 0.46 * math.cos(2 * math.pi * n / m)) ** 2 for n in range(m))
             / m
         )
-        assert spectral.window_power_norm("hamming", m) == pytest.approx(
-            direct, rel=1e-12
-        )
+        assert window_power("hamming", m) == pytest.approx(direct, rel=1e-12)
 
     def test_unknown_taper(self):
         with pytest.raises(InvalidConfig):
-            spectral.window_power_norm("kaiser", 16)
+            spectral.taper_window("kaiser", 16)
 
     def test_empty(self):
         with pytest.raises(EmptySegment):
-            spectral.window_power_norm("hann", 0)
+            spectral.taper_window("hann", 0)
+
+    def test_zero_power_taper_rejected(self):
+        # a Hann taper of one sample is [0]
+        assert window_power("hann", 1) == 0.0
+        with pytest.raises(InvalidConfig):
+            single_segment_psd(np.ones(1), 1.0, "hann")
 
 
 class TestPeriodogramSegment:
     def test_zero_in_zero_out(self):
-        p = spectral.periodogram_segment(np.zeros(64), "hamming", 0.3974, 64, 100.0)
+        p = single_segment_psd(np.zeros(64), 100.0, "hamming")
         assert p.shape == (33,)
         np.testing.assert_array_equal(p, 0.0)
 
@@ -100,7 +116,7 @@ class TestPeriodogramSegment:
         fs, m = 100.0, 200
         t = np.arange(m) / fs
         x = np.sin(2 * np.pi * 10.0 * t)  # bin 20 of 200
-        p = spectral.periodogram_segment(x, "rectangular", 1.0, m, fs)
+        p = single_segment_psd(x, fs, "rectangular")
         hot = np.argmax(p)
         assert hot == 20
         others = np.delete(p, hot)
@@ -110,13 +126,10 @@ class TestPeriodogramSegment:
         rng = np.random.default_rng(3)
         fs, m = 100.0, 4096
         x = rng.normal(size=m)
-        p = spectral.periodogram_segment(x, "rectangular", 1.0, m, fs)
+        p = single_segment_psd(x, fs, "rectangular")
+        assert p.shape == (m // 2 + 1,)
         total = np.sum(p) * fs / m
         assert total == pytest.approx(np.mean(x**2), rel=0.05)
-
-    def test_empty_segment(self):
-        with pytest.raises(EmptySegment):
-            spectral.periodogram_segment(np.empty(0), "hann", 0.375, 4, 10.0)
 
 
 class TestWelchPsd:
@@ -186,7 +199,7 @@ class TestWelchPsd:
         cfg = spectral.WelchConfig(window_len=10.0, segment_count=4,
                                    overlap_fraction=0.0, taper="rectangular")
         est = spectral.welch_psd(one_channel_epoch(np.tile(block, 4), fs), cfg)
-        single = spectral.periodogram_segment(block, "rectangular", 1.0, 250, fs)
+        single = single_segment_psd(block, fs, "rectangular")
         np.testing.assert_allclose(est.power[0], single, rtol=1e-12, atol=1e-15)
 
     def test_epoch_too_short(self):
@@ -219,7 +232,7 @@ class TestWelchPsd:
 
 
 def reference_periodogram(x, taper, u, nfft, fs):
-    """periodogram_segment as a fresh taper, then new arrays at every step."""
+    """spectral._periodogram as a fresh taper, then new arrays at every step."""
     m = x.shape[-1]
     spec = np.fft.rfft(x * spectral.taper_window(taper, m), n=nfft)
     p = (spec.real**2 + spec.imag**2) / (m * u * fs)
@@ -235,7 +248,7 @@ def per_segment_welch(samples, fs, cfg):
     into new arrays and divided by the segment count."""
     win, m, hop = cfg.segment_plan(fs)
     nfft = m if cfg.fft_size is None else cfg.fft_size
-    u = spectral.window_power_norm(cfg.taper, m)
+    u = window_power(cfg.taper, m)
     acc = None
     for d in range(cfg.segment_count):
         p = reference_periodogram(samples[:, d * hop : d * hop + m], cfg.taper, u, nfft, fs)
@@ -274,8 +287,8 @@ class TestWelchBitIdentical:
 
         _, m, _ = cfg.segment_plan(fs)
         nfft = m if cfg.fft_size is None else cfg.fft_size
-        u = spectral.window_power_norm(taper, m)
-        one = spectral.periodogram_segment(samples[:, :m], taper, u, nfft, fs)
+        u = window_power(taper, m)
+        one = spectral._periodogram(samples[:, :m], spectral.taper_window(taper, m), u, nfft, fs)
         assert one.tobytes() == reference_periodogram(samples[:, :m], taper, u, nfft, fs).tobytes()
 
 
