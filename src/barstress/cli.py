@@ -666,8 +666,8 @@ def _synth_spec_from_doc(doc: dict, cfg: RunConfig) -> tuple[synth.SynthSpec, tu
         bands.append((core.BandDefinition(b["name"], b["f_low"], b["f_high"]), b["power"]))
     outputs = values.get("outputs", ("csv",))
     bad = set(outputs) - {"csv", "edf"}
-    if bad:
-        raise InvalidConfig(f"synth outputs must be csv/edf, got {sorted(bad)}")
+    if bad or not outputs:
+        raise InvalidConfig(f"synth outputs must be csv/edf, got {sorted(bad or outputs)}")
     spec = synth.SynthSpec(
         duration=values["duration_s"],
         sampling_rate=values.get("sampling_rate", cfg.sampling_rate),
@@ -681,12 +681,17 @@ def _synth_spec_from_doc(doc: dict, cfg: RunConfig) -> tuple[synth.SynthSpec, tu
 
 def cmd_synth(cfg: RunConfig, spec_path: str) -> Result:
     spec, outputs = _synth_spec_from_doc(_read_json(spec_path, "synth spec"), cfg)
-    recording = synth.synth_eeg(spec)
+    tcol, columns = cfg.csv_layout.time_column, len(spec.montage.electrodes) + 1
+    if "csv" in outputs and tcol is not None and tcol >= columns:
+        # csv_chunks says the same, but only after the synthesis
+        raise InvalidConfig(f"time_column {tcol} outside {columns} columns")
+    # One period of a repeating signal, which the writers repeat to n.
+    recording, n = synth.synth_eeg(spec, one_period=True), spec.n_samples
     files = {}
     if "csv" in outputs:
-        files["synthetic.csv"] = _Chunks(ingest.csv_chunks(recording, cfg.csv_layout))
+        files["synthetic.csv"] = _Chunks(ingest.csv_chunks(recording, cfg.csv_layout, n))
     if "edf" in outputs:
-        files["synthetic.edf"] = _Chunks(ingest.edf_chunks(recording))
+        files["synthetic.edf"] = _Chunks(ingest.edf_chunks(recording, n))
     written = list(files)
     files["synth_meta.json"] = {
         **synth.spec_metadata(spec), "schema_version": SCHEMA_VERSION, "files": written

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -156,10 +155,6 @@ class SessionProtocol:
         object.__setattr__(self, "epoch_times", times)
 
 
-# Candidate periods Recording.period verifies in full before it gives up on one.
-_PERIOD_TRIES = 4
-
-
 @dataclass(frozen=True)
 class Recording:
     """Multichannel voltage trace in microvolts.
@@ -225,31 +220,6 @@ class Recording:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(c.label for c in self.channels)
-
-    @cached_property
-    def period(self) -> int:
-        """The smallest P such that every sample column r >= P equals
-        column r - P, or n_samples when there is none among the first
-        _PERIOD_TRIES candidates; found once per recording, so the CSV and
-        EDF writers of one recording share it.
-
-        A period starts with column 0's bits, so one channel screens the
-        columns that could start one, the other channels check only those,
-        and each surviving candidate is compared in full, smallest first.
-        Bits, not floats, are compared: -0.0 == 0.0, yet they print apart.
-        """
-        n = self.n_samples
-        if n < 2 or not self.channels:
-            return min(n, 1)  # without channels every column is the empty column
-        bits = self.samples.view(np.uint64)
-        first, *rest = bits
-        cand = np.flatnonzero(first[1:] == first[0]) + 1
-        for b in rest:
-            cand = cand[b[cand] == b[0]]
-        for p in cand[:_PERIOD_TRIES].tolist():
-            if all(np.array_equal(b[p:], b[:-p]) for b in bits):
-                return p
-        return n
 
 
 @dataclass(frozen=True)

@@ -6,18 +6,20 @@ bytes without crashing. The EDF subset keeps the standard 256-byte header
 and field-major signal header layout, little-endian 16-bit records, one
 sampling rate for every signal, no annotation channels.
 
-CSV text work is done once per repeated part: write_csv formats one
-period of a periodic recording and repeats its text, and read_csv parses
-each distinct line once and copies every repeat from its first
-occurrence. A recording that repeats, as a noise-free synthetic one does
-every 4 s, costs one period of text work.
-csv_chunks and edf_chunks give the writers' bytes as a list of chunks
-that slice the formatted text or view the EDF data, never joined, so a
-caller that writes them holds each file's text once; write_csv and
-write_edf join them. read_csv_windows and read_edf_windows read all the
-epoch windows of a file in one call, with one line scan or header parse,
-and only the rows or data records under them, so an epoch's cost does
-not grow with the file's length; read_csv and read_edf read one window.
+CSV text work is done once per repeated part. csv_chunks and edf_chunks
+take a recording and a length n, and write sample r as the recording's
+column r mod its length: given one period P of a repeating signal, as
+synth_eeg(spec, one_period=True) renders a noise-free one (4 s), they
+format or quantize those P samples once and repeat them, so neither the
+full-length samples nor a second copy of the text is held. read_csv
+parses each distinct line once and copies every repeat from its first
+occurrence. The chunks slice the formatted text or view the EDF data and
+are never joined, so a caller that writes them holds each file's text
+once; write_csv and write_edf join them. read_csv_windows and
+read_edf_windows read all the epoch windows of a file in one call, with
+one line scan or header parse, and only the rows or data records under
+them, so an epoch's cost does not grow with the file's length; read_csv
+and read_edf read one window.
 """
 
 from __future__ import annotations
@@ -464,37 +466,58 @@ def _parse_csv(
     )
 
 
-def csv_chunks(recording: Recording, layout: CsvLayout = CsvLayout()) -> list:
-    """write_csv's bytes as a list of byte chunks, in order: the header,
-    then memoryviews of the text of one period of rows.
+def _repeated_columns(x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Columns [start, stop) of x repeated along its last axis, column r
+    being x's column r mod its width, as a new array: a slice copy per
+    repeat, with no index array."""
+    width = x.shape[1]
+    out = np.empty((x.shape[0], stop - start))
+    at = 0
+    while at < stop - start:
+        col = (start + at) % width
+        run = min(width - col, stop - start - at)
+        out[:, at : at + run] = x[:, col : col + run]
+        at += run
+    return out
 
-    The rows of the recording's period P (Recording.period) are formatted
-    once, _CSV_BLOCK_ROWS at a time; the body is that text n // P times, then
-    the first n % P rows of it as slices. A recording with no period is
-    its own period, so every row is formatted once and its text is held
-    once. Rows that repeat without forming a period are formatted each
-    time, and a time column makes every row distinct.
+
+def csv_chunks(
+    recording: Recording, layout: CsvLayout = CsvLayout(), n_samples: int | None = None
+) -> list:
+    """write_csv's bytes for n_samples rows (the recording's length by
+    default) as a list of byte chunks, in order: the header, then
+    memoryviews of the formatted text. Row r holds sample column
+    r mod recording.n_samples, so a recording of one period P of a
+    repeating signal writes that signal at any length.
+
+    The P rows are formatted once, _CSV_BLOCK_ROWS at a time; the body is
+    that text n // P times, then the first n % P rows of it as slices, so
+    the text is held once. A time column makes every row distinct: its
+    rows are formatted block by block, each block's samples gathered from
+    columns r mod P.
     """
     delim = layout.delimiter
-    n = recording.n_samples
+    n = recording.n_samples if n_samples is None else n_samples
+    x = recording.samples[:, :n]
+    period = x.shape[1]
     tcol = layout.time_column
     labels = list(recording.labels)
     if tcol is not None:
         if tcol > len(labels):
             raise MalformedRow(f"time_column {tcol} outside {len(labels) + 1} columns")
         labels.insert(tcol, "time_s")
-        times = np.arange(n) / recording.sampling_rate
     head = (delim.join(labels) + "\n").encode("utf-8") if layout.has_header else b""
-    period = n if tcol is not None else recording.period
+    span = n if tcol is not None else period
 
     texts = []
-    for start in range(0, period, _CSV_BLOCK_ROWS):
-        stop = min(start + _CSV_BLOCK_ROWS, period)
-        block = recording.samples[:, start:stop].T
+    for start in range(0, span, _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, span)
+        block = _repeated_columns(x, start, stop).T
         if tcol is not None:
-            block = np.insert(block, tcol, times[start:stop], axis=1)
+            times = np.arange(start, stop) / recording.sampling_rate
+            block = np.insert(block, tcol, times, axis=1)
         texts.append(memoryview(join_rows(block, delim)))
-    reps, tail = divmod(n, period or 1)  # period is 0 only when n is
+    reps, tail = divmod(n, span or 1)  # span is 0 only when n is
     blocks, lines = divmod(tail, _CSV_BLOCK_ROWS)
     chunks = [head, *texts * reps, *texts[:blocks]]
     if lines:
@@ -507,9 +530,8 @@ def write_csv(recording: Recording, layout: CsvLayout = CsvLayout()) -> bytes:
     """Serialize a Recording as delimited text; read_csv inverts it.
 
     Each float is written as repr writes it, which round-trips exactly;
-    floattext.join_rows computes the texts of a whole block of rows. A
-    periodic recording formats one period and repeats its text; any other
-    formats every row once. The bytes are the join of csv_chunks.
+    floattext.join_rows computes the texts of a whole block of rows, and
+    every row is formatted once. The bytes are the join of csv_chunks.
     """
     return b"".join(csv_chunks(recording, layout))
 
@@ -734,18 +756,20 @@ def _field(text: str, size: int, what: str) -> bytes:
     return raw.ljust(size)
 
 
-def edf_chunks(recording: Recording) -> list:
-    """write_edf's bytes as a list of chunks, in order: the header, then
-    memoryviews of the 16-bit data records of one period of samples.
+def edf_chunks(recording: Recording, n_samples: int | None = None) -> list:
+    """write_edf's bytes for n_samples samples per signal (the
+    recording's length by default) as a list of chunks, in order: the
+    header, then memoryviews of the 16-bit data records. Sample r is
+    column r mod recording.n_samples, so a recording of one period P of
+    a repeating signal writes that signal at any length.
 
     Data records are 1 s long when one second is a whole number of
-    samples that divides the recording's length, as the EDF spec
-    recommends; otherwise the whole recording is one data record. The
-    recording's period P (Recording.period), or the whole recording when
-    P is not a whole number of records, is quantized once into one
-    record-major buffer, _EDF_BLOCK_SAMPLES samples at a time; the body
-    is that buffer n // P times, then a slice of it for the n % P samples
-    left over. The buffer is never copied.
+    samples that divides n_samples, as the EDF spec recommends; otherwise
+    the whole recording is one data record. The P samples, or all
+    n_samples when P is not a whole number of records, are quantized once
+    into one record-major buffer, _EDF_BLOCK_SAMPLES samples at a time;
+    the body is that buffer n // P times, then a slice of it for the
+    n % P samples left over. The buffer is never copied.
 
     Each signal gets a symmetric physical range just above its peak value,
     so the 16-bit quantization error stays below one digital quantum of
@@ -753,7 +777,7 @@ def edf_chunks(recording: Recording) -> list:
     8-character decimal form, keeping read_edf(write_edf(r)) consistent.
     """
     ns = len(recording.channels)
-    n = recording.n_samples
+    n = recording.n_samples if n_samples is None else n_samples
     if n < 1:
         raise InvalidHeaderField("cannot write an EDF with zero samples")
     fs = recording.sampling_rate
@@ -763,13 +787,13 @@ def edf_chunks(recording: Recording) -> list:
         raise InvalidHeaderField(
             f"record duration {spr / fs!r} has no exact 8-character decimal form"
         )
-    period = recording.period if recording.period % spr == 0 else n
+    x = recording.samples[:, :n]
+    period = x.shape[1] if x.shape[1] % spr == 0 else n
     dmin, dmax = -32768, 32767
 
     # Physical max strings are held to 7 chars so the negated min fits 8,
-    # keeping the written range exactly symmetric after parse-back. By the
-    # definition of P, the peak of its samples is the recording's.
-    x = recording.samples[:, :period]
+    # keeping the written range exactly symmetric after parse-back. Every
+    # column of x is written, so the peak of x is the written signal's.
     phys: list[tuple[float, str]] = []
     for peak in np.maximum(x.max(axis=1), -x.min(axis=1)).tolist():
         target = peak if peak > 0 else 1.0
@@ -822,7 +846,8 @@ def edf_chunks(recording: Recording) -> list:
         stop = min(first + step, records)
         for lo in range(0, ns, width):
             hi = min(lo + width, ns)
-            q = x[lo:hi, first * spr : stop * spr] + amp[lo:hi]
+            q = _repeated_columns(x[lo:hi], first * spr, stop * spr)
+            q += amp[lo:hi]
             q *= scale[lo:hi]
             np.rint(q, out=q)
             q += dmin

@@ -19,6 +19,12 @@ noise is added. Each channel's oscillators are instead evaluated
 directly over the whole length when 4 s is not a whole number of
 samples, or when a band too narrow for the grid falls back to an
 off-grid center frequency.
+
+A noise-free tiled signal repeats bit for bit every P = 4 fs samples,
+so synth_eeg(spec, one_period=True) renders only its first P samples:
+sample r of the whole recording is sample r mod P of that one, which is
+how csv_chunks and edf_chunks write it at any length. Any other signal
+is its own period.
 """
 
 from __future__ import annotations
@@ -65,6 +71,11 @@ class SynthSpec:
         object.__setattr__(self, "band_targets", targets)
         object.__setattr__(self, "seed", int(self.seed))
 
+    @property
+    def n_samples(self) -> int:
+        """Samples per channel of the rendered recording."""
+        return int(round(self.duration * self.sampling_rate))
+
 
 def oscillator_frequencies(band: BandDefinition) -> np.ndarray:
     """Oscillator grid for a band: 0.25 Hz spacing, half-hertz inset.
@@ -82,20 +93,34 @@ def oscillator_frequencies(band: BandDefinition) -> np.ndarray:
     return freqs
 
 
-def synth_eeg(spec: SynthSpec) -> Recording:
-    """Render the spec to a Recording covering every montage electrode."""
+def synth_eeg(spec: SynthSpec, *, one_period: bool = False) -> Recording:
+    """Render the spec to a Recording covering every montage electrode.
+
+    With one_period, the Recording holds only the first P samples, where
+    P is the number of samples after which the signal repeats bit for
+    bit: 4 fs for a noise-free signal whose oscillators all sit on the
+    0.25 Hz grid, when 4 fs is a whole number, and spec.n_samples
+    otherwise. P is never more than spec.n_samples.
+    """
     nyquist = spec.sampling_rate / 2.0
     for band, _ in spec.band_targets:
         if band.f_high > nyquist:
             raise BandAboveNyquist(
                 f"band {band.name!r} reaches {band.f_high} Hz, Nyquist is {nyquist}"
             )
-    n = int(round(spec.duration * spec.sampling_rate))
+    n = spec.n_samples
     if n < 1:
         raise ValidationError("duration shorter than one sample")
     bands = [(oscillator_frequencies(band), power) for band, power in spec.band_targets]
-    period = spec.sampling_rate / _OSC_SPACING
-    on_grid = all(np.all(freqs % _OSC_SPACING == 0) for freqs, _ in bands)
+    grid_period = spec.sampling_rate / _OSC_SPACING
+    tiled = grid_period.is_integer() and all(
+        np.all(freqs % _OSC_SPACING == 0) for freqs, _ in bands
+    )
+    # The one rule for P: a tiled signal repeats every span samples until
+    # noise is added to it.
+    span = min(n, int(grid_period)) if tiled else n
+    if one_period and spec.noise_floor == 0:
+        n = span
     electrodes = spec.montage.electrodes
     rngs = [np.random.default_rng([spec.seed, ch]) for ch in range(len(electrodes))]
     # One draw of every oscillator's phase per channel: the same numbers as
@@ -103,8 +128,8 @@ def synth_eeg(spec: SynthSpec) -> Recording:
     phases = np.empty((len(electrodes), sum(len(freqs) for freqs, _ in bands)))
     for row, rng in zip(phases, rngs):
         row[:] = rng.uniform(0.0, 2.0 * np.pi, len(row))
-    if on_grid and period.is_integer():
-        samples = _tiled(bands, phases, n, min(n, int(period)), spec.sampling_rate)
+    if tiled:
+        samples = _tiled(bands, phases, n, span, spec.sampling_rate)
     else:
         samples = _direct(bands, phases, n, spec.sampling_rate)
     if spec.noise_floor > 0:

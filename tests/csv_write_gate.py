@@ -6,17 +6,19 @@ Synthesizes two 30-channel, 500 Hz recordings of the benchmark's baseline
 spec (alpha 8-13 Hz at 4.329 uV^2, beta 13-30 Hz at 3.034 uV^2): a
 noise-free one, --seconds long, which repeats every 4 s, and one with a
 noise floor of 0.5 uV^2/Hz, --noisy-seconds long, in which no row
-repeats. csv_chunks runs three times on each, and the best time is
-printed with the rows it formatted (the lines of the distinct text
-buffers its chunks slice).
+repeats. Each is written as synth writes it: csv_chunks gets
+synth_eeg(spec, one_period=True) and the full length, and runs three
+times; the best time is printed with the rows it formatted (the lines of
+the distinct text buffers its chunks slice).
 
-The bytes are checked against texts built without csv_chunks, through
-SHA-256 digests, so no file's text is held twice. The periodic file
-must be its header, then floattext.join_rows over the first 4 s of rows
-repeated, then the first rows of that text that the length leaves over.
-The noisy file must be its header, then join_rows over every row. The
-script exits 1 when either file's bytes differ, or when the periodic
-recording formats more than one period of rows.
+The bytes are checked against texts built without csv_chunks from the
+full-length synth_eeg(spec), through SHA-256 digests, so no file's text
+is held twice. The periodic file must be its header, then
+floattext.join_rows over the first 4 s of rows repeated, then the first
+rows of that text that the length leaves over. The noisy file must be
+its header, then join_rows over every row. The script exits 1 when
+either file's bytes differ, or when the periodic recording formats more
+than one period of rows.
 
 The file name has no test_ prefix, so pytest does not collect it.
 """
@@ -35,11 +37,10 @@ PERIOD_ROWS = 2000  # synth_eeg's oscillators repeat every 4 s
 NOISE_FLOOR = 0.5
 
 
-def recording(seconds: float, noise_floor: float, seed: int) -> core.Recording:
+def spec(seconds: float, noise_floor: float, seed: int) -> synth.SynthSpec:
     bands = ((core.DEFAULT_BANDS["alpha"], 4.329), (core.DEFAULT_BANDS["beta"], 3.034))
-    spec = synth.SynthSpec(duration=seconds, sampling_rate=FS, montage=core.standard_montage(),
+    return synth.SynthSpec(duration=seconds, sampling_rate=FS, montage=core.standard_montage(),
                            band_targets=bands, noise_floor=noise_floor, seed=seed)
-    return synth.synth_eeg(spec)
 
 
 def digest(pieces) -> str:
@@ -49,12 +50,12 @@ def digest(pieces) -> str:
     return h.hexdigest()
 
 
-def timed_chunks(rec: core.Recording) -> tuple[list, float]:
-    """csv_chunks(rec) and its best time of three runs."""
+def timed_chunks(one: core.Recording, n: int) -> tuple[list, float]:
+    """csv_chunks(one, n_samples=n) and its best time of three runs."""
     best = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
-        chunks = ingest.csv_chunks(rec)
+        chunks = ingest.csv_chunks(one, ingest.CsvLayout(), n)
         best = min(best, time.perf_counter() - t0)
     return chunks, best
 
@@ -84,8 +85,9 @@ def main() -> int:
     ok = True
     for name, seconds, noise_floor in (("periodic", args.seconds, 0.0),
                                        ("noisy", args.noisy_seconds, NOISE_FLOOR)):
-        rec = recording(seconds, noise_floor, args.seed)
-        chunks, best = timed_chunks(rec)
+        recipe = spec(seconds, noise_floor, args.seed)
+        chunks, best = timed_chunks(synth.synth_eeg(recipe, one_period=True), recipe.n_samples)
+        rec = synth.synth_eeg(recipe)
         head = (",".join(rec.labels) + "\n").encode()
         periodic = name == "periodic"
         want = expected_periodic(rec, head) if periodic else [head, floattext.join_rows(rec.samples.T)]

@@ -13,9 +13,12 @@ the pairs of per-channel time / shared table time is below 3: a pair's
 two calls run under the same load, so a burst of contention on a shared
 host moves one pair's ratio, not the median. It then prints the best of
 two timings of each on a 3600 s spec, ungated: there tiling and the
-432 MB samples array carry the time. Last it prints the peak RSS of one `barstress synth` command
-writing CSV and EDF, each run in a fresh process before the timings, for
-the 120 s and the 3600 s spec, also ungated.
+432 MB samples array carry the time. Last it prints the peak RSS of one
+`barstress synth` command writing CSV and EDF, each run in a fresh
+process before the timings, for the 120 s and the 3600 s spec. The
+command renders one 4 s period and its writers repeat it, so its memory
+does not grow with the length: the script also exits 1 when the 3600 s
+command peaks more than 10 MB above the 120 s one.
 
 The file name has no test_ prefix, so pytest does not collect it.
 """
@@ -38,6 +41,7 @@ from barstress import core, synth
 
 TOLERANCE = 1e-9
 MIN_SPEEDUP = 3.0
+MAX_RSS_GROWTH_MB = 10.0
 
 
 def per_channel(spec: synth.SynthSpec) -> core.Recording:
@@ -141,10 +145,12 @@ def main() -> int:
           f"shared table {min(times[synth.synth_eeg]):.2f} s")
 
     for seconds, mb in rss.items():
-        print(f"synth command, {seconds:g} s spec to CSV and EDF (ungated): peak RSS {mb:.1f} MB")
+        print(f"synth command, {seconds:g} s spec to CSV and EDF: peak RSS {mb:.1f} MB")
+    growth = rss[3600.0] - rss[120.0]
 
-    ok = deviation <= TOLERANCE and speedup >= MIN_SPEEDUP
-    print("PASS" if ok else f"FAIL (deviation limit {TOLERANCE:g}, speed-up limit {MIN_SPEEDUP:g}x)")
+    ok = deviation <= TOLERANCE and speedup >= MIN_SPEEDUP and growth <= MAX_RSS_GROWTH_MB
+    print("PASS" if ok else f"FAIL (deviation limit {TOLERANCE:g}, speed-up limit {MIN_SPEEDUP:g}x, "
+          f"3600 s peak RSS at most {MAX_RSS_GROWTH_MB:g} MB above 120 s, read {growth:+.1f} MB)")
     return 0 if ok else 1
 
 

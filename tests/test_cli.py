@@ -419,19 +419,21 @@ class TestSynthCommand:
         assert meta["files"] == ["synthetic.csv", "synthetic.edf"]
         assert json.loads((out / "run_meta.json").read_text())["command"] == "synth"
 
-    def test_one_period_scan_for_both_files(self, tmp_path, monkeypatch):
-        scans = []
-        scan = core.Recording.period.func
+    def test_one_period_handed_to_both_writers(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("csv_chunks", "edf_chunks"):
+            writer = getattr(ingest, name)
 
-        def counted(recording):
-            scans.append(recording.n_samples)
-            return scan(recording)
+            def counted(recording, *args, writer=writer):
+                calls.append((writer.__name__, recording.n_samples, args[-1]))
+                return writer(recording, *args)
 
-        monkeypatch.setattr(core.Recording.period, "func", counted)
+            monkeypatch.setattr(ingest, name, counted)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(self.spec_doc(seed=5)))
         assert run("synth", "--spec", str(spec), "--out", str(tmp_path / "o"), "--quiet") == 0
-        assert scans == [5000]
+        # 10 s at 500 Hz, which repeats every 4 s
+        assert calls == [("csv_chunks", 2000, 5000), ("edf_chunks", 2000, 5000)]
 
     def test_same_seed_same_bytes(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -451,11 +453,20 @@ class TestSynthCommand:
         assert json.loads((a / "synth_meta.json").read_text())["seed"] == 1
         assert (a / "synthetic.csv").read_bytes() != (b / "synthetic.csv").read_bytes()
 
-    def test_files_are_the_library_writers_bytes(self, tmp_path):
-        doc = {**self.spec_doc(seed=6), "duration_s": 3.0, "noise_floor": 0.4}
+    @pytest.mark.parametrize("change, csv", [
+        pytest.param({"duration_s": 120.0}, {}, id="120s"),
+        pytest.param({"duration_s": 3.0}, {}, id="shorter-than-a-period"),
+        pytest.param({"duration_s": 120.5}, {}, id="one-edf-record"),
+        pytest.param({"duration_s": 3.0, "noise_floor": 0.4}, {"time_column": 2}, id="noisy"),
+        pytest.param({"duration_s": 10.5}, {"time_column": 2}, id="time-column"),
+        pytest.param({"duration_s": 10.0, "bands": [
+            {"name": "alpha", "f_low": 8.0, "f_high": 8.9, "power": 4.329}]}, {}, id="off-grid"),
+    ])
+    def test_files_are_the_library_writers_bytes(self, tmp_path, change, csv):
+        doc = {**self.spec_doc(seed=6), **change}
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
-        cfg = write_config(tmp_path, {"csv": {"time_column": 2}})
+        cfg = write_config(tmp_path, {"csv": csv})
         out = tmp_path / "o"
         assert run("synth", "--spec", str(spec), "--config", str(cfg), "--out", str(out), "--quiet") == 0
         config = cli.config_from_dict(json.loads(cfg.read_text()))
@@ -464,16 +475,21 @@ class TestSynthCommand:
         assert (out / "synthetic.edf").read_bytes() == ingest.write_edf(rec)
 
     @pytest.mark.parametrize("time_column", [31, 40])
-    def test_time_column_past_the_last_exits_2_writing_nothing(self, tmp_path, capsys, time_column):
+    def test_time_column_past_the_last_exits_2_writing_nothing(self, tmp_path, capsys, monkeypatch,
+                                                               time_column):
         # 30 channels and the time make 31 columns, so index 31 is one too far
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(self.spec_doc(seed=6)))
         cfg = write_config(tmp_path, {"csv": {"time_column": time_column}})
         out = tmp_path / "o"
+        synthesized = []
+        monkeypatch.setattr(synth, "synth_eeg", lambda *a, **k: synthesized.append(a))
         rc = run("synth", "--spec", str(spec), "--config", str(cfg), "--out", str(out))
         assert rc == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: time_column {time_column} outside 31 columns\n"
         assert not out.exists()
+        # rejected before any synthesis
+        assert synthesized == []
 
     @pytest.mark.parametrize("duration, noise_floor, text_copies", [
         # a periodic recording's text is one 4 s period, sliced 30 times
@@ -495,6 +511,21 @@ class TestSynthCommand:
         samples = 30 * 500 * duration * 8
         text = (tmp_path / "o" / "synthetic.csv").stat().st_size
         assert peak - samples < text_copies * text, f"{(peak - samples) / text:.2f} x the CSV text"
+
+    def test_periodic_synth_holds_no_full_length_recording(self, tmp_path):
+        # 600 s of 30 channels is 72 MB of samples and 173 MB of CSV text;
+        # one 4 s period is 0.48 MB and its text 1.2 MB
+        doc = {**self.spec_doc(seed=7), "duration_s": 600.0}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        cfg = cli.RunConfig(out_dir=str(tmp_path / "o"), quiet=True)
+        tracemalloc.start()
+        try:
+            assert cli._emit(cfg, "synth", cli.cmd_synth(cfg, str(spec))) == cli.EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_output_is_ingestible_near_target(self, tmp_path, montage_30):
         spec = tmp_path / "spec.json"
@@ -520,6 +551,7 @@ class TestSynthCommand:
          "bands[0].f_low must be"),
         ({"bands": [{"name": "a", "f_low": 8.0, "f_high": 13.0, "power": 1.0, "pwr": 1}]},
          "unknown synth spec key 'bands[0].pwr'"),
+        ({"outputs": []}, "synth outputs must be csv/edf, got []"),
     ])
     def test_bad_spec_names_its_key(self, tmp_path, capsys, change, key):
         spec = tmp_path / "spec.json"

@@ -807,23 +807,23 @@ class TestWriteCsvBlocks:
         pytest.param(ingest.CsvLayout(), "constant", id="constant"),
         pytest.param(ingest.CsvLayout(time_column=0), "constant", id="constant-time-column"),
         pytest.param(ingest.CsvLayout(), "long", id="longer-than-a-block"),
-        pytest.param(ingest.CsvLayout(delimiter=";"), "false_start", id="false-candidate"),
         pytest.param(ingest.CsvLayout(), "noisy", id="noisy"),
     ])
     def test_periodic_recording(self, layout, shape):
         m = small_montage("A", "B", "C")
-        samples, period = periodic_samples(shape)
-        rec = core.Recording(samples=samples, sampling_rate=500.0, channels=m.electrodes)
-        chunks = ingest.csv_chunks(rec, layout)
+        period, n = periodic_samples(shape)
+        one = core.Recording(samples=period, sampling_rate=500.0, channels=m.electrodes)
+        rec = core.Recording(samples=repeated(period, n), sampling_rate=500.0, channels=m.electrodes)
+        chunks = ingest.csv_chunks(one, layout, n)
         assert b"".join(chunks) == ingest.write_csv(rec, layout) == write_csv_reference(rec, layout)
-        # a time column makes every row distinct
-        assert rows_formatted(chunks) == (period if layout.time_column is None else rec.n_samples)
+        # the period's rows are formatted once; a time column makes every row distinct
+        assert rows_formatted(chunks) == (one.n_samples if layout.time_column is None else n)
 
 
 def periodic_samples(shape):
-    """(samples, P) of a 3-channel recording of the named shape, where P
-    is its period, or its length when it has none. No length is a multiple
-    of its period."""
+    """(period, n): one period of a 3-channel recording of the named
+    shape, and the recording's length, which is no multiple of it. A
+    noisy recording is its own period."""
     rng = np.random.default_rng(3)
     if shape == "noisy":
         return rng.normal(scale=40.0, size=(3, 5000)), 5000
@@ -833,27 +833,27 @@ def periodic_samples(shape):
         "constant": (1, 5000),
         # the tail is one whole block of the period and part of the next
         "long": (5000, 2 * 5000 + ingest._CSV_BLOCK_ROWS + 404),
-        "false_start": (3000, 7500),
     }[shape]
     assert ingest._CSV_BLOCK_ROWS % 2000 and ingest._CSV_BLOCK_ROWS < 5000
     period = rng.normal(scale=40.0, size=(3, rows))
     if shape == "signed_zero":
-        # rows 0 and 1 differ only in the sign of a zero
+        # rows 0 and 1 differ only in the sign of a zero, which prints apart
         period[:, 0] = [0.0, 1.5, -2.0]
         period[:, 1] = [-0.0, 1.5, -2.0]
-    if shape == "false_start":
-        # row 0's first field recurs at row 500, and the whole row at 1000
-        period[0, 500] = period[0, 0]
-        period[:, 1000] = period[:, 0]
-    return np.tile(period, -(-n // rows))[:, :n], rows
+    return period, n
 
 
-def synth_recording(montage, duration, noise_floor=0.0):
+def repeated(period, n):
+    """n columns of period, repeated."""
+    return np.tile(period, -(-n // period.shape[1]))[:, :n]
+
+
+def synth_recording(montage, duration, noise_floor=0.0, one_period=False):
     """The benchmark's baseline spec: alpha 4.329 and beta 3.034 uV^2."""
     bands = ((core.DEFAULT_BANDS["alpha"], 4.329), (core.DEFAULT_BANDS["beta"], 3.034))
     spec = synth.SynthSpec(duration=duration, sampling_rate=500.0, montage=montage,
                            band_targets=bands, noise_floor=noise_floor, seed=17)
-    return synth.synth_eeg(spec)
+    return synth.synth_eeg(spec, one_period=one_period)
 
 
 def chunk_sources(chunks):
@@ -880,21 +880,22 @@ class TestChunks:
     ])
     def test_joined_chunks_are_the_written_bytes(self, montage, duration, noise_floor, layout):
         rec = synth_recording(montage, duration, noise_floor)
-        csv = ingest.csv_chunks(rec, layout)
+        one = synth_recording(montage, duration, noise_floor, one_period=True)
+        n = rec.n_samples
+        csv = ingest.csv_chunks(one, layout, n)
         assert b"".join(csv) == ingest.write_csv(rec, layout) == write_csv_reference(rec, layout)
         periodic = noise_floor == 0.0 and layout.time_column is None
-        assert rows_formatted(csv) == (min(rec.n_samples, 2000) if periodic else rec.n_samples)
-        edf = ingest.edf_chunks(rec)
+        assert rows_formatted(csv) == (min(n, 2000) if periodic else n)
+        edf = ingest.edf_chunks(one, n)
         assert b"".join(edf) == ingest.write_edf(rec)
 
     def test_periodic_120s_spec(self, montage):
         rec = synth_recording(montage, 120.0)
-        chunks = ingest.csv_chunks(rec)
+        period = synth_recording(montage, 120.0, one_period=True)
+        chunks = ingest.csv_chunks(period, ingest.CsvLayout(), rec.n_samples)
         blob = b"".join(chunks)
         assert blob == ingest.write_csv(rec)
         # one 4 s period formatted once, then every period a slice of it
-        period = core.Recording(samples=rec.samples[:, :2000], sampling_rate=500.0,
-                                channels=rec.channels)
         head, body = ingest.csv_chunks(period)
         assert blob == head + bytes(body) * 30
         assert len(chunks) == 31 and [len(s) for s in chunk_sources(chunks).values()] == [len(body)]
@@ -910,17 +911,19 @@ class TestChunks:
     @pytest.mark.parametrize("noise_floor", [0.0, 0.5])
     def test_runs_cut_at_block_boundaries(self, montage, monkeypatch, block_rows, noise_floor):
         rec = synth_recording(montage, 5.0, noise_floor)
+        one = synth_recording(montage, 5.0, noise_floor, one_period=True)
         layout = ingest.CsvLayout(time_column=1) if noise_floor else ingest.CsvLayout()
         monkeypatch.setattr(ingest, "_CSV_BLOCK_ROWS", block_rows)
-        chunks = ingest.csv_chunks(rec, layout)
+        chunks = ingest.csv_chunks(one, layout, rec.n_samples)
         assert b"".join(chunks) == write_csv_reference(rec, layout)
         distinct = 2000 if noise_floor == 0.0 else rec.n_samples
         assert len(chunk_sources(chunks)) == -(-distinct // block_rows)
         # one slice or more of each block's text, each ending on a line end
         assert all(bytes(c).endswith(b"\n") for c in chunks[1:])
 
-    def test_period_found_without_sorting(self, montage, monkeypatch):
-        recs = [synth_recording(montage, 20.0), synth_recording(montage, 20.0, noise_floor=0.5)]
+    def test_written_without_sorting(self, montage, monkeypatch):
+        recs = [synth_recording(montage, 20.0, one_period=True),
+                synth_recording(montage, 20.0, noise_floor=0.5, one_period=True)]
 
         def refuse(*args, **kwargs):
             raise AssertionError("csv_chunks sorted")
@@ -928,22 +931,23 @@ class TestChunks:
         for name in ("unique", "sort", "argsort", "lexsort"):
             monkeypatch.setattr(np, name, refuse)
         for rec in recs:
-            ingest.csv_chunks(rec)
+            ingest.csv_chunks(rec, ingest.CsvLayout(), 10000)
 
-    @pytest.mark.parametrize("shape", ["signed_zero", "constant", "long", "false_start", "noisy"])
+    @pytest.mark.parametrize("shape", ["signed_zero", "constant", "long", "noisy"])
     def test_edf_buffers_hold_one_period(self, shape):
         m = small_montage("A", "B", "C")
-        samples, period = periodic_samples(shape)
-        rec = core.Recording(samples=samples, sampling_rate=500.0, channels=m.electrodes)
-        head, *body = ingest.edf_chunks(rec)
-        assert relay_records(head + b"".join(body), rec.n_samples) == write_edf_reference(rec)
+        period, n = periodic_samples(shape)
+        one = core.Recording(samples=period, sampling_rate=500.0, channels=m.electrodes)
+        rec = core.Recording(samples=repeated(period, n), sampling_rate=500.0, channels=m.electrodes)
+        head, *body = ingest.edf_chunks(one, n)
+        assert relay_records(head + b"".join(body), n) == write_edf_reference(rec)
         # views of one buffer, never copied into a joined bytes object
         assert all(isinstance(c, memoryview) for c in body)
         (digital,) = chunk_sources([head, *body]).values()
         assert isinstance(digital, np.ndarray) and digital.dtype == np.dtype("<i2")
         # a period that is not a whole number of 1 s records is the recording
-        whole = period % 500 == 0 and rec.n_samples % 500 == 0
-        assert digital.nbytes == 2 * 3 * (period if whole else rec.n_samples)
+        whole = one.n_samples % 500 == 0 and n % 500 == 0
+        assert digital.nbytes == 2 * 3 * (one.n_samples if whole else n)
 
 
 class TestParseEdfHeader:

@@ -240,6 +240,31 @@ class TestPeriodicSynthesis:
         )
         np.testing.assert_array_equal(synth.synth_eeg(spec).samples, direct_reference(spec))
 
+    @pytest.mark.parametrize(
+        "duration, fs, bands, noise_floor, period",
+        [
+            (12.5, 500.0, ((ALPHA, 4.329), (BETA, 3.034)), 0.0, 2000),
+            # Shorter than one 4 s period: the whole recording.
+            (3.0, 500.0, ((ALPHA, 4.329), (BETA, 3.034)), 0.0, 1500),
+            # Noisy, off the grid, or 4 s not a whole number of samples:
+            # nothing repeats.
+            (12.5, 500.0, ((ALPHA, 4.329), (BETA, 3.034)), 0.2, 6250),
+            (12.5, 500.0, ((core.BandDefinition("sliver", 8.0, 8.9), 1.0),), 0.0, 6250),
+            (12.5, 250.1, ((ALPHA, 4.329), (BETA, 3.034)), 0.0, 3126),
+        ],
+    )
+    def test_one_period_repeats_to_the_whole(self, montage, duration, fs, bands, noise_floor,
+                                             period):
+        spec = synth.SynthSpec(duration=duration, sampling_rate=fs, montage=montage,
+                               band_targets=bands, noise_floor=noise_floor, seed=4)
+        whole = synth.synth_eeg(spec).samples
+        one = synth.synth_eeg(spec, one_period=True).samples
+        assert one.shape == (len(montage.electrodes), period)
+        assert whole.shape[1] == spec.n_samples
+        # sample r of the whole is sample r mod P of the period, bit for bit
+        columns = np.arange(spec.n_samples) % period
+        assert one[:, columns].tobytes() == whole.tobytes()
+
     def test_samples_handed_over_without_copy(self, montage):
         rec, handed = handed_samples(synth, synth.synth_eeg, ten_second_spec(montage))
         assert rec.samples is handed
