@@ -20,8 +20,6 @@ from .errors import PipelineError, ValidationError
 from .ingest import (
     CsvLayout,
     EdfHeader,
-    csv_chunks,
-    edf_chunks,
     load_montage,
     parse_edf_header,
     read_csv,
@@ -87,8 +85,6 @@ __all__ = [
     "band_power",
     "band_ratio",
     "compare_models",
-    "csv_chunks",
-    "edf_chunks",
     "eval_4pl",
     "eval_quartic",
     "fit_4pl",

@@ -683,15 +683,15 @@ def cmd_synth(cfg: RunConfig, spec_path: str) -> Result:
     spec, outputs = _synth_spec_from_doc(_read_json(spec_path, "synth spec"), cfg)
     tcol, columns = cfg.csv_layout.time_column, len(spec.montage.electrodes) + 1
     if "csv" in outputs and tcol is not None and tcol >= columns:
-        # csv_chunks says the same, but only after the synthesis
+        # write_csv says the same, but only after the synthesis
         raise InvalidConfig(f"time_column {tcol} outside {columns} columns")
     # One period of a repeating signal, which the writers repeat to n.
     recording, n = synth.synth_eeg(spec, one_period=True), spec.n_samples
     files = {}
     if "csv" in outputs:
-        files["synthetic.csv"] = _Chunks(ingest.csv_chunks(recording, cfg.csv_layout, n))
+        files["synthetic.csv"] = _Chunks(ingest.write_csv(recording, cfg.csv_layout, n))
     if "edf" in outputs:
-        files["synthetic.edf"] = _Chunks(ingest.edf_chunks(recording, n))
+        files["synthetic.edf"] = _Chunks(ingest.write_edf(recording, n))
     written = list(files)
     files["synth_meta.json"] = {
         **synth.spec_metadata(spec), "schema_version": SCHEMA_VERSION, "files": written

@@ -36,6 +36,10 @@ class EmptyProtocol(ValidationError):
     """Protocol has no epoch times to slice."""
 
 
+class InvalidSampleCount(ValidationError):
+    """A writer asked for a negative length, or for samples of an empty recording."""
+
+
 # ---------------------------------------------------------------- ingest
 
 class IngestError(ValidationError):

@@ -6,20 +6,20 @@ bytes without crashing. The EDF subset keeps the standard 256-byte header
 and field-major signal header layout, little-endian 16-bit records, one
 sampling rate for every signal, no annotation channels.
 
-CSV text work is done once per repeated part. csv_chunks and edf_chunks
-take a recording and a length n, and write sample r as the recording's
-column r mod its length: given one period P of a repeating signal, as
-synth_eeg(spec, one_period=True) renders a noise-free one (4 s), they
-format or quantize those P samples once and repeat them, so neither the
-full-length samples nor a second copy of the text is held. read_csv
-parses each distinct line once and copies every repeat from its first
-occurrence. The chunks slice the formatted text or view the EDF data and
-are never joined, so a caller that writes them holds each file's text
-once; write_csv and write_edf join them. read_csv_windows and
-read_edf_windows read all the epoch windows of a file in one call, with
-one line scan or header parse, and only the rows or data records under
-them, so an epoch's cost does not grow with the file's length; read_csv
-and read_edf read one window.
+The writers, write_csv and write_edf, take a recording and a length n,
+write sample r as the recording's column r mod its length, and return the
+file's bytes as a list of chunks to write in order: the header, then
+memoryviews of the formatted text or of the 16-bit data records. Given one
+period P of a repeating signal, as synth_eeg(spec, one_period=True) renders
+a noise-free one (4 s), they format or quantize those P samples once and
+repeat them, so neither the full-length samples nor a second copy of the
+text is held; a caller that writes the chunks one after another holds each
+file's text once. read_csv parses each distinct line once and copies every
+repeat from its first occurrence. read_csv_windows and read_edf_windows
+read all the epoch windows of a file in one call, with one line scan or
+header parse, and only the rows or data records under them, so an epoch's
+cost does not grow with the file's length; read_csv and read_edf read one
+window.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .errors import (
     IngestError,
     InvalidHeaderField,
     InvalidMontage,
+    InvalidSampleCount,
     MalformedRow,
     MixedSamplingRates,
     NonNumericSample,
@@ -117,9 +118,7 @@ def _window_samples(window: tuple[float, float], fs: float) -> tuple[int, int]:
 
 # --------------------------------------------------------------------- CSV
 
-def _decode_text(data: bytes | str) -> str:
-    if isinstance(data, str):
-        return data
+def _decode_text(data: bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -239,7 +238,7 @@ def _text(line: bytes | str) -> str:
     return line.decode("ascii") if isinstance(line, bytes) else line
 
 
-def _distinct_lines(data: bytes | str) -> tuple[list, np.ndarray]:
+def _distinct_lines(data: bytes) -> tuple[list, np.ndarray]:
     """The distinct non-blank lines of the input, in order of first
     occurrence, and the index in that list of every non-blank line of the
     file, in file order. So the file's first non-blank line has index 0,
@@ -247,7 +246,7 @@ def _distinct_lines(data: bytes | str) -> tuple[list, np.ndarray]:
 
     Plain ASCII bytes (see _plain_ascii) are split and kept as bytes, each
     line one object, and never decoded whole; numpy's loadtxt reads them
-    as it reads their text. Any other input is decoded and split as text.
+    as it reads their text. Other bytes are decoded and split as text.
     """
     if isinstance(data, bytes) and _plain_ascii(data):
         raw = data.splitlines()
@@ -360,7 +359,7 @@ def read_csv_windows(
 ) -> list[Recording]:
     """Parse a delimited text recording into one Recording per window.
 
-    data is text, or a byte buffer: bytes, or a read-only mmap of the file.
+    data is a byte buffer: bytes, or a read-only mmap of the file.
     Values are microvolts. A time column, when declared, is checked for
     strict monotonicity and then dropped; sampling_rate is authoritative.
     Columns are reordered to montage order using the header when present,
@@ -380,14 +379,14 @@ def read_csv_windows(
     rows that hold the samples core.slice_epochs cuts for an epoch of
     t_end - t_start seconds at t_start, if the lines up to its last row
     are plain (see _plain_lines); start_offset is its first row's time.
-    Text, an empty window, a file that breaks this rule or ends before the
+    An empty window, a file that breaks this rule or ends before the
     window, and a window whose rows fail to parse take the whole read,
     made once per call at most, so every error is the whole read's.
     """
     # A bad sampling rate is the Recording's to report, from the whole read.
     fs_ok = math.isfinite(sampling_rate) and sampling_rate > 0
     spans = [_window_samples(w, sampling_rate) if fs_ok and w is not None else None for w in windows]
-    spans = [s if s and s[0] < s[1] and not isinstance(data, str) else None for s in spans]
+    spans = [s if s and s[0] < s[1] else None for s in spans]
     skip = int(layout.has_header)
     texts = _window_texts(data, [(skip + lo, skip + hi) for lo, hi in filter(None, spans)], layout.has_header)
     whole, out = None, []
@@ -400,7 +399,7 @@ def read_csv_windows(
                 pass  # the whole read names the file's first defect
             del text  # not held while the next window is scanned
         if rec is None and whole is None:
-            raw = data if isinstance(data, (bytes, str)) else bytes(data)
+            raw = data if isinstance(data, bytes) else bytes(data)
             _release(data, len(raw))
             whole = _parse_csv(raw, layout, sampling_rate, montage)
         out.append(whole if rec is None else rec)
@@ -408,7 +407,7 @@ def read_csv_windows(
 
 
 def _parse_csv(
-    data: bytes | str,
+    data: bytes,
     layout: CsvLayout,
     sampling_rate: float,
     montage: Montage,
@@ -481,23 +480,35 @@ def _repeated_columns(x: np.ndarray, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def csv_chunks(
+def _written_length(recording: Recording, n_samples: int | None) -> int:
+    """The samples per channel a writer writes: n_samples, or the
+    recording's length when it is None; each is a column of the recording."""
+    n = recording.n_samples if n_samples is None else n_samples
+    if n < 0 or (n > 0 and recording.n_samples == 0):
+        raise InvalidSampleCount(f"cannot write {n} samples of a recording of {recording.n_samples}")
+    return n
+
+
+def write_csv(
     recording: Recording, layout: CsvLayout = CsvLayout(), n_samples: int | None = None
 ) -> list:
-    """write_csv's bytes for n_samples rows (the recording's length by
-    default) as a list of byte chunks, in order: the header, then
+    """Serialize a Recording as delimited text of n_samples rows (the
+    recording's length by default); read_csv inverts it. The text is
+    returned as a list of byte chunks, in order: the header, then
     memoryviews of the formatted text. Row r holds sample column
     r mod recording.n_samples, so a recording of one period P of a
     repeating signal writes that signal at any length.
 
-    The P rows are formatted once, _CSV_BLOCK_ROWS at a time; the body is
+    Each float is written as repr writes it, which round-trips exactly;
+    floattext.join_rows computes the texts of a whole block of rows. The
+    P rows are formatted once, _CSV_BLOCK_ROWS at a time; the body is
     that text n // P times, then the first n % P rows of it as slices, so
     the text is held once. A time column makes every row distinct: its
     rows are formatted block by block, each block's samples gathered from
     columns r mod P.
     """
+    n = _written_length(recording, n_samples)
     delim = layout.delimiter
-    n = recording.n_samples if n_samples is None else n_samples
     x = recording.samples[:, :n]
     period = x.shape[1]
     tcol = layout.time_column
@@ -526,21 +537,11 @@ def csv_chunks(
     return chunks
 
 
-def write_csv(recording: Recording, layout: CsvLayout = CsvLayout()) -> bytes:
-    """Serialize a Recording as delimited text; read_csv inverts it.
-
-    Each float is written as repr writes it, which round-trips exactly;
-    floattext.join_rows computes the texts of a whole block of rows, and
-    every row is formatted once. The bytes are the join of csv_chunks.
-    """
-    return b"".join(csv_chunks(recording, layout))
-
-
 # --------------------------------------------------------------------- EDF
 
 _EDF_MAGIC = b"0       "
 
-# Samples edf_chunks quantizes per block: its float64 scratch stays near
+# Samples write_edf quantizes per block: its float64 scratch stays near
 # the size of a core's cache.
 _EDF_BLOCK_SAMPLES = 1 << 18
 
@@ -756,12 +757,12 @@ def _field(text: str, size: int, what: str) -> bytes:
     return raw.ljust(size)
 
 
-def edf_chunks(recording: Recording, n_samples: int | None = None) -> list:
-    """write_edf's bytes for n_samples samples per signal (the
-    recording's length by default) as a list of chunks, in order: the
-    header, then memoryviews of the 16-bit data records. Sample r is
-    column r mod recording.n_samples, so a recording of one period P of
-    a repeating signal writes that signal at any length.
+def write_edf(recording: Recording, n_samples: int | None = None) -> list:
+    """Serialize a Recording as EDF of n_samples samples per signal (the
+    recording's length by default), returned as a list of chunks, in
+    order: the header, then memoryviews of the 16-bit data records.
+    Sample r is column r mod recording.n_samples, so a recording of one
+    period P of a repeating signal writes that signal at any length.
 
     Data records are 1 s long when one second is a whole number of
     samples that divides n_samples, as the EDF spec recommends; otherwise
@@ -774,10 +775,11 @@ def edf_chunks(recording: Recording, n_samples: int | None = None) -> list:
     Each signal gets a symmetric physical range just above its peak value,
     so the 16-bit quantization error stays below one digital quantum of
     that range. The written physical range is the parsed-back value of its
-    8-character decimal form, keeping read_edf(write_edf(r)) consistent.
+    8-character decimal form, so the reader decodes with the range the
+    samples were quantized to.
     """
     ns = len(recording.channels)
-    n = recording.n_samples if n_samples is None else n_samples
+    n = _written_length(recording, n_samples)
     if n < 1:
         raise InvalidHeaderField("cannot write an EDF with zero samples")
     fs = recording.sampling_rate
@@ -859,14 +861,6 @@ def edf_chunks(recording: Recording, n_samples: int | None = None) -> list:
     if tail:
         chunks.append(body[: tail * ns * 2])
     return chunks
-
-
-def write_edf(recording: Recording) -> bytes:
-    """Serialize a Recording as EDF bytes, in 1 s data records where one
-    second is a whole number of samples that divides the recording's
-    length and in one record otherwise: the join of edf_chunks, which
-    says how each signal's physical range is set."""
-    return b"".join(edf_chunks(recording))
 
 
 # ----------------------------------------------------------------- montage

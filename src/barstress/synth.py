@@ -23,7 +23,7 @@ off-grid center frequency.
 A noise-free tiled signal repeats bit for bit every P = 4 fs samples,
 so synth_eeg(spec, one_period=True) renders only its first P samples:
 sample r of the whole recording is sample r mod P of that one, which is
-how csv_chunks and edf_chunks write it at any length. Any other signal
+how write_csv and write_edf write it at any length. Any other signal
 is its own period.
 """
 

@@ -48,7 +48,7 @@ def write_noise_csv(path: Path, seconds: int, seed: int) -> None:
         for start in range(0, n, block):
             samples = rng.normal(scale=30.0, size=(len(montage.electrodes), min(block, n - start)))
             rec = core.Recording(channels=montage.electrodes, samples=samples, sampling_rate=FS)
-            f.write(ingest.write_csv(rec, ingest.CsvLayout(has_header=start == 0)))
+            f.writelines(ingest.write_csv(rec, ingest.CsvLayout(has_header=start == 0)))
 
 
 def read_epochs(how: str, path: Path, times: tuple[float, ...]) -> list[core.Epoch]:

@@ -6,14 +6,14 @@ Synthesizes two 30-channel, 500 Hz recordings of the benchmark's baseline
 spec (alpha 8-13 Hz at 4.329 uV^2, beta 13-30 Hz at 3.034 uV^2): a
 noise-free one, --seconds long, which repeats every 4 s, and one with a
 noise floor of 0.5 uV^2/Hz, --noisy-seconds long, in which no row
-repeats. Each is written as synth writes it: csv_chunks gets
+repeats. Each is written as synth writes it: write_csv gets
 synth_eeg(spec, one_period=True) and the full length, and runs three
 times; the best time is printed with the rows it formatted (the lines of
 the distinct text buffers its chunks slice).
 
-The bytes are checked against texts built without csv_chunks from the
-full-length synth_eeg(spec), through SHA-256 digests, so no file's text
-is held twice. The periodic file must be its header, then
+The bytes are checked against texts built without write_csv from the
+full-length synth_eeg(spec), through SHA-256 digests of the chunks,
+never joined, so no file's text is held twice. The periodic file must be its header, then
 floattext.join_rows over the first 4 s of rows repeated, then the first
 rows of that text that the length leaves over. The noisy file must be
 its header, then join_rows over every row. The script exits 1 when
@@ -51,11 +51,11 @@ def digest(pieces) -> str:
 
 
 def timed_chunks(one: core.Recording, n: int) -> tuple[list, float]:
-    """csv_chunks(one, n_samples=n) and its best time of three runs."""
+    """write_csv(one, n_samples=n) and its best time of three runs."""
     best = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
-        chunks = ingest.csv_chunks(one, ingest.CsvLayout(), n)
+        chunks = ingest.write_csv(one, ingest.CsvLayout(), n)
         best = min(best, time.perf_counter() - t0)
     return chunks, best
 
@@ -93,7 +93,7 @@ def main() -> int:
         want = expected_periodic(rec, head) if periodic else [head, floattext.join_rows(rec.samples.T)]
         same = digest(chunks) == digest(want)
         rows = rows_formatted(chunks)
-        print(f"{name:>8} {seconds:g} s, {rec.n_samples} rows: csv_chunks {best * 1e3:.1f} ms "
+        print(f"{name:>8} {seconds:g} s, {rec.n_samples} rows: write_csv {best * 1e3:.1f} ms "
               f"(best of 3), {rows} rows formatted, bytes identical: {same}")
         ok &= same and not (periodic and rows > PERIOD_ROWS)
         del rec, chunks, want

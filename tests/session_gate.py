@@ -61,7 +61,7 @@ def write_edf(path: Path, seconds: int, seed: int) -> None:
     montage = core.standard_montage()
     n_ch = len(montage.electrodes)
     frame = core.Recording(montage.electrodes, np.full((n_ch, FS), PEAK_UV), float(FS))
-    header = bytearray(ingest.edf_chunks(frame)[0])
+    header = bytearray(ingest.write_edf(frame)[0])
     header[236:244] = str(seconds).encode("ascii").ljust(8)  # record count
     hdr = ingest.parse_edf_header(bytes(header))
     lo, hi = np.array(hdr.physical_min)[:, None], np.array(hdr.physical_max)[:, None]

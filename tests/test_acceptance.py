@@ -26,6 +26,7 @@ from published_series import (
     relaxation_points,
 )
 from profiled_oracle import profiled_grid_optimum
+from written import joined
 
 ALPHA = core.DEFAULT_BANDS["alpha"]
 BETA = core.DEFAULT_BANDS["beta"]
@@ -301,11 +302,11 @@ def test_criterion_9_parser_robustness():
     rec = core.Recording(channels=montage.electrodes, samples=samples, sampling_rate=fs)
 
     # lossless CSV round trip
-    back = ingest.read_csv(ingest.write_csv(rec), ingest.CsvLayout(), fs, montage)
+    back = ingest.read_csv(joined(ingest.write_csv(rec)), ingest.CsvLayout(), fs, montage)
     np.testing.assert_array_equal(back.samples, rec.samples)
 
     # EDF round trip within half a quantization step of the stored range
-    blob = ingest.write_edf(rec)
+    blob = joined(ingest.write_edf(rec))
     hdr = ingest.parse_edf_header(blob)
     back = ingest.read_edf(blob, montage)
     for i in range(3):
@@ -316,7 +317,7 @@ def test_criterion_9_parser_robustness():
         assert err <= quantum / 2 + 1e-12
 
     # mutation fuzz: malformed input may be rejected, never crash
-    csv_blob = ingest.write_csv(rec)
+    csv_blob = joined(ingest.write_csv(rec))
     rng = np.random.default_rng(20260822)
     crashes = []
     cases = 0

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import barstress
 from barstress import cli, core, ingest, regress, spectral, synth
 from barstress.errors import InvalidConfig, PipelineError
+from written import joined
 
 ALPHA = core.DEFAULT_BANDS["alpha"]
 BETA = core.DEFAULT_BANDS["beta"]
@@ -43,7 +44,7 @@ def rest_csv(tmp_path_factory, montage_30):
         )
     )
     path = tmp_path_factory.mktemp("data") / "rest.csv"
-    path.write_bytes(ingest.write_csv(rec))
+    path.write_bytes(joined(ingest.write_csv(rec)))
     return path
 
 
@@ -57,7 +58,7 @@ def session_csv(tmp_path_factory, montage_30):
         )
     )
     path = tmp_path_factory.mktemp("data") / "session.csv"
-    path.write_bytes(ingest.write_csv(rec))
+    path.write_bytes(joined(ingest.write_csv(rec)))
     return path
 
 
@@ -70,7 +71,7 @@ def edf_blob(duration, seed, montage):
             band_targets=((ALPHA, 4.329), (BETA, 3.034)), seed=seed,
         )
     )
-    return ingest.write_edf(rec)
+    return joined(ingest.write_edf(rec))
 
 
 def edf_and_decoded_csv(directory, name, duration, seed, montage):
@@ -79,7 +80,7 @@ def edf_and_decoded_csv(directory, name, duration, seed, montage):
     blob = edf_blob(duration, seed, montage)
     edf, csv = directory / f"{name}.edf", directory / f"{name}.csv"
     edf.write_bytes(blob)
-    csv.write_bytes(ingest.write_csv(ingest.read_edf(blob, montage)))
+    csv.write_bytes(joined(ingest.write_csv(ingest.read_edf(blob, montage))))
     return edf, csv
 
 
@@ -421,7 +422,8 @@ class TestSynthCommand:
 
     def test_one_period_handed_to_both_writers(self, tmp_path, monkeypatch):
         calls = []
-        for name in ("csv_chunks", "edf_chunks"):
+        # the TIMED names behind ingest.write_csv_s and ingest.write_edf_s
+        for name in ("write_csv", "write_edf"):
             writer = getattr(ingest, name)
 
             def counted(recording, *args, writer=writer):
@@ -433,7 +435,7 @@ class TestSynthCommand:
         spec.write_text(json.dumps(self.spec_doc(seed=5)))
         assert run("synth", "--spec", str(spec), "--out", str(tmp_path / "o"), "--quiet") == 0
         # 10 s at 500 Hz, which repeats every 4 s
-        assert calls == [("csv_chunks", 2000, 5000), ("edf_chunks", 2000, 5000)]
+        assert calls == [("write_csv", 2000, 5000), ("write_edf", 2000, 5000)]
 
     def test_same_seed_same_bytes(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -471,8 +473,8 @@ class TestSynthCommand:
         assert run("synth", "--spec", str(spec), "--config", str(cfg), "--out", str(out), "--quiet") == 0
         config = cli.config_from_dict(json.loads(cfg.read_text()))
         rec = synth.synth_eeg(cli._synth_spec_from_doc(doc, config)[0])
-        assert (out / "synthetic.csv").read_bytes() == ingest.write_csv(rec, config.csv_layout)
-        assert (out / "synthetic.edf").read_bytes() == ingest.write_edf(rec)
+        assert (out / "synthetic.csv").read_bytes() == joined(ingest.write_csv(rec, config.csv_layout))
+        assert (out / "synthetic.edf").read_bytes() == joined(ingest.write_edf(rec))
 
     @pytest.mark.parametrize("time_column", [31, 40])
     def test_time_column_past_the_last_exits_2_writing_nothing(self, tmp_path, capsys, monkeypatch,
@@ -694,7 +696,7 @@ class TestBarCommand:
             sampling_rate=500.0, channels=montage_30.electrodes,
         )
         path = tmp_path / "huge.csv"
-        path.write_bytes(ingest.write_csv(rec))
+        path.write_bytes(joined(ingest.write_csv(rec)))
         cfg = write_config(tmp_path, {"protocol": {"epoch_times": [0.0]}})
         with np.errstate(over="ignore", invalid="ignore"):
             rc = run("bar", "--config", str(cfg), "--input", str(path), "--out", str(tmp_path / "o"))
@@ -1063,7 +1065,7 @@ class TestTopoCommand:
             )
         )
         src = tmp_path / "periodic.csv"
-        src.write_bytes(ingest.write_csv(rec))
+        src.write_bytes(joined(ingest.write_csv(rec)))
         out = tmp_path / "o"
         cfg = write_config(tmp_path, {"protocol": {"epoch_times": [0.0, 4.0]}})
         assert run("topo", "--config", str(cfg), "--input", str(src),
@@ -1091,7 +1093,7 @@ class TestTopoCommand:
             channels=montage_30.electrodes, samples=np.array(rows), sampling_rate=fs
         )
         src = tmp_path / "hot.csv"
-        src.write_bytes(ingest.write_csv(rec))
+        src.write_bytes(joined(ingest.write_csv(rec)))
         out = tmp_path / "o"
         cfg = write_config(tmp_path, {"protocol": {"epoch_times": [0.0]}})
         assert run("topo", "--config", str(cfg), "--input", str(src), "--out", str(out),

@@ -18,6 +18,7 @@ from barstress.errors import (
     IngestError,
     InvalidHeaderField,
     InvalidMontage,
+    InvalidSampleCount,
     MalformedRow,
     MixedSamplingRates,
     NonNumericSample,
@@ -28,6 +29,7 @@ from barstress.errors import (
 )
 from edf_records import relay_records
 from handover import handed_samples
+from written import joined
 
 
 def small_montage(*labels):
@@ -172,20 +174,20 @@ class TestWriteCsv:
         rec = core.Recording(
             samples=np.empty((2, 0)), sampling_rate=10.0, channels=m.electrodes
         )
-        assert ingest.write_csv(rec) == b"A,B\n"
+        assert joined(ingest.write_csv(rec)) == b"A,B\n"
 
     def test_single_value(self):
         m = small_montage("A")
         rec = core.Recording(
             samples=np.array([[1.5]]), sampling_rate=10.0, channels=m.electrodes
         )
-        assert ingest.write_csv(rec) == b"A\n1.5\n"
+        assert joined(ingest.write_csv(rec)) == b"A\n1.5\n"
 
     def test_round_trip_exact(self):
         m = small_montage("w", "x", "y", "z")
         data = np.random.default_rng(5).normal(scale=37.0, size=(4, 1000))
         rec = core.Recording(samples=data, sampling_rate=500.0, channels=m.electrodes)
-        back = ingest.read_csv(ingest.write_csv(rec), ingest.CsvLayout(), 500.0, m)
+        back = ingest.read_csv(joined(ingest.write_csv(rec)), ingest.CsvLayout(), 500.0, m)
         np.testing.assert_array_equal(back.samples, rec.samples)
 
     def test_time_column_round_trip(self):
@@ -196,7 +198,7 @@ class TestWriteCsv:
             channels=m.electrodes,
         )
         layout = ingest.CsvLayout(time_column=0)
-        blob = ingest.write_csv(rec, layout)
+        blob = joined(ingest.write_csv(rec, layout))
         assert blob.startswith(b"time_s,A\n")
         back = ingest.read_csv(blob, layout, 10.0, m)
         np.testing.assert_array_equal(back.samples, rec.samples)
@@ -207,7 +209,7 @@ class TestWriteCsv:
         data = np.random.default_rng(8).normal(scale=20.0, size=(3, 50))
         rec = core.Recording(samples=data, sampling_rate=100.0, channels=m.electrodes)
         layout = ingest.CsvLayout(time_column=time_column)
-        blob = ingest.write_csv(rec, layout)
+        blob = joined(ingest.write_csv(rec, layout))
         assert blob.split(b"\n", 1)[0].split(b",")[time_column] == b"time_s"
         back = ingest.read_csv(blob, layout, 100.0, m)
         np.testing.assert_array_equal(back.samples, rec.samples)
@@ -215,9 +217,9 @@ class TestWriteCsv:
     def test_time_column_past_the_last_rejected_as_the_reader_does(self):
         m = small_montage("A", "B", "C")
         rec = core.Recording(samples=np.zeros((3, 4)), sampling_rate=10.0, channels=m.electrodes)
-        blob = ingest.write_csv(rec, ingest.CsvLayout(time_column=3))
+        blob = joined(ingest.write_csv(rec, ingest.CsvLayout(time_column=3)))
         for run in (
-            lambda layout: ingest.csv_chunks(rec, layout),
+            lambda layout: ingest.write_csv(rec, layout),
             lambda layout: ingest.read_csv(blob, layout, 10.0, m),
         ):
             with pytest.raises(MalformedRow, match="^time_column 4 outside 4 columns$"):
@@ -324,7 +326,6 @@ class TestReadCsvFastPath:
         pieces += [pieces[i % len(pieces)] for i in repeats] if pieces else []
         blob = "\n".join(pieces).encode("utf-8")
         assert expanded_lines(blob) == whole_text_lines(blob)
-        assert expanded_lines(blob.decode("utf-8")) == whole_text_lines(blob)
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -613,7 +614,7 @@ class TestReadCsvWindow:
         rec = core.Recording(
             channels=m.electrodes, samples=rng.normal(scale=30.0, size=(3, 400)), sampling_rate=100.0
         )
-        blob = ingest.write_csv(rec)
+        blob = joined(ingest.write_csv(rec))
         path = tmp_path / "r.csv"
         path.write_bytes(blob)
         with mock.patch.object(ingest, "_SCAN_BYTES", scan_bytes):
@@ -740,7 +741,7 @@ class TestReadCsvWindows:
         m = small_montage("A", "B", "C")
         rng = np.random.default_rng(9)
         samples = rng.normal(scale=30.0, size=(3, 3000))
-        blob = ingest.write_csv(core.Recording(channels=m.electrodes, samples=samples, sampling_rate=100.0))
+        blob = joined(ingest.write_csv(core.Recording(channels=m.electrodes, samples=samples, sampling_rate=100.0)))
         windows = [(t, t + 1.0) for t in (0.0, 7.0, 14.0, 21.0, 29.0)]
         scanned = []
         plain_lines = ingest._plain_lines
@@ -800,7 +801,7 @@ class TestWriteCsvBlocks:
             [0.1, 1 / 3, 2.0**60, -1e-7, 123.456, 1.7976931348623157e308],
         ]
         rec = core.Recording(samples=samples, sampling_rate=500.0, channels=m.electrodes)
-        assert ingest.write_csv(rec, layout) == write_csv_reference(rec, layout)
+        assert joined(ingest.write_csv(rec, layout)) == write_csv_reference(rec, layout)
 
     @pytest.mark.parametrize("layout, shape", [
         *(pytest.param(layout, "signed_zero", id=f"layout{i}") for i, layout in enumerate(LAYOUTS)),
@@ -814,8 +815,8 @@ class TestWriteCsvBlocks:
         period, n = periodic_samples(shape)
         one = core.Recording(samples=period, sampling_rate=500.0, channels=m.electrodes)
         rec = core.Recording(samples=repeated(period, n), sampling_rate=500.0, channels=m.electrodes)
-        chunks = ingest.csv_chunks(one, layout, n)
-        assert b"".join(chunks) == ingest.write_csv(rec, layout) == write_csv_reference(rec, layout)
+        chunks = ingest.write_csv(one, layout, n)
+        assert joined(chunks) == joined(ingest.write_csv(rec, layout)) == write_csv_reference(rec, layout)
         # the period's rows are formatted once; a time column makes every row distinct
         assert rows_formatted(chunks) == (one.n_samples if layout.time_column is None else n)
 
@@ -882,30 +883,30 @@ class TestChunks:
         rec = synth_recording(montage, duration, noise_floor)
         one = synth_recording(montage, duration, noise_floor, one_period=True)
         n = rec.n_samples
-        csv = ingest.csv_chunks(one, layout, n)
-        assert b"".join(csv) == ingest.write_csv(rec, layout) == write_csv_reference(rec, layout)
+        csv = ingest.write_csv(one, layout, n)
+        assert joined(csv) == joined(ingest.write_csv(rec, layout)) == write_csv_reference(rec, layout)
         periodic = noise_floor == 0.0 and layout.time_column is None
         assert rows_formatted(csv) == (min(n, 2000) if periodic else n)
-        edf = ingest.edf_chunks(one, n)
-        assert b"".join(edf) == ingest.write_edf(rec)
+        edf = ingest.write_edf(one, n)
+        assert joined(edf) == joined(ingest.write_edf(rec))
 
     def test_periodic_120s_spec(self, montage):
         rec = synth_recording(montage, 120.0)
         period = synth_recording(montage, 120.0, one_period=True)
-        chunks = ingest.csv_chunks(period, ingest.CsvLayout(), rec.n_samples)
-        blob = b"".join(chunks)
-        assert blob == ingest.write_csv(rec)
+        chunks = ingest.write_csv(period, ingest.CsvLayout(), rec.n_samples)
+        blob = joined(chunks)
+        assert blob == joined(ingest.write_csv(rec))
         # one 4 s period formatted once, then every period a slice of it
-        head, body = ingest.csv_chunks(period)
+        head, body = ingest.write_csv(period)
         assert blob == head + bytes(body) * 30
         assert len(chunks) == 31 and [len(s) for s in chunk_sources(chunks).values()] == [len(body)]
 
     def test_unrepeated_text_held_once(self, montage):
         rec = synth_recording(montage, 20.0, noise_floor=0.5)
-        chunks = ingest.csv_chunks(rec)
+        chunks = ingest.write_csv(rec)
         sources = chunk_sources(chunks)
         assert len(sources) == -(-rec.n_samples // ingest._CSV_BLOCK_ROWS)
-        assert sum(map(len, sources.values())) == len(b"".join(chunks)) - len(chunks[0])
+        assert sum(map(len, sources.values())) == len(joined(chunks)) - len(chunks[0])
 
     @pytest.mark.parametrize("block_rows", [13, 1000])
     @pytest.mark.parametrize("noise_floor", [0.0, 0.5])
@@ -914,8 +915,8 @@ class TestChunks:
         one = synth_recording(montage, 5.0, noise_floor, one_period=True)
         layout = ingest.CsvLayout(time_column=1) if noise_floor else ingest.CsvLayout()
         monkeypatch.setattr(ingest, "_CSV_BLOCK_ROWS", block_rows)
-        chunks = ingest.csv_chunks(one, layout, rec.n_samples)
-        assert b"".join(chunks) == write_csv_reference(rec, layout)
+        chunks = ingest.write_csv(one, layout, rec.n_samples)
+        assert joined(chunks) == write_csv_reference(rec, layout)
         distinct = 2000 if noise_floor == 0.0 else rec.n_samples
         assert len(chunk_sources(chunks)) == -(-distinct // block_rows)
         # one slice or more of each block's text, each ending on a line end
@@ -926,12 +927,12 @@ class TestChunks:
                 synth_recording(montage, 20.0, noise_floor=0.5, one_period=True)]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("csv_chunks sorted")
+            raise AssertionError("write_csv sorted")
 
         for name in ("unique", "sort", "argsort", "lexsort"):
             monkeypatch.setattr(np, name, refuse)
         for rec in recs:
-            ingest.csv_chunks(rec, ingest.CsvLayout(), 10000)
+            ingest.write_csv(rec, ingest.CsvLayout(), 10000)
 
     @pytest.mark.parametrize("shape", ["signed_zero", "constant", "long", "noisy"])
     def test_edf_buffers_hold_one_period(self, shape):
@@ -939,8 +940,8 @@ class TestChunks:
         period, n = periodic_samples(shape)
         one = core.Recording(samples=period, sampling_rate=500.0, channels=m.electrodes)
         rec = core.Recording(samples=repeated(period, n), sampling_rate=500.0, channels=m.electrodes)
-        head, *body = ingest.edf_chunks(one, n)
-        assert relay_records(head + b"".join(body), n) == write_edf_reference(rec)
+        head, *body = ingest.write_edf(one, n)
+        assert relay_records(head + joined(body), n) == write_edf_reference(rec)
         # views of one buffer, never copied into a joined bytes object
         assert all(isinstance(c, memoryview) for c in body)
         (digital,) = chunk_sources([head, *body]).values()
@@ -948,6 +949,18 @@ class TestChunks:
         # a period that is not a whole number of 1 s records is the recording
         whole = one.n_samples % 500 == 0 and n % 500 == 0
         assert digital.nbytes == 2 * 3 * (one.n_samples if whole else n)
+
+    @pytest.mark.parametrize("write", [ingest.write_csv, ingest.write_edf], ids=["csv", "edf"])
+    @pytest.mark.parametrize("columns, n", [
+        pytest.param(20, -5, id="negative"),
+        pytest.param(20, -20, id="minus-the-length"),
+        pytest.param(0, 10, id="from-no-samples"),
+    ])
+    def test_length_checked_before_writing(self, write, columns, n):
+        m = small_montage("A", "B")
+        rec = core.Recording(samples=np.ones((2, columns)), sampling_rate=10.0, channels=m.electrodes)
+        with pytest.raises(InvalidSampleCount, match=f"^cannot write {n} samples of a recording of {columns}$"):
+            write(rec, n_samples=n)
 
 
 class TestParseEdfHeader:
@@ -1116,7 +1129,7 @@ class TestReadEdfWindow:
             sampling_rate=500.0,
             channels=montage.electrodes,
         )
-        blob = relay_records(ingest.write_edf(rec), 5000)
+        blob = relay_records(joined(ingest.write_edf(rec)), 5000)
         part, got, want = window_epoch(blob, montage, t, window_len)
         assert got.samples.tobytes() == want.samples.tobytes()
         assert part.start_offset == 0.0 and part.n_samples == 5000
@@ -1212,7 +1225,7 @@ class TestWriteEdf:
         rng = np.random.default_rng(7)
         data = rng.normal(scale=40.0, size=(30, 500))
         rec = core.Recording(samples=data, sampling_rate=250.0, channels=montage.electrodes)
-        blob = ingest.write_edf(rec)
+        blob = joined(ingest.write_edf(rec))
         hdr = ingest.parse_edf_header(blob)
         back = ingest.read_edf(blob, montage)
         assert back.sampling_rate == rec.sampling_rate
@@ -1230,7 +1243,7 @@ class TestWriteEdf:
             sampling_rate=3.0,
             channels=m.electrodes,
         )
-        back = ingest.read_edf(ingest.write_edf(rec), m)
+        back = ingest.read_edf(joined(ingest.write_edf(rec)), m)
         np.testing.assert_allclose(back.samples, rec.samples, atol=1e-4)
 
     def test_zero_samples_rejected(self):
@@ -1254,7 +1267,7 @@ class TestWriteEdf:
         rng = np.random.default_rng(5)
         n = int(duration * fs)
         rec = core.Recording(samples=rng.normal(size=(30, n)), sampling_rate=fs, channels=montage.electrodes)
-        hdr = ingest.parse_edf_header(ingest.write_edf(rec))
+        hdr = ingest.parse_edf_header(joined(ingest.write_edf(rec)))
         assert (hdr.record_count, hdr.record_duration) == (duration, 1.0)
         assert hdr.samples_per_record == (int(fs),) * 30
 
@@ -1267,7 +1280,7 @@ class TestWriteEdf:
         m = small_montage("A", "B")
         rng = np.random.default_rng(6)
         rec = core.Recording(samples=rng.normal(size=(2, n)), sampling_rate=fs, channels=m.electrodes)
-        blob = ingest.write_edf(rec)
+        blob = joined(ingest.write_edf(rec))
         hdr = ingest.parse_edf_header(blob)
         assert (hdr.record_count, hdr.record_duration, hdr.samples_per_record) == (1, duration, (n, n))
         assert blob == write_edf_reference(rec)
@@ -1280,14 +1293,14 @@ class TestWriteEdf:
     ])
     def test_same_samples_as_one_record(self, montage, duration, noise_floor):
         rec = synth_recording(montage, duration, noise_floor)
-        blob = ingest.write_edf(rec)
+        blob = joined(ingest.write_edf(rec))
         one = write_edf_reference(rec)
         assert relay_records(blob, rec.n_samples) == one
         back = ingest.read_edf(blob, montage).samples
         assert back.tobytes() == ingest.read_edf(one, montage).samples.tobytes()
 
     def test_window_decodes_only_its_records(self, montage):
-        blob = ingest.write_edf(synth_recording(montage, 20.0))
+        blob = joined(ingest.write_edf(synth_recording(montage, 20.0)))
         with mock.patch.object(ingest, "_decode_records", wraps=ingest._decode_records) as decode:
             part, got, want = window_epoch(blob, montage, 4.3, 2.0)
         # samples [2150, 3150) lie in the 1 s records 4, 5 and 6
