@@ -118,13 +118,6 @@ def _window_samples(window: tuple[float, float], fs: float) -> tuple[int, int]:
 
 # --------------------------------------------------------------------- CSV
 
-def _decode_text(data: bytes) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedRow(f"input is not valid UTF-8: {exc}") from None
-
-
 def _map_columns(labels: list[str], montage: Montage) -> list[tuple[int, ChannelInfo]]:
     """Column index per montage electrode, montage order; subset allowed."""
     by_label = {e.label: e for e in montage.electrodes}
@@ -252,7 +245,10 @@ def _distinct_lines(data: bytes) -> tuple[list, np.ndarray]:
         raw = data.splitlines()
         isspace = bytes.isspace
     else:
-        raw = _decode_text(data).splitlines()
+        try:
+            raw = data.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise MalformedRow(f"input is not valid UTF-8: {exc}") from None
         isspace = str.isspace
     first: dict = {}
     # The position of each line's first occurrence, then its index among them.
@@ -482,7 +478,8 @@ def _repeated_columns(x: np.ndarray, start: int, stop: int) -> np.ndarray:
 
 def _written_length(recording: Recording, n_samples: int | None) -> int:
     """The samples per channel a writer writes: n_samples, or the
-    recording's length when it is None; each is a column of the recording."""
+    recording's length when it is None. Sample r is column r mod the
+    recording's length, so a recording with no samples can write none."""
     n = recording.n_samples if n_samples is None else n_samples
     if n < 0 or (n > 0 and recording.n_samples == 0):
         raise InvalidSampleCount(f"cannot write {n} samples of a recording of {recording.n_samples}")
