@@ -301,10 +301,10 @@ def _epoch_psds(
         inputs = {"layout": cfg.csv_layout, "sampling_rate": cfg.sampling_rate, "montage": cfg.montage}
     window_len = cfg.welch.window_len
     windows = [(t, t + window_len) for t in protocol.epoch_times]
+    if not windows:
+        raise EmptyProtocol("protocol has no epoch times")
     began = time.time_ns()
     with path.open("rb") as f:
-        if not windows:
-            raise EmptyProtocol("protocol has no epoch times")
         st = os.fstat(f.fileno())
         identity = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
         key = (os.path.realpath(path), reader, inputs, windows, cfg.welch, spectral.welch_psd)

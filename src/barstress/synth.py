@@ -11,16 +11,17 @@ for sample given the spec.
 Oscillators on the 0.25 Hz grid make the noiseless signal repeat exactly
 every 4 s. Channels differ only in their phases, and
 sin(2 pi f t + phi) = sin(2 pi f t) cos(phi) + cos(2 pi f t) sin(phi), so
-the sines and cosines of every oscillator are evaluated once, over one
-4 s period, as one table shared by all channels. Each channel's period
-is then its weights (amp cos(phi), amp sin(phi)) times that table, one
-matrix product for all channels, tiled to the full length before the
-noise is added. Each channel's oscillators are instead evaluated
-directly over the whole length when 4 s is not a whole number of
-samples, or when a band too narrow for the grid falls back to an
-off-grid center frequency.
+the sines and cosines of every oscillator are evaluated once per sample
+time, as one table shared by all channels. Each channel's samples are
+then its weights (amp cos(phi), amp sin(phi)) times that table, one
+matrix product for all channels. The table covers at most one 4 s grid
+period of columns at a time: a periodic signal is one table and one
+product over its first period, tiled to the full length before the noise
+is added; a signal that does not repeat (4 s not a whole number of
+samples, or a band too narrow for the grid that falls back to an off-grid
+center frequency) is built one 4 s block of columns after another.
 
-A noise-free tiled signal repeats bit for bit every P = 4 fs samples,
+A noise-free periodic signal repeats bit for bit every P = 4 fs samples,
 so synth_eeg(spec, one_period=True) renders only its first P samples:
 sample r of the whole recording is sample r mod P of that one, which is
 how write_csv and write_edf write it at any length. Any other signal
@@ -113,12 +114,12 @@ def synth_eeg(spec: SynthSpec, *, one_period: bool = False) -> Recording:
         raise ValidationError("duration shorter than one sample")
     bands = [(oscillator_frequencies(band), power) for band, power in spec.band_targets]
     grid_period = spec.sampling_rate / _OSC_SPACING
-    tiled = grid_period.is_integer() and all(
+    periodic = grid_period.is_integer() and all(
         np.all(freqs % _OSC_SPACING == 0) for freqs, _ in bands
     )
-    # The one rule for P: a tiled signal repeats every span samples until
-    # noise is added to it.
-    span = min(n, int(grid_period)) if tiled else n
+    # The one rule for P: a periodic signal repeats every span samples
+    # until noise is added to it.
+    span = min(n, int(grid_period)) if periodic else n
     if one_period and spec.noise_floor == 0:
         n = span
     electrodes = spec.montage.electrodes
@@ -128,10 +129,7 @@ def synth_eeg(spec: SynthSpec, *, one_period: bool = False) -> Recording:
     phases = np.empty((len(electrodes), sum(len(freqs) for freqs, _ in bands)))
     for row, rng in zip(phases, rngs):
         row[:] = rng.uniform(0.0, 2.0 * np.pi, len(row))
-    if tiled:
-        samples = _tiled(bands, phases, n, span, spec.sampling_rate)
-    else:
-        samples = _direct(bands, phases, n, spec.sampling_rate)
+    samples = _render(bands, phases, n, span, spec.sampling_rate)
     if spec.noise_floor > 0:
         sd = math.sqrt(spec.noise_floor * spec.sampling_rate / 2.0)
         for row, rng in zip(samples, rngs):
@@ -142,42 +140,36 @@ def synth_eeg(spec: SynthSpec, *, one_period: bool = False) -> Recording:
     )
 
 
-def _tiled(bands, phases: np.ndarray, n: int, span: int, fs: float) -> np.ndarray:
-    """Every channel's noiseless signal from one shared table over one
-    period of span samples, tiled to n samples."""
+def _render(bands, phases: np.ndarray, n: int, span: int, fs: float) -> np.ndarray:
+    """Every channel's noiseless signal: its first span samples from the
+    shared table, at most one grid period of columns at a time, tiled to n
+    samples."""
     freqs = np.concatenate([np.empty(0), *(f for f, _ in bands)])
     sizes = [len(f) for f, _ in bands]
     amps = np.repeat([math.sqrt(2.0 * power / len(f)) for f, power in bands], sizes)
+    weights = np.concatenate([amps * np.cos(phases), amps * np.sin(phases)], axis=1)
     # Allocated before the table, so that the freed table does not stay
     # behind as a hole below the samples in the heap and raise peak RSS.
     samples = np.empty((len(phases), n))
-    # Sines over cosines, computed in place from the angles 2 pi f t.
+    block = max(1, int(fs / _OSC_SPACING))
     k = len(freqs)
-    table = np.empty((2 * k, span))
-    np.multiply(2.0 * np.pi * freqs[:, None], np.arange(span) / fs, out=table[:k])
-    np.cos(table[:k], out=table[k:])
-    np.sin(table[:k], out=table[:k])
-    weights = np.concatenate([amps * np.cos(phases), amps * np.sin(phases)], axis=1)
-    one_period = weights @ table
-    whole = n - n % span
-    samples[:, :whole].reshape(len(phases), n // span, span)[:] = one_period[:, None, :]
-    samples[:, whole:] = one_period[:, : n - whole]
-    return samples
-
-
-def _direct(bands, phases: np.ndarray, n: int, fs: float) -> np.ndarray:
-    """Every channel's noiseless signal, each oscillator evaluated over all
-    n samples and summed band by band."""
-    t = np.arange(n) / fs
-    bounds = np.cumsum([len(f) for f, _ in bands])[:-1]
-    samples = np.zeros((len(phases), n))
-    for sig, row in zip(samples, phases):
-        for (freqs, power), ph in zip(bands, np.split(row, bounds)):
-            if power > 0:
-                amp = math.sqrt(2.0 * power / len(freqs))
-                sig += amp * np.sum(
-                    np.sin(2.0 * np.pi * freqs[:, None] * t[None, :] + ph[:, None]), axis=0
-                )
+    table = np.empty((2 * k, min(block, span)))
+    part = np.empty((len(phases), table.shape[1]))
+    for start in range(0, span, block):
+        cols = min(block, span - start)
+        sines, cosines, product = table[:k, :cols], table[k:, :cols], part[:, :cols]
+        # Sines over cosines, computed in place from the angles 2 pi f t.
+        np.multiply(2.0 * np.pi * freqs[:, None], np.arange(start, start + cols) / fs, out=sines)
+        np.cos(sines, out=cosines)
+        np.sin(sines, out=sines)
+        np.matmul(weights, table[:, :cols], out=product)
+        samples[:, start : start + cols] = product
+    if span < n:
+        # Only a periodic signal repeats, and then its span is one block,
+        # the one product in part.
+        whole = n - n % span
+        samples[:, span:whole].reshape(len(phases), -1, span)[:] = part[:, None, :]
+        samples[:, whole:] = part[:, : n - whole]
     return samples
 
 

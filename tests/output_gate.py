@@ -9,7 +9,11 @@ temporary directory that is the working directory for the run, so every
 path a config or command names is relative and no output depends on where
 the checkout or the temporary directory is. A command may exit non-zero
 only on an operation workloads.KNOWN_FAILURES lists; any other failure
-exits 1.
+exits 1. Then it runs the hour-long paper session of edf_write_gate.py
+the same way: `synth` of 3600 s, 30 channels at 500 Hz (seed 7, alpha
+4.329 and beta 3.034 uV^2, no noise) to an EDF in 1 s data records, and
+`session` on that file, which is its own baseline, with epochs at 900,
+1800, 2700 and 3590 s and 64 x 64 maps; both must exit 0.
 
 One SHA-256 is printed over every output file except run_meta.json (the
 only file with wall-clock data), in order of its path under the output
@@ -25,6 +29,7 @@ The file name has no test_ prefix, so pytest does not collect it.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -41,7 +46,13 @@ from barstress import cli  # noqa: E402
 
 WORKLOADS = ("gameplay_edf", "relaxation_maps", "synth_roundtrip", "published_fits")
 SEED = 47
-DIGEST = "320d309443b656865f5840f8c6536be0689d2503ecbd1379f7c02e20cb45ea5d"
+DIGEST = "7d89f8b327ebcd1afb33241dee70983540331b31733c8eea2ef44a3fc0063d86"
+HOUR_SPEC = {
+    "duration_s": 3600, "sampling_rate": 500.0, "seed": 7, "noise_floor": 0.0, "outputs": ["edf"],
+    "bands": [{"name": "alpha", "f_low": 8.0, "f_high": 13.0, "power": 4.329},
+              {"name": "beta", "f_low": 13.0, "f_high": 30.0, "power": 3.034}],
+}
+HOUR_EPOCHS = [900.0, 1800.0, 2700.0, 3590.0]
 
 
 def run_sessions() -> tuple[list[Path], int]:
@@ -59,8 +70,32 @@ def run_sessions() -> tuple[list[Path], int]:
                 failures += 1
                 print(f"  {op}: exit {rc}")
         print(f"{workload}: {len(ops)} commands, {time.perf_counter() - t0:.1f} s")
+    failures += run_hour_session(Path("work") / "hour_edf", Path("out") / "hour_edf")
     files = sorted(p for p in Path("out").rglob("*") if p.is_file() and p.name != "run_meta.json")
     return files, failures
+
+
+def run_hour_session(work: Path, out: Path) -> int:
+    """synth the hour-long EDF into out/synth and run session on it into
+    out/session; return the count of commands that exited non-zero."""
+    t0 = time.perf_counter()
+    work.mkdir(parents=True)
+    edf = out / "synth" / "synthetic.edf"
+    (work / "spec.json").write_text(json.dumps(HOUR_SPEC), encoding="utf-8")
+    (work / "config.json").write_text(json.dumps({
+        "input": {"recording": edf.as_posix(), "baseline_recording": edf.as_posix()},
+        "protocol": {"phase": "during_gameplay", "epoch_times": HOUR_EPOCHS},
+        "topo": {"resolution": 64},
+    }), encoding="utf-8")
+    failures = 0
+    for argv in (["synth", "--spec", str(work / "spec.json"), "--out", str(out / "synth")],
+                 ["session", "--config", str(work / "config.json"), "--out", str(out / "session")]):
+        rc = cli.main([*argv, "--quiet"])
+        if rc != 0:
+            failures += 1
+            print(f"  hour_edf:{argv[0]}: exit {rc}")
+    print(f"hour_edf: 2 commands, {time.perf_counter() - t0:.1f} s")
+    return failures
 
 
 def main() -> int:

@@ -1028,6 +1028,13 @@ def test_empty_protocol_exits_2_before_the_read(tmp_path, rest_csv, capsys, comm
     assert capsys.readouterr().err == "error: protocol has no epoch times\n"
     assert reader.call_count == 0
     assert not (tmp_path / "o").exists()
+    # The protocol is checked before the input is opened, so a missing
+    # input does not turn the validation error into an I/O one.
+    missing = tmp_path / "missing.csv"
+    rc = run(command, "--config", str(cfg), "--input", str(missing), "--out", str(tmp_path / "o"))
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: protocol has no epoch times\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_custom_bands_without_beta_or_alpha(tmp_path, rest_csv):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -44,6 +45,34 @@ def direct_reference(spec):
             sd = math.sqrt(spec.noise_floor * spec.sampling_rate / 2.0)
             out[ch] += rng.normal(0.0, sd, n)
     return out
+
+
+def assert_sines_per_table_column(monkeypatch, spec, columns):
+    """synth_eeg(spec) takes at most one sine and one cosine per oscillator
+    for each of the table's columns and each channel's phase."""
+    counts = {"sin": 0, "cos": 0}
+
+    def counting(name):
+        fn = getattr(np, name)
+
+        def wrapped(x, *args, **kwargs):
+            counts[name] += np.size(x)
+            return fn(x, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np, "sin", counting("sin"))
+    monkeypatch.setattr(np, "cos", counting("cos"))
+    rec = synth.synth_eeg(spec)
+    oscillators = sum(len(synth.oscillator_frequencies(b)) for b, _ in spec.band_targets)
+    channels = len(spec.montage.electrodes)
+    assert rec.samples.shape == (channels, spec.n_samples)
+    # The shared table's columns, and one value per channel's phase for its
+    # weights; a sine bank per channel would take channels x oscillators x
+    # columns sines.
+    bound = oscillators * (columns + channels)
+    assert 0 < counts["sin"] <= bound
+    assert 0 < counts["cos"] <= bound
 
 
 def first_epoch(recording):
@@ -176,54 +205,42 @@ class TestPeriodicSynthesis:
         )
 
     @pytest.mark.parametrize(
-        "duration, bands",
+        "duration, bands, fs",
         [
             # Shorter than one 4 s period.
-            (3.0, ((ALPHA, 4.329), (BETA, 3.034))),
+            pytest.param(3.0, ((ALPHA, 4.329), (BETA, 3.034)), 500.0, id="3.0-bands0"),
             # A zero-power band beside a non-zero one.
-            (12.5, ((ALPHA, 0.0), (BETA, 3.034))),
+            pytest.param(12.5, ((ALPHA, 0.0), (BETA, 3.034)), 500.0, id="12.5-bands1"),
             # Both bands hold a 12.5 Hz oscillator.
-            (12.5, ((ALPHA, 4.329), (core.BandDefinition("custom", 12.0, 14.0), 2.0))),
+            pytest.param(12.5, ((ALPHA, 4.329), (core.BandDefinition("custom", 12.0, 14.0), 2.0)),
+                         500.0, id="12.5-bands2"),
             # 8.0-8.5 Hz is too narrow for the grid: one oscillator at its
             # centre, 8.25 Hz, which is on the grid.
-            (12.5, ((core.BandDefinition("sliver", 8.0, 8.5), 1.0), (ALPHA, 4.329))),
+            pytest.param(12.5, ((core.BandDefinition("sliver", 8.0, 8.5), 1.0), (ALPHA, 4.329)),
+                         500.0, id="12.5-bands3"),
+            # Nothing repeats, so every column is rendered, 4 s at a time:
+            # 8.0-8.9 Hz is too narrow for the grid, one oscillator at 8.45 Hz,
+            pytest.param(12.5, ((core.BandDefinition("sliver", 8.0, 8.9), 1.0), (ALPHA, 4.329)),
+                         500.0, id="12.5-bands4"),
+            # and 4 s is 1000.4 samples at 250.1 Hz.
+            pytest.param(12.5, ((ALPHA, 4.329), (BETA, 3.034)), 250.1, id="12.5-bands5-250.1"),
         ],
     )
-    def test_shared_table_matches_direct_reference(self, montage, duration, bands):
+    def test_shared_table_matches_direct_reference(self, montage, duration, bands, fs):
         spec = synth.SynthSpec(
-            duration=duration, sampling_rate=500.0, montage=montage, band_targets=bands, seed=9,
+            duration=duration, sampling_rate=fs, montage=montage, band_targets=bands, seed=9,
         )
         samples = synth.synth_eeg(spec).samples
         np.testing.assert_allclose(samples, direct_reference(spec), rtol=0, atol=1e-9)
-        if duration > 8.0:
+        period = synth.synth_eeg(spec, one_period=True).samples.shape[1]
+        if period < spec.n_samples:
             # Tiled: the second period repeats the first bit for bit.
-            np.testing.assert_array_equal(samples[:, :2000], samples[:, 2000:4000])
+            np.testing.assert_array_equal(samples[:, :period], samples[:, period:2 * period])
 
     def test_sines_evaluated_once_per_spec(self, montage, monkeypatch):
-        counts = {"sin": 0, "cos": 0}
-
-        def counting(name):
-            fn = getattr(np, name)
-
-            def wrapped(x, *args, **kwargs):
-                counts[name] += np.size(x)
-                return fn(x, *args, **kwargs)
-
-            return wrapped
-
-        monkeypatch.setattr(np, "sin", counting("sin"))
-        monkeypatch.setattr(np, "cos", counting("cos"))
         spec = replace(ten_second_spec(montage), duration=60.0)
-        rec = synth.synth_eeg(spec)
-        oscillators = sum(len(synth.oscillator_frequencies(b)) for b, _ in spec.band_targets)
-        channels, period = len(montage.electrodes), 2000
-        assert rec.samples.shape == (channels, 30_000)
-        # The shared table over one period, and one value per channel's
-        # phase for its weights; a sine bank per channel would take
-        # channels x oscillators x period sines.
-        bound = oscillators * (period + channels)
-        assert 0 < counts["sin"] <= bound
-        assert 0 < counts["cos"] <= bound
+        # Periodic: the table covers one 4 s period.
+        assert_sines_per_table_column(monkeypatch, spec, columns=2000)
 
     @pytest.mark.parametrize(
         "bands, fs",
@@ -234,11 +251,28 @@ class TestPeriodicSynthesis:
             (((ALPHA, 4.329), (BETA, 3.034)), 250.1),
         ],
     )
-    def test_aperiodic_signal_is_direct_reference(self, montage, bands, fs):
+    def test_aperiodic_sines_evaluated_once_per_sample(self, montage, monkeypatch, bands, fs):
+        spec = synth.SynthSpec(duration=60.0, sampling_rate=fs, montage=montage, band_targets=bands)
+        # Nothing repeats: the table covers every sample, 4 s at a time.
+        assert_sines_per_table_column(monkeypatch, spec, columns=spec.n_samples)
+
+    def test_aperiodic_peak_memory_near_the_samples(self, montage):
+        # Off the grid, nothing repeats: beside the samples, synth_eeg holds
+        # one table of 4 s of columns and its product.
+        sliver = core.BandDefinition("sliver", 8.0, 8.9)
         spec = synth.SynthSpec(
-            duration=12.5, sampling_rate=fs, montage=montage, band_targets=bands, seed=5,
+            duration=60.0, sampling_rate=500.0, montage=montage, seed=5,
+            band_targets=((sliver, 1.0), (ALPHA, 4.329), (BETA, 3.034)),
         )
-        np.testing.assert_array_equal(synth.synth_eeg(spec).samples, direct_reference(spec))
+        synth.synth_eeg(replace(spec, duration=1.0))  # imports numpy.random
+        tracemalloc.start()
+        try:
+            samples = synth.synth_eeg(spec).samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert samples.shape == (30, 30_000)
+        assert peak < 1.5 * samples.nbytes
 
     @pytest.mark.parametrize(
         "duration, fs, bands, noise_floor, period",
