@@ -851,10 +851,13 @@ def _run_session(cfg: RunConfig, args) -> int:
     it. run_meta.json is written last, once any command has written files:
     each command's name, exit code and wall time.
 
-    A fit that would read fewer points than the quartic needs from bar's
-    bar_points.csv exits 2 before any command runs.
+    A fit after bar that would read fewer points than the quartic needs
+    from bar's bar_points.csv exits 2 before any command runs. A fit with
+    no bar before it reads the bar_points.csv already in the output
+    directory, as its own run would.
     """
-    if "fit" in cfg.session_commands and not cfg.points:
+    commands = cfg.session_commands
+    if "bar" in commands and "fit" in commands[commands.index("bar"):] and not cfg.points:
         count = len(cfg.protocol.epoch_times) + _baseline_leads(cfg)
         if count < 5:
             raise InvalidConfig(

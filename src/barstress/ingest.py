@@ -24,7 +24,6 @@ window.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -569,97 +568,91 @@ def _parse_float(buf: bytes, what: str) -> float:
     return v
 
 
+def _parse_text(buf: bytes, what: str) -> str:
+    return _ascii(buf, what).rstrip()
+
+
+# The EDF header layout, stated once for parse_edf_header and write_edf.
+# A row is (EdfHeader field, or None for a reserved field; width in bytes;
+# the field's name in error messages; how its ASCII text is read). The
+# fixed part fills the first 256 bytes. In the signal part each row is
+# signal_count fields of its width, one per signal, before the next row.
+_EDF_FIXED = (
+    ("version", 8, "version", _parse_text),
+    ("patient", 80, "patient id", _parse_text),
+    ("recording_id", 80, "recording id", _parse_text),
+    ("startdate", 8, "start date", _parse_text),
+    ("starttime", 8, "start time", _parse_text),
+    ("header_bytes", 8, "header size", _parse_int),
+    (None, 44, "reserved", None),
+    ("record_count", 8, "record count", _parse_int),
+    ("record_duration", 8, "record duration", _parse_float),
+    ("signal_count", 4, "signal count", _parse_int),
+)
+_EDF_SIGNAL = (
+    ("labels", 16, "label", _parse_text),
+    ("transducers", 80, "transducer", _parse_text),
+    ("units", 8, "unit", _parse_text),
+    ("physical_min", 8, "physical min", _parse_float),
+    ("physical_max", 8, "physical max", _parse_float),
+    ("digital_min", 8, "digital min", _parse_int),
+    ("digital_max", 8, "digital max", _parse_int),
+    ("prefilters", 80, "prefilter", _parse_text),
+    ("samples_per_record", 8, "samples per record", _parse_int),
+    (None, 32, "reserved", None),
+)
+
+
 def parse_edf_header(data: bytes) -> EdfHeader:
-    """Parse and validate the 256-byte fixed header plus signal headers."""
+    """Parse and validate the 256-byte fixed header plus signal headers, in
+    file order: of two bad signal fields the error names the earlier one."""
     if len(data) < 256:
         raise TruncatedHeader(f"need 256 header bytes, got {len(data)}")
     if data[0:8] != _EDF_MAGIC:
         raise BadMagic(f"bad version field {data[0:8]!r}")
-    patient = _ascii(data[8:88], "patient id").rstrip()
-    rec_id = _ascii(data[88:168], "recording id").rstrip()
-    startdate = _ascii(data[168:176], "start date").rstrip()
-    starttime = _ascii(data[176:184], "start time").rstrip()
-    header_bytes = _parse_int(data[184:192], "header size")
-    record_count = _parse_int(data[236:244], "record count")
-    record_duration = _parse_float(data[244:252], "record duration")
-    ns = _parse_int(data[252:256], "signal count")
+    fields, offset = {}, 0
+    for name, size, what, parse in _EDF_FIXED:
+        if name is not None:
+            fields[name] = parse(data[offset : offset + size], what)
+        offset += size
 
+    ns, header_bytes = fields["signal_count"], fields["header_bytes"]
+    record_count, record_duration = fields["record_count"], fields["record_duration"]
     if ns < 1:
         raise InvalidHeaderField(f"signal count must be >= 1, got {ns}")
     if header_bytes != 256 * (ns + 1):
-        raise InvalidHeaderField(
-            f"header size {header_bytes} != 256*(ns+1) = {256 * (ns + 1)}"
-        )
+        raise InvalidHeaderField(f"header size {header_bytes} != 256*(ns+1) = {256 * (ns + 1)}")
     if record_count == -1:
         raise InvalidHeaderField("unknown record count (-1) is not supported")
     if record_count < 1:
         raise InvalidHeaderField(f"record count must be >= 1, got {record_count}")
     if record_duration <= 0:
-        raise InvalidHeaderField(
-            f"record duration must be > 0, got {record_duration}"
-        )
+        raise InvalidHeaderField(f"record duration must be > 0, got {record_duration}")
     if len(data) < header_bytes:
-        raise TruncatedHeader(
-            f"declared header of {header_bytes} bytes, got {len(data)}"
-        )
+        raise TruncatedHeader(f"declared header of {header_bytes} bytes, got {len(data)}")
 
-    def signal_field(base: int, size: int, i: int) -> bytes:
-        off = 256 + base * ns + size * i
-        return data[off : off + size]
+    for name, size, what, parse in _EDF_SIGNAL:
+        if name is not None:
+            fields[name] = tuple(
+                parse(data[offset + size * i : offset + size * (i + 1)], what) for i in range(ns)
+            )
+        offset += size * ns
 
-    labels, transducers, units, prefilters = [], [], [], []
-    pmin, pmax, dmin, dmax, spr = [], [], [], [], []
-    for i in range(ns):
-        labels.append(_ascii(signal_field(0, 16, i), "label").rstrip())
-        transducers.append(_ascii(signal_field(16, 80, i), "transducer").rstrip())
-        units.append(_ascii(signal_field(96, 8, i), "unit").rstrip())
-        pmin.append(_parse_float(signal_field(104, 8, i), "physical min"))
-        pmax.append(_parse_float(signal_field(112, 8, i), "physical max"))
-        dmin.append(_parse_int(signal_field(120, 8, i), "digital min"))
-        dmax.append(_parse_int(signal_field(128, 8, i), "digital max"))
-        prefilters.append(_ascii(signal_field(136, 80, i), "prefilter").rstrip())
-        spr.append(_parse_int(signal_field(216, 8, i), "samples per record"))
-
+    hdr = EdfHeader(**fields)
+    pmin, pmax, dmin, dmax = hdr.physical_min, hdr.physical_max, hdr.digital_min, hdr.digital_max
+    spr = hdr.samples_per_record
     for i in range(ns):
         if dmin[i] >= dmax[i]:
-            raise DigitalRangeDegenerate(
-                f"signal {i}: digital range [{dmin[i]}, {dmax[i]}]"
-            )
+            raise DigitalRangeDegenerate(f"signal {i}: digital range [{dmin[i]}, {dmax[i]}]")
         if not (-32768 <= dmin[i] and dmax[i] <= 32767):
-            raise InvalidHeaderField(
-                f"signal {i}: digital range outside 16-bit integers"
-            )
+            raise InvalidHeaderField(f"signal {i}: digital range outside 16-bit integers")
         if pmin[i] == pmax[i]:
-            raise DigitalRangeDegenerate(
-                f"signal {i}: physical range is a single point {pmin[i]}"
-            )
+            raise DigitalRangeDegenerate(f"signal {i}: physical range is a single point {pmin[i]}")
         if spr[i] < 1:
-            raise InvalidHeaderField(
-                f"signal {i}: samples per record must be >= 1, got {spr[i]}"
-            )
+            raise InvalidHeaderField(f"signal {i}: samples per record must be >= 1, got {spr[i]}")
     if len(set(spr)) > 1:
         raise MixedSamplingRates(f"samples per record differ: {sorted(set(spr))}")
-
-    return EdfHeader(
-        version=_ascii(data[0:8], "version").rstrip(),
-        patient=patient,
-        recording_id=rec_id,
-        startdate=startdate,
-        starttime=starttime,
-        header_bytes=header_bytes,
-        record_count=record_count,
-        record_duration=record_duration,
-        signal_count=ns,
-        labels=tuple(labels),
-        transducers=tuple(transducers),
-        units=tuple(units),
-        physical_min=tuple(pmin),
-        physical_max=tuple(pmax),
-        digital_min=tuple(dmin),
-        digital_max=tuple(dmax),
-        prefilters=tuple(prefilters),
-        samples_per_record=tuple(spr),
-    )
+    return hdr
 
 
 def _decode_records(
@@ -806,32 +799,31 @@ def write_edf(recording: Recording, n_samples: int | None = None) -> list:
             raise InvalidHeaderField(f"cannot frame physical range for {peak}")
         phys.append((a, s))
 
-    head = io.BytesIO()
-    head.write(_EDF_MAGIC)
-    head.write(_field("X", 80, "patient id"))
-    head.write(_field("X", 80, "recording id"))
-    head.write(_field("01.01.00", 8, "start date"))
-    head.write(_field("00.00.00", 8, "start time"))
-    head.write(_field(str(256 * (ns + 1)), 8, "header size"))
-    head.write(_field("", 44, "reserved"))
-    head.write(_field(str(n // spr), 8, "record count"))
-    head.write(_field(duration, 8, "record duration"))
-    head.write(_field(str(ns), 4, "signal count"))
-
-    def column(values: list[str], size: int, what: str) -> bytes:
-        return b"".join(_field(v, size, what) for v in values)
-
-    labels = [c.label for c in recording.channels]
-    head.write(column(labels, 16, "label"))
-    head.write(column([""] * ns, 80, "transducer"))
-    head.write(column(["uV"] * ns, 8, "unit"))
-    head.write(column(["-" + s for _, s in phys], 8, "physical min"))
-    head.write(column([s for _, s in phys], 8, "physical max"))
-    head.write(column([str(dmin)] * ns, 8, "digital min"))
-    head.write(column([str(dmax)] * ns, 8, "digital max"))
-    head.write(column([""] * ns, 80, "prefilter"))
-    head.write(column([str(spr)] * ns, 8, "samples per record"))
-    head.write(column([""] * ns, 32, "reserved"))
+    # Each named field's text, in the signal part one text per signal;
+    # reserved fields are blank.
+    texts = {
+        "version": _EDF_MAGIC.decode(), "patient": "X", "recording_id": "X",
+        "startdate": "01.01.00", "starttime": "00.00.00",
+        "header_bytes": str(256 * (ns + 1)), "record_count": str(n // spr),
+        "record_duration": duration, "signal_count": str(ns),
+        "labels": [c.label for c in recording.channels],
+        "transducers": [""] * ns,
+        "units": ["uV"] * ns,
+        "physical_min": ["-" + s for _, s in phys],
+        "physical_max": [s for _, s in phys],
+        "digital_min": [str(dmin)] * ns,
+        "digital_max": [str(dmax)] * ns,
+        "prefilters": [""] * ns,
+        "samples_per_record": [str(spr)] * ns,
+    }
+    head = b"".join(
+        [_field(texts[name] if name else "", size, what) for name, size, what, _ in _EDF_FIXED]
+        + [
+            _field(text, size, what)
+            for name, size, what, _ in _EDF_SIGNAL
+            for text in (texts[name] if name else [""] * ns)
+        ]
+    )
 
     # Blocks of whole records of every signal; a record longer than a
     # block is quantized a few signals at a time.
@@ -854,7 +846,7 @@ def write_edf(recording: Recording, n_samples: int | None = None) -> list:
             digital[first:stop, lo:hi] = q.reshape(hi - lo, stop - first, spr).swapaxes(0, 1)
     body = memoryview(digital).cast("B")
     reps, tail = divmod(n, period)
-    chunks = [head.getvalue(), *[body] * reps]
+    chunks = [head, *[body] * reps]
     if tail:
         chunks.append(body[: tail * ns * 2])
     return chunks

@@ -64,6 +64,10 @@ class SynthSpec:
             raise ValidationError(f"duration must be > 0, got {self.duration}")
         if not (math.isfinite(self.sampling_rate) and self.sampling_rate > 0):
             raise ValidationError(f"sampling_rate must be > 0, got {self.sampling_rate}")
+        if not math.isfinite(self.duration * self.sampling_rate):
+            raise ValidationError(
+                f"duration x sampling_rate must be finite, got {self.duration} s at {self.sampling_rate} Hz"
+            )
         targets = tuple((band, float(power)) for band, power in self.band_targets)
         if any(p < 0 or not math.isfinite(p) for _, p in targets):
             raise ValidationError("band target powers must be finite and >= 0")

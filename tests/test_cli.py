@@ -181,6 +181,15 @@ class TestExitCodes:
         rc = run("synth", "--spec", str(spec), "--out", str(tmp_path / "o"))
         assert rc == cli.EXIT_VALIDATION
 
+    def test_overflowing_synth_spec_exits_2(self, tmp_path, capsys):
+        # 60 s at 1e307 Hz is an infinite sample count
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"duration_s": 60, "sampling_rate": 1e307, "outputs": ["edf"]}))
+        rc = run("synth", "--spec", str(spec), "--out", str(tmp_path / "o"))
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: duration x sampling_rate must be finite")
+        assert not (tmp_path / "o").exists()
+
     def test_ridge_fit_reports_divergence_with_output(self, tmp_path, monkeypatch):
         # a fit that uses up its iteration budget is flagged, but the command
         # still writes what it found
@@ -1660,8 +1669,8 @@ class TestSessionCommand:
         {},
         {"protocol": {"phase": "during_gameplay", "epoch_times": EDF_EPOCHS}},
         {"protocol": {"phase": "during_gameplay", "epoch_times": EDF_EPOCHS},
-         "input": {"baseline_recording": ""}, "session": {"commands": ["fit", "report"]}},
-    ], ids=["one-baseline-epoch", "four-epochs-no-baseline", "fit-alone"])
+         "input": {"baseline_recording": ""}, "session": {"commands": ["bar", "report", "fit"]}},
+    ], ids=["one-baseline-epoch", "four-epochs-no-baseline", "fit-after-bar"])
     def test_too_few_fit_points_exit_2_before_anything_runs(self, tmp_path, session_edf, capsys, doc):
         cfg = write_config(tmp_path, doc)
         with mock.patch.object(ingest, "read_edf_windows") as reader:
@@ -1671,6 +1680,29 @@ class TestSessionCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: session's fit would read") and "input.points" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("commands", [["fit", "report"], ["fit", "bar"]], ids=["fit-report", "fit-bar"])
+    def test_fit_before_any_bar_reads_the_points_already_written(
+        self, tmp_path, session_edf, rest_edf, commands
+    ):
+        # bar's six points come from an earlier run; the session's own config
+        # would give bar one point, which is no reason to refuse its fit
+        cfg = self.config(tmp_path, rest_edf[0])
+        assert run("bar", "--config", str(cfg), "--input", str(session_edf[0]),
+                   "--out", str(tmp_path / "o"), "--quiet") == 0
+        assert len((tmp_path / "o" / "bar_points.csv").read_text().splitlines()) == 1 + 5
+        (tmp_path / "s").mkdir()
+        (tmp_path / "s" / "bar_points.csv").write_bytes((tmp_path / "o" / "bar_points.csv").read_bytes())
+        assert run("fit", "--out", str(tmp_path / "o"), "--quiet") == 0
+        doc = {"session": {"commands": commands}}
+        rc = run("session", "--config", str(write_config(tmp_path, doc)), "--input", str(session_edf[0]),
+                 "--out", str(tmp_path / "s"), "--quiet")
+        assert rc == 0
+        meta = json.loads((tmp_path / "s" / "run_meta.json").read_text())
+        assert [(c["command"], c["exit_code"]) for c in meta["commands"]] == [(c, 0) for c in commands]
+        fits = [outputs(tmp_path / out) for out in ("s", "o")]
+        fits = [{k: v for k, v in got.items() if k.name.startswith("fit_")} for got in fits]
+        assert len(fits[0]) == 4 and fits[0] == fits[1]
 
     @pytest.mark.parametrize("source", ["none", "baseline_bar", "baseline_recording"])
     @pytest.mark.parametrize("phase", ["baseline", "during_gameplay"])

@@ -1021,6 +1021,85 @@ class TestParseEdfHeader:
         with pytest.raises(InvalidHeaderField):
             ingest.parse_edf_header(edf_bytes([sig]))
 
+    # Each named header field after the version: its name in error
+    # messages, its byte offset, its width and how its text is read. A
+    # signal field's offset is its first signal's in a two-signal header,
+    # 256 + 2 * (the widths of the signal fields before it).
+    FIELDS = [
+        ("patient id", 8, 80, "text"),
+        ("recording id", 88, 80, "text"),
+        ("start date", 168, 8, "text"),
+        ("start time", 176, 8, "text"),
+        ("header size", 184, 8, "integer"),
+        ("record count", 236, 8, "integer"),
+        ("record duration", 244, 8, "number"),
+        ("signal count", 252, 4, "integer"),
+        ("label", 256, 16, "text"),
+        ("transducer", 256 + 2 * 16, 80, "text"),
+        ("unit", 256 + 2 * 96, 8, "text"),
+        ("physical min", 256 + 2 * 104, 8, "number"),
+        ("physical max", 256 + 2 * 112, 8, "number"),
+        ("digital min", 256 + 2 * 120, 8, "integer"),
+        ("digital max", 256 + 2 * 128, 8, "integer"),
+        ("prefilter", 256 + 2 * 136, 80, "text"),
+        ("samples per record", 256 + 2 * 216, 8, "integer"),
+    ]
+
+    @staticmethod
+    def planted(blob, at, size, kind):
+        """blob with a non-ASCII byte at the start of the text field at
+        byte at, or 'x' as the whole numeric field there."""
+        raw = b"\xff" if kind == "text" else b"x".ljust(size)
+        return blob[:at] + raw + blob[at + len(raw):]
+
+    def two_signals(self):
+        return edf_bytes([simple_signal("C3", [[0, 1]]), simple_signal("C4", [[2, 3]], phys=(-5, 7))])
+
+    @pytest.mark.parametrize("name, at, size, kind", FIELDS, ids=[f[0] for f in FIELDS])
+    def test_bad_field_is_named(self, name, at, size, kind):
+        # a signal field is planted in the second signal
+        at += size if at >= 256 else 0
+        blob = self.planted(self.two_signals(), at, size, kind)
+        want = f"{name} is not ASCII" if kind == "text" else f"{name} is not an? {kind}: 'x'"
+        with pytest.raises(InvalidHeaderField, match=f"^{want}$"):
+            ingest.parse_edf_header(blob)
+
+    def test_two_bad_signal_fields_report_the_first_in_the_file(self):
+        # signal 0's unit comes before signal 1's label by signal, after it
+        # in the file, where every label precedes every unit
+        blob = self.planted(self.two_signals(), 256 + 2 * 96, 8, "text")
+        blob = self.planted(blob, 256 + 16, 16, "text")
+        with pytest.raises(InvalidHeaderField, match="^label is not ASCII$"):
+            ingest.parse_edf_header(blob)
+
+    def test_written_header_parses_back_field_for_field(self, montage):
+        # three channels of peaks 100, 2.5 and 0 (framed as 1), 5 Hz, one
+        # 2 s period written as 25 samples: five 1 s records of 5 samples
+        samples = np.zeros((3, 10))
+        samples[0, 3], samples[1, 7] = -100.0, 2.5
+        rec = core.Recording(channels=montage.electrodes[:3], samples=samples, sampling_rate=5.0)
+        head = ingest.write_edf(rec, 25)[0]
+        assert ingest.parse_edf_header(head) == ingest.EdfHeader(
+            version="0",
+            patient="X",
+            recording_id="X",
+            startdate="01.01.00",
+            starttime="00.00.00",
+            header_bytes=256 * 4,
+            record_count=5,
+            record_duration=1.0,
+            signal_count=3,
+            labels=tuple(e.label for e in montage.electrodes[:3]),
+            transducers=("",) * 3,
+            units=("uV",) * 3,
+            physical_min=(-100.0, -2.5, -1.0),
+            physical_max=(100.0, 2.5, 1.0),
+            digital_min=(-32768,) * 3,
+            digital_max=(32767,) * 3,
+            prefilters=("",) * 3,
+            samples_per_record=(5,) * 3,
+        )
+
 
 class TestReadEdf:
     def test_linear_map_endpoints(self):

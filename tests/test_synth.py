@@ -177,6 +177,11 @@ class TestSynthEeg:
             synth.SynthSpec(duration=1.0, sampling_rate=500.0, montage=montage,
                             band_targets=(), noise_floor=-0.1)
 
+    @pytest.mark.parametrize("duration, fs", [(60.0, 1e307), (1e300, 1e300)])
+    def test_sample_count_overflow_rejected(self, montage, duration, fs):
+        with pytest.raises(ValidationError, match="duration x sampling_rate must be finite"):
+            synth.SynthSpec(duration=duration, sampling_rate=fs, montage=montage, band_targets=())
+
     def test_subsample_duration_rejected(self, montage):
         with pytest.raises(ValidationError):
             synth.synth_eeg(
