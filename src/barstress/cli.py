@@ -1,20 +1,24 @@
 """Command-line front end: ingest, spectra, ratios, fits, maps, report.
 
 One JSON config document drives every command; flags override config keys
-by dotted path (for example --welch.taper hann). Every command returns its
-files by name and writes nothing. One writer, _emit, then encodes them
-all: a .json file's document as json.dumps with indent=2 would, a .csv
-file's rows of text fields one line each, anything else as the bytes
-given, or as the byte chunks of a _Chunks list, written in order and
-never joined (synth's CSV and EDF). Only then does it write them, and
-run_meta.json last, so a failed run leaves no partial output. Wall-clock
-metadata goes to run_meta.json only, keeping the analysis artifacts
-byte-reproducible. `session` runs the commands session.commands names
-in one process, each writing the files its own run writes; psd, bar and
-topo then read each recording and estimate its epoch spectra once.
+by dotted path (for example --welch.taper hann) and top-level keys by
+name (--baseline_bar 0.7). Every command returns its files by name and
+writes nothing. One writer, _write, then encodes them all: a .json
+file's document as json.dumps with indent=2 would, a .csv file's rows of
+text fields one line each, anything else as the bytes given, or as the
+byte chunks of a _Chunks list, written in order and never joined
+(synth's CSV and EDF). Only then does it write them, so a failed command
+leaves no partial output.
+
+Every invocation runs through one loop, _run: a subcommand runs alone,
+`session` runs session.commands in one process (psd, bar and topo then
+read each recording and estimate its epoch spectra once). run_meta.json
+comes last, with each command's exit code and wall time; wall-clock data
+goes there only, keeping the analysis artifacts byte-reproducible.
 
 Exit codes: 0 success, 2 validation or usage error, 3 IO error,
-4 fit non-convergence (partial output still written).
+4 fit non-convergence (partial output still written). An allocation too
+large for memory exits 2, like any rejected input.
 """
 
 from __future__ import annotations
@@ -149,6 +153,8 @@ def _typed(key: str, value, tp):
         return tuple(_typed(f"{key}[{i}]", v, t) for i, (v, t) in enumerate(zip(value, items)))
     if origin is dict and args:
         return {k: _typed(f"{key}.{k}", v, args[1]) for k, v in value.items()}
+    if origin is int and not -(2**63) <= value < 2**63:  # no numpy size is wider
+        raise InvalidConfig(f"{key} is out of range: {value!r}")
     try:
         return float(value) if origin is float else value
     except OverflowError:
@@ -231,16 +237,16 @@ def _read_json(path, what: str):
 
 
 def load_config(args, extras: list[str]) -> RunConfig:
-    """The config file, then each --dotted.key override in extras (values
-    parse as JSON, else stay strings), then the named flags."""
+    """The config file, then each --dotted.key or --top_level_key override
+    in extras (values parse as JSON, else stay strings), then the named flags."""
     doc = _read_json(args.config, "config") if args.config else {}
     if not isinstance(doc, dict):
         raise InvalidConfig(f"config must be an object, got {doc!r}")
     tokens = iter(extras)
     for tok in tokens:
-        if not tok.startswith("--") or "." not in tok:
-            raise InvalidConfig(f"unrecognized argument {tok!r}")
         key, eq, raw = tok[2:].partition("=")
+        if not tok.startswith("--") or ("." not in tok and key not in CONFIG_KEYS):
+            raise InvalidConfig(f"unrecognized argument {tok!r}")
         if not eq and (raw := next(tokens, None)) is None:
             raise InvalidConfig(f"override {tok!r} is missing a value")
         try:
@@ -401,25 +407,6 @@ def _write(cfg: RunConfig, files: dict[str, typing.Any]) -> None:
             f.writelines(chunks)
 
 
-def _run_meta(command: str, **fields) -> dict:
-    """run_meta.json's document: what made a run's files, and when."""
-    now = datetime.datetime.now(datetime.timezone.utc)
-    return {"command": command, "timestamp": now.isoformat(), "versions": _VERSIONS, **fields}
-
-
-def _emit(cfg: RunConfig, command: str | None, result: Result) -> int:
-    """Write a command's files into cfg.out_dir, then run_meta.json (none
-    for a session's command, whose session writes it last); print its
-    message unless quiet; return its exit code."""
-    code, files, message = result
-    if command is not None:
-        files = {**files, "run_meta.json": _run_meta(command)}
-    _write(cfg, files)
-    if not cfg.quiet:
-        print(message)
-    return code
-
-
 def _bar_points(
     cfg: RunConfig, path: str | None, protocol: core.SessionProtocol
 ) -> list[tuple[float, float]]:
@@ -536,7 +523,7 @@ def cmd_bar(cfg: RunConfig) -> Result:
 
 def _read_points(path: Path) -> list[tuple[float, float]]:
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a spreadsheet's BOM is not data
     except UnicodeDecodeError as exc:
         raise TooFewPoints(f"points file {str(path)!r} is not UTF-8: {exc}") from None
     rows = [ln.split(",") for ln in text.splitlines() if ln.strip()]
@@ -831,32 +818,37 @@ COMMANDS = {
 
 
 def _guarded(run: typing.Callable[[], int]) -> int:
-    """run()'s exit code; a PipelineError is reported and exits 2, an OSError 3."""
+    """run()'s exit code; a PipelineError, or a MemoryError from an input too
+    large to hold, is reported and exits 2, an OSError 3."""
     try:
         return run()
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
 
 
-def _run_session(cfg: RunConfig, args) -> int:
-    """Run cfg.session_commands in order, in this process.
+def _run(cfg: RunConfig, args, commands: tuple[str, ...]) -> int:
+    """Run commands in order, in this process: the one subcommand, or a
+    session's session.commands.
 
-    Each command writes its files, and prints its message, as its own run
-    would. An exit 2 or 3 stops the session and is its exit code; an exit 4
-    lets the rest run and is its exit code unless a later command stops
-    it. run_meta.json is written last, once any command has written files:
-    each command's name, exit code and wall time.
+    Each command writes its files, and prints its message unless quiet.
+    An exit 2 or 3 stops the run and is its exit code; an exit 4 lets the
+    rest run and is its exit code unless a later command stops it.
+    run_meta.json is written last, once any command has written files:
+    the subcommand, a timestamp, the versions, and each command's name,
+    exit code and wall time.
 
     A fit after bar that would read fewer points than the quartic needs
     from bar's bar_points.csv exits 2 before any command runs. A fit with
     no bar before it reads the bar_points.csv already in the output
     directory, as its own run would.
     """
-    commands = cfg.session_commands
     if "bar" in commands and "fit" in commands[commands.index("bar"):] and not cfg.points:
         count = len(cfg.protocol.epoch_times) + _baseline_leads(cfg)
         if count < 5:
@@ -866,16 +858,26 @@ def _run_session(cfg: RunConfig, args) -> int:
                 "input.baseline_recording (phase during_gameplay), set input.points, "
                 "or leave fit out of session.commands"
             )
+
+    def step(name: str) -> int:
+        rc, files, message = COMMANDS[name](cfg, args)
+        _write(cfg, files)
+        if not cfg.quiet:
+            print(message)
+        return rc
+
     code, steps = EXIT_OK, []
-    for name in cfg.session_commands:
+    for name in commands:
         t0 = time.perf_counter()
-        rc = _guarded(lambda: _emit(cfg, None, COMMANDS[name](cfg, args)))
+        rc = _guarded(lambda: step(name))
         steps.append({"command": name, "exit_code": rc, "wall_s": time.perf_counter() - t0})
         code = rc if rc != EXIT_OK else code
         if rc in (EXIT_VALIDATION, EXIT_IO):
             break
     if any(s["exit_code"] in (EXIT_OK, EXIT_DIVERGED) for s in steps):
-        _write(cfg, {"run_meta.json": _run_meta("session", commands=steps)})
+        now = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        meta = {"command": args.command, "timestamp": now, "versions": _VERSIONS, "commands": steps}
+        _write(cfg, {"run_meta.json": meta})
     return code
 
 
@@ -928,9 +930,7 @@ def main(argv=None) -> int:
 
     def run() -> int:
         cfg = load_config(args, extras)
-        if args.command == "session":
-            return _run_session(cfg, args)
-        return _emit(cfg, args.command, COMMANDS[args.command](cfg, args))
+        return _run(cfg, args, cfg.session_commands if args.command == "session" else (args.command,))
 
     return _guarded(run)
 

@@ -40,6 +40,7 @@ from .errors import BandAboveNyquist, ValidationError
 
 RNG_ALGORITHM = "numpy default_rng (PCG64), child seed [seed, channel_index]"
 
+_MAX_BYTES = np.iinfo(np.intp).max  # of one numpy array
 _OSC_SPACING = 0.25
 _OSC_INSET = 0.5
 
@@ -64,9 +65,11 @@ class SynthSpec:
             raise ValidationError(f"duration must be > 0, got {self.duration}")
         if not (math.isfinite(self.sampling_rate) and self.sampling_rate > 0):
             raise ValidationError(f"sampling_rate must be > 0, got {self.sampling_rate}")
-        if not math.isfinite(self.duration * self.sampling_rate):
+        # Every channel's samples, as float64, must be one array numpy can index.
+        if not self.duration * self.sampling_rate * len(self.montage.electrodes) * 8 <= _MAX_BYTES:
             raise ValidationError(
-                f"duration x sampling_rate must be finite, got {self.duration} s at {self.sampling_rate} Hz"
+                "duration x sampling_rate must be finite and within numpy's index range, "
+                f"got {self.duration} s at {self.sampling_rate} Hz"
             )
         targets = tuple((band, float(power)) for band, power in self.band_targets)
         if any(p < 0 or not math.isfinite(p) for _, p in targets):

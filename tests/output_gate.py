@@ -21,7 +21,11 @@ directory: the path, its byte length, then its bytes. Two versions of the
 program that print the same digest wrote the same files, byte for byte;
 the digest is compared with DIGEST, the current program's, and reported as
 unchanged or CHANGED. A change that alters output bytes on purpose updates
-DIGEST. A changed digest alone does not fail the gate.
+DIGEST. A changed digest alone does not fail the gate. Before it, one
+SHA-256 per top-level output directory (each workload, and hour_edf) is
+printed with the same framing over that directory's files, and compared
+with its entry in DIR_DIGESTS, so a CHANGED total names the sessions
+whose bytes moved.
 
 The file name has no test_ prefix, so pytest does not collect it.
 """
@@ -47,6 +51,13 @@ from barstress import cli  # noqa: E402
 WORKLOADS = ("gameplay_edf", "relaxation_maps", "synth_roundtrip", "published_fits")
 SEED = 47
 DIGEST = "7d89f8b327ebcd1afb33241dee70983540331b31733c8eea2ef44a3fc0063d86"
+DIR_DIGESTS = {
+    "gameplay_edf": "942d30b2c889ac03a93959794a0b3c06dd3f6dfcc8c0c5d8e87aa20483567ffc",
+    "hour_edf": "b04beb1ad15ea553ef8de4cc7a90fc51fa749f80c139bcf571c883733040f6f1",
+    "published_fits": "31988030c78283cbee8a2c8bcc9d64ebafc20565de4994316692da45b67a9fb5",
+    "relaxation_maps": "34a5601c72ac5521a6387ba49929d89bb8231e340f7fc6707615a7a677eede58",
+    "synth_roundtrip": "0f5767d70c408b1b9e59b7eb09c6e95ea3c898c6f48f2942b775f320d4c73c62",
+}
 HOUR_SPEC = {
     "duration_s": 3600, "sampling_rate": 500.0, "seed": 7, "noise_floor": 0.0, "outputs": ["edf"],
     "bands": [{"name": "alpha", "f_low": 8.0, "f_high": 13.0, "power": 4.329},
@@ -105,12 +116,18 @@ def main() -> int:
         try:
             files, failures = run_sessions()
             digest = hashlib.sha256()
+            per_dir: dict = {}
             for path in files:
                 blob = path.read_bytes()
-                digest.update(b"%s\0%d\0" % (path.as_posix().encode(), len(blob)))
-                digest.update(blob)
+                framed = b"%s\0%d\0" % (path.as_posix().encode(), len(blob))
+                for h in (digest, per_dir.setdefault(path.parts[1], hashlib.sha256())):
+                    h.update(framed)
+                    h.update(blob)
         finally:
             os.chdir(cwd)
+    for name, h in per_dir.items():
+        sha = h.hexdigest()
+        print(f"  {name}: sha256 {sha} " + ("unchanged" if sha == DIR_DIGESTS.get(name) else "CHANGED"))
     sha = digest.hexdigest()
     print(f"{len(files)} files, sha256 {sha} "
           + ("digest unchanged" if sha == DIGEST else f"digest CHANGED (was {DIGEST})"))

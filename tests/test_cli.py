@@ -190,6 +190,26 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: duration x sampling_rate must be finite")
         assert not (tmp_path / "o").exists()
 
+    # Each allocation is past what a process can address (128 TiB on x86-64,
+    # 256 TiB on arm64), so it fails at once, however the kernel overcommits.
+    @pytest.mark.parametrize("argv, spec", [
+        (["synth"], {"duration_s": 60, "sampling_rate": 1e20, "outputs": ["edf"]}),  # past int64
+        (["synth"], {"duration_s": 60, "sampling_rate": 1e12, "outputs": ["edf"]}),  # 873 TiB
+        (["topo", "--topo.resolution", "10000000"], None),  # 728 TiB
+        (["psd", "--welch.fft_size", "100000000000000"], None),  # 21.3 PiB
+        (["bar", "--welch.fft_size", "10000000000000000000000"], None),  # past int64
+    ], ids=["synth-1e20-Hz", "synth-1e12-Hz", "topo-resolution", "psd-fft-size", "bar-fft-size"])
+    def test_size_beyond_memory_exits_2_without_traceback(self, tmp_path, session_edf, capsys, argv, spec):
+        if spec is None:
+            argv = [*argv, "--input", str(session_edf[0])]
+        else:
+            (tmp_path / "spec.json").write_text(json.dumps(spec))
+            argv = [*argv, "--spec", str(tmp_path / "spec.json")]
+        assert run(*argv, "--out", str(tmp_path / "o")) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_ridge_fit_reports_divergence_with_output(self, tmp_path, monkeypatch):
         # a fit that uses up its iteration budget is flagged, but the command
         # still writes what it found
@@ -515,10 +535,12 @@ class TestSynthCommand:
         cfg = cli.RunConfig(out_dir=str(tmp_path / "o"), quiet=True)
         tracemalloc.start()
         try:
-            assert cli._emit(cfg, "synth", cli.cmd_synth(cfg, str(spec))) == cli.EXIT_OK
+            code, files, _ = cli.cmd_synth(cfg, str(spec))
+            cli._write(cfg, files)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert code == cli.EXIT_OK
         samples = 30 * 500 * duration * 8
         text = (tmp_path / "o" / "synthetic.csv").stat().st_size
         assert peak - samples < text_copies * text, f"{(peak - samples) / text:.2f} x the CSV text"
@@ -532,10 +554,12 @@ class TestSynthCommand:
         cfg = cli.RunConfig(out_dir=str(tmp_path / "o"), quiet=True)
         tracemalloc.start()
         try:
-            assert cli._emit(cfg, "synth", cli.cmd_synth(cfg, str(spec))) == cli.EXIT_OK
+            code, files, _ = cli.cmd_synth(cfg, str(spec))
+            cli._write(cfg, files)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert code == cli.EXIT_OK
         assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_output_is_ingestible_near_target(self, tmp_path, montage_30):
@@ -793,6 +817,19 @@ class TestFitCommand:
         doc = json.loads((out / "fit_quartic.json").read_text())
         assert doc["n"] == 5
 
+    @pytest.mark.parametrize("header", ["", "x_minutes,y_ratio\n"], ids=["headerless", "header"])
+    def test_byte_order_mark_keeps_every_point(self, tmp_path, header):
+        # a spreadsheet's UTF-8 export starts with a byte-order mark
+        rows = [(0.0, 0.701), (15.0, 0.729), (30.0, 0.874), (45.0, 1.297), (60.0, 1.541)]
+        text = header + "".join(f"{x},{y}\n" for x, y in rows)
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        (tmp_path / "plain.csv").write_text(text)
+        for name in ("bom", "plain"):
+            assert run("fit", "--points", str(tmp_path / f"{name}.csv"), "--out", str(tmp_path / name),
+                       "--quiet") == 0
+        assert json.loads((tmp_path / "bom" / "fit_quartic.json").read_text())["n"] == 5
+        assert outputs(tmp_path / "bom") == outputs(tmp_path / "plain")
+
 
 class TestPsdCommand:
     def test_per_channel_files(self, tmp_path, rest_csv):
@@ -868,8 +905,10 @@ def run_psd_writer(epochs, psds):
     spectra = [(ep.t_start, psd) for ep, psd in zip(epochs, psds)]
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_epoch_psds", return_value=spectra):
         cfg = cli.RunConfig(recording="in.csv", out_dir=tmp, quiet=True)
-        assert cli._emit(cfg, "psd", cli.cmd_psd(cfg)) == 0
-        return {p.name: p.read_bytes() for p in Path(tmp).iterdir() if p.name != "run_meta.json"}
+        code, files, _ = cli.cmd_psd(cfg)
+        assert code == 0
+        cli._write(cfg, files)
+        return {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
 
 
 class TestPsdWriter:
@@ -975,18 +1014,20 @@ class TestJsonWriter:
 
 
 class TestEmit:
-    def test_nothing_written_when_a_file_cannot_be_encoded(self, tmp_path):
-        cfg = cli.RunConfig(out_dir=str(tmp_path / "o"), quiet=True)
+    """A command's files and run_meta.json, as the run loop writes them."""
+
+    def test_nothing_written_when_a_file_cannot_be_encoded(self, tmp_path, monkeypatch):
         files = {"a.csv": [["1.0"]], "b.json": {"bad": object()}}
+        monkeypatch.setitem(cli.COMMANDS, "bar", lambda cfg, args: (cli.EXIT_OK, files, ""))
         with pytest.raises(TypeError):
-            cli._emit(cfg, "bar", (cli.EXIT_OK, files, ""))
+            cli.main(["bar", "--out", str(tmp_path / "o"), "--quiet"])
         assert not (tmp_path / "o").exists()
 
-    def test_nothing_written_when_a_file_after_chunks_cannot_be_encoded(self, tmp_path):
-        cfg = cli.RunConfig(out_dir=str(tmp_path / "o"), quiet=True)
+    def test_nothing_written_when_a_file_after_chunks_cannot_be_encoded(self, tmp_path, monkeypatch):
         files = {"a.edf": cli._Chunks([b"head", memoryview(b"data")]), "b.json": {"bad": object()}}
+        monkeypatch.setitem(cli.COMMANDS, "synth", lambda cfg, args: (cli.EXIT_OK, files, ""))
         with pytest.raises(TypeError):
-            cli._emit(cfg, "synth", (cli.EXIT_OK, files, ""))
+            cli.main(["synth", "--spec", "unread.json", "--out", str(tmp_path / "o"), "--quiet"])
         assert not (tmp_path / "o").exists()
 
     def test_files_in_order_then_run_meta(self, tmp_path, monkeypatch, capsys):
@@ -994,10 +1035,11 @@ class TestEmit:
         written = []
         path_open = Path.open
         monkeypatch.setattr(Path, "open", lambda p, *a, **k: written.append(p.name) or path_open(p, *a, **k))
-        cfg = cli.RunConfig(out_dir=str(tmp_path / "o"))
         files = {"b.json": {"k": (1, 2.5)}, "a.csv": [["x", "y"], ("1.0", "nan")], "c.ppm": b"P6",
                  "d.edf": cli._Chunks([b"ab", memoryview(b"xcdx")[1:3], b""])}
-        assert cli._emit(cfg, "fit", (cli.EXIT_DIVERGED, files, "line 1\nline 2")) == cli.EXIT_DIVERGED
+        result = (cli.EXIT_DIVERGED, files, "line 1\nline 2")
+        monkeypatch.setitem(cli.COMMANDS, "fit", lambda cfg, args: result)
+        assert cli.main(["fit", "--out", str(tmp_path / "o")]) == cli.EXIT_DIVERGED
         assert written == ["b.json", "a.csv", "c.ppm", "d.edf", "run_meta.json"]
         assert (tmp_path / "o" / "a.csv").read_bytes() == b"x,y\n1.0,nan\n"
         assert (tmp_path / "o" / "d.edf").read_bytes() == b"abcd"
@@ -1006,6 +1048,7 @@ class TestEmit:
         assert meta["command"] == "fit"
         assert meta["versions"] == {"barstress": barstress.__version__, "numpy": np.__version__,
                                     "python": platform.python_version()}
+        assert [(c["command"], c["exit_code"]) for c in meta["commands"]] == [("fit", cli.EXIT_DIVERGED)]
         assert capsys.readouterr().out == "line 1\nline 2\n"
 
 
@@ -1316,12 +1359,43 @@ BAD_CONFIGS = [
     ([], {"baseline_bar": "0.7"}, "baseline_bar must be"),
     ([], {"channels": "Fz"}, "channels must be"),
     ([], {"channels": []}, "channels must name at least one channel"),
+    # a top-level key's flag is checked like the file's key; no other undotted flag is taken
+    (["--baseline_bar", '"0.7"'], None, "baseline_bar must be"),
+    (["--baseline", "0.7"], None, "unrecognized argument '--baseline'"),
+    (["--welch.fft_size", str(2**63)], None, f"welch.fft_size is out of range: {2**63}"),
 ]
 
 
 def parse(*argv):
     args, extras = cli.build_parser().parse_known_args(list(argv))
     return cli.load_config(args, extras)
+
+
+@pytest.mark.parametrize("flags", [["--baseline_bar", "0.701"], ["--baseline_bar=0.701"]],
+                         ids=["space", "equals"])
+def test_top_level_key_flag_gives_the_config_files_output(tmp_path, session_edf, flags):
+    doc = {"protocol": {"phase": "during_gameplay", "epoch_times": EDF_EPOCHS}}
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    in_file = write_config(tmp_path / "a", {**doc, "baseline_bar": 0.701})
+    in_flag = write_config(tmp_path / "b", doc)
+    for cfg, extra, out in ((in_file, [], "file"), (in_flag, flags, "flag")):
+        assert run("bar", "--config", str(cfg), "--input", str(session_edf[0]), *extra,
+                   "--out", str(tmp_path / out), "--quiet") == 0
+    got = outputs(tmp_path / "flag")
+    assert b"0.701" in got[Path("bar_points.csv")] and got == outputs(tmp_path / "file")
+
+
+@pytest.mark.parametrize("flags, field, value", [
+    (["--sampling_rate", "250"], "sampling_rate", 250.0),
+    (["--montage=standard-30"], "montage_name", "standard-30"),
+    (["--bands", '{"alpha": [8, 13]}'], "bands", (core.BandDefinition("alpha", 8.0, 13.0),)),
+    (["--channels", '["Fz", "Cz"]'], "channels", ("Fz", "Cz")),
+    (["--out_dir", "elsewhere"], "out_dir", "elsewhere"),
+    (["--baseline_bar", "null"], "baseline_bar", None),
+])
+def test_every_top_level_key_takes_a_flag(flags, field, value):
+    assert getattr(parse("bar", *flags), field) == value
 
 
 class TestConfigTable:
@@ -1735,4 +1809,60 @@ class TestSessionCommand:
                      "--out", str(tmp_path / "o"))
         assert rc == cli.EXIT_VALIDATION and reader.call_count == 0
         assert capsys.readouterr().err.startswith("error: session.commands must name some of")
+        assert not (tmp_path / "o").exists()
+
+
+class TestRunMeta:
+    """Every invocation runs through one loop and writes one run_meta.json shape."""
+
+    def run_in(self, tmp_path, session_edf, rest_edf, command):
+        """Run command into tmp_path/o; fit and report find bar's files there."""
+        out = tmp_path / "o"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"duration_s": 4.0, "outputs": ["edf"]}))
+        cfg = write_config(tmp_path, {"input": {"baseline_recording": str(rest_edf[0])},
+                                      "protocol": {"phase": "during_gameplay", "epoch_times": EDF_EPOCHS}})
+        recording = ["--input", str(session_edf[0])]
+        if command in ("fit", "report"):
+            assert run("bar", "--config", str(cfg), *recording, "--out", str(out), "--quiet") == 0
+            (out / "run_meta.json").unlink()
+        flags = {"synth": ["--spec", str(spec)], "fit": [], "report": []}.get(command, recording)
+        return run(command, "--config", str(cfg), *flags, "--out", str(out), "--quiet")
+
+    @pytest.mark.parametrize("command", ["synth", "psd", "bar", "fit", "topo", "report", "session"])
+    def test_one_shape_listing_the_commands_that_ran(self, tmp_path, session_edf, rest_edf, command):
+        assert self.run_in(tmp_path, session_edf, rest_edf, command) == 0
+        meta = json.loads((tmp_path / "o" / "run_meta.json").read_text())
+        assert list(meta) == ["command", "timestamp", "versions", "commands"]
+        assert meta["command"] == command
+        ran = SESSION if command == "session" else (command,)
+        assert [(c["command"], c["exit_code"]) for c in meta["commands"]] == [(c, 0) for c in ran]
+        assert all(list(c) == ["command", "exit_code", "wall_s"] and c["wall_s"] >= 0
+                   for c in meta["commands"])
+
+    def test_lone_fit_exit_4_writes_its_files_and_run_meta(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(regress, "_MAX_ITERATIONS", 1)
+        # the power-law ridge series, which one iteration does not settle
+        pts = tmp_path / "points.csv"
+        rows = [(0.0, 0.701), (15.0, 1.084), (30.0, 1.295), (45.0, 1.742), (60.0, 2.149)]
+        pts.write_text("\n".join(f"{x},{y}" for x, y in rows) + "\n")
+        out = tmp_path / "o"
+        assert run("fit", "--points", str(pts), "--out", str(out), "--quiet") == cli.EXIT_DIVERGED
+        assert {"fit_4pl.json", "fit_quartic.json", "comparison.json"} <= {p.name for p in out.iterdir()}
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["command"] == "fit"
+        assert [(c["command"], c["exit_code"]) for c in meta["commands"]] == [("fit", cli.EXIT_DIVERGED)]
+
+    @pytest.mark.parametrize("command", ["synth", "psd", "bar", "fit", "topo", "report", "session"])
+    def test_lone_command_exit_2_writes_nothing(self, tmp_path, session_edf, capsys, command):
+        (tmp_path / "spec.json").write_text(json.dumps({"duration_s": 0.0}))
+        (tmp_path / "points.csv").write_text("0,0.7\n1,0.8\n")
+        cfg = write_config(tmp_path, {"protocol": {"epoch_times": []},
+                                      "session": {"commands": ["psd", "bar"]}})
+        flags = {"synth": ["--spec", str(tmp_path / "spec.json")],
+                 "fit": ["--points", str(tmp_path / "points.csv")],
+                 "report": []}.get(command, ["--input", str(session_edf[0])])
+        rc = run(command, "--config", str(cfg), *flags, "--out", str(tmp_path / "o"))
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o").exists()
