@@ -4,11 +4,11 @@ One JSON config document drives every command; flags override config keys
 by dotted path (for example --welch.taper hann) and top-level keys by
 name (--baseline_bar 0.7). Every command returns its files by name and
 writes nothing. One writer, _write, then encodes them all: a .json
-file's document as json.dumps with indent=2 would, a .csv file's rows of
+file's document with json.dumps(doc, indent=2), a .csv file's rows of
 text fields one line each, anything else as the bytes given, or as the
 byte chunks of a _Chunks list, written in order and never joined
-(synth's CSV and EDF). Only then does it write them, so a failed command
-leaves no partial output.
+(synth's CSV and EDF, psd's per-channel CSVs). Only then does it write
+them, so a failed command leaves no partial output.
 
 Every invocation runs through one loop, _run: a subcommand runs alone,
 `session` runs session.commands in one process (psd, bar and topo then
@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
-import itertools
 import json
 import math
 import mmap
@@ -36,7 +35,7 @@ import sys
 import time
 import types
 import typing
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -334,36 +333,6 @@ def _epoch_psds(
     return list(psds)
 
 
-class _FloatText(list):
-    """Floats already formatted as repr writes them, spliced into JSON as numbers."""
-
-
-# json.dumps spells the non-finite floats as these JavaScript constants.
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_indent2(obj, level: int = 0) -> str:
-    """The text json.dumps gives obj with indent=2, _FloatText lists spliced in.
-
-    The stdlib encoder runs in pure Python whenever indent is set; this
-    writer only walks the containers and leaves each number list as one
-    join. obj holds dicts with string keys, lists, tuples and JSON scalars.
-    """
-    if isinstance(obj, _FloatText):
-        items, brackets = map(_JSON_NONFINITE.get, obj, obj), "[]"
-    elif isinstance(obj, (list, tuple)):
-        items, brackets = (_json_indent2(v, level + 1) for v in obj), "[]"
-    elif isinstance(obj, dict):
-        items = (f"{json.dumps(k)}: {_json_indent2(v, level + 1)}" for k, v in obj.items())
-        brackets = "{}"
-    else:
-        return json.dumps(obj)
-    if not obj:
-        return brackets
-    inner = "\n" + "  " * (level + 1)
-    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * level}{brackets[1]}"
-
-
 # What a command returns: its exit code, its files by name, and its message.
 Result = tuple[int, dict[str, typing.Any], str]
 
@@ -384,7 +353,7 @@ def _encode(name: str, content) -> list:
     if isinstance(content, bytes):
         return [content]
     if name.endswith(".json"):
-        return [_json_indent2(content).encode()]
+        return [json.dumps(content, indent=2).encode()]
     return [("\n".join(map(",".join, content)) + "\n").encode()]
 
 
@@ -444,29 +413,21 @@ def _measure_baseline(cfg: RunConfig) -> float | None:
 
 def cmd_psd(cfg: RunConfig) -> Result:
     epochs = _epoch_psds(cfg, cfg.recording, cfg.protocol)
-    psds = [psd for _, psd in epochs]
-    channels = psds[0].channels
-    # Every value is formatted once; the CSVs and psd.json share the text.
-    freq_txt = floattext.reprs(psds[0].frequencies)
-    text = floattext.reprs(np.stack([p.power for p in psds]))
-    rows = [text[i : i + len(freq_txt)] for i in range(0, len(text), len(freq_txt))]
-    power_txt = [rows[i : i + len(channels)] for i in range(0, len(rows), len(channels))]
-    header = ["frequency_hz", *(f"epoch_{t:g}s" for t, _ in epochs)]
-    files = {}
-    for row, ch in enumerate(channels):
-        # Lazy rows: built as lists for all channels at once, they cost time and memory.
-        columns = zip(freq_txt, *(txt[row] for txt in power_txt))
-        files[f"psd_{ch.label}.csv"] = itertools.chain([header], columns)
+    starts = [t for t, _ in epochs]
+    freqs, channels = epochs[0][1].frequencies, epochs[0][1].channels
+    power = np.stack([psd.power for _, psd in epochs], axis=-1)  # (channel, frequency, epoch)
+    header = ",".join(["frequency_hz", *(f"epoch_{t:g}s" for t in starts)]).encode() + b"\n"
+    names = [f"psd_{ch.label}.csv" for ch in channels]
+    files = {
+        name: _Chunks([header, floattext.join_rows(np.column_stack([freqs, spectra]))])
+        for name, spectra in zip(names, power)
+    }
+    # An index of the CSVs: the spectra are written once, in them.
     files["psd.json"] = {
         "schema_version": SCHEMA_VERSION,
-        "frequencies_hz": _FloatText(freq_txt),
-        "epochs": [
-            {
-                "t_start": t,
-                "power": {ch.label: _FloatText(txt[i]) for i, ch in enumerate(channels)},
-            }
-            for (t, _), txt in zip(epochs, power_txt)
-        ],
+        "epochs": starts,
+        "channels": [{"label": ch.label, "file": name} for ch, name in zip(channels, names)],
+        "welch": asdict(cfg.welch),
     }
     return EXIT_OK, files, f"wrote PSD for {len(channels)} channels, {len(epochs)} epochs"
 

@@ -50,6 +50,9 @@ class ChannelInfo:
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
             raise InvalidMontage(f"unknown channel kind {self.kind!r}")
+        if "/" in self.label or "\0" in self.label:
+            # psd names a file after each label
+            raise InvalidMontage(f"channel label {self.label!r} contains '/' or NUL")
         x, y = self.position
         if not (math.isfinite(x) and math.isfinite(y)):
             raise InvalidMontage(f"non-finite position for {self.label!r}")

@@ -133,6 +133,13 @@ def welch_psd(epoch: Epoch, config: WelchConfig = WelchConfig()) -> PsdEstimate:
             f"needs {win}"
         )
     nfft = config.fft_size if config.fft_size is not None else m
+    rows = epoch.samples.shape[0]
+    if rows * (nfft // 2 + 1) * 16 > np.iinfo(np.intp).max:
+        # numpy cannot size such an array; say so before anything is allocated
+        raise InvalidConfig(
+            f"welch.fft_size {nfft} gives a spectrum of {rows} x {nfft // 2 + 1} "
+            "complex values, beyond numpy's index range"
+        )
     w = taper_window(config.taper, m)
     u = float(np.mean(w * w))
     if u <= 0:

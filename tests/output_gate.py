@@ -50,12 +50,12 @@ from barstress import cli  # noqa: E402
 
 WORKLOADS = ("gameplay_edf", "relaxation_maps", "synth_roundtrip", "published_fits")
 SEED = 47
-DIGEST = "7d89f8b327ebcd1afb33241dee70983540331b31733c8eea2ef44a3fc0063d86"
+DIGEST = "3f6ddfffae6a6c7093332d7d62b5e5a69c6074299e6a270a490a63bd3d3154cd"
 DIR_DIGESTS = {
     "gameplay_edf": "942d30b2c889ac03a93959794a0b3c06dd3f6dfcc8c0c5d8e87aa20483567ffc",
-    "hour_edf": "b04beb1ad15ea553ef8de4cc7a90fc51fa749f80c139bcf571c883733040f6f1",
+    "hour_edf": "0e37a7d6d8ad4a055bae60bd4a85c00a304ef0335736a8d5a755e482cb4f1dbf",
     "published_fits": "31988030c78283cbee8a2c8bcc9d64ebafc20565de4994316692da45b67a9fb5",
-    "relaxation_maps": "34a5601c72ac5521a6387ba49929d89bb8231e340f7fc6707615a7a677eede58",
+    "relaxation_maps": "4565fd44390b5e62140c5da8cfe36e4bf854d210384d519d26cce5e2b4c577ae",
     "synth_roundtrip": "0f5767d70c408b1b9e59b7eb09c6e95ea3c898c6f48f2942b775f320d4c73c62",
 }
 HOUR_SPEC = {

@@ -1,5 +1,5 @@
+import dataclasses
 import json
-import math
 import os
 import platform
 import re
@@ -209,6 +209,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    # Inside int64, but the spectrum's bytes are not: numpy cannot even size it.
+    @pytest.mark.parametrize("command", ["psd", "bar", "topo"])
+    def test_fft_size_past_index_range_exits_2(self, tmp_path, session_edf, capsys, command):
+        argv = ["--input", str(session_edf[0]), "--welch.fft_size", str(2**62), "--out", str(tmp_path / "o")]
+        assert run(command, *argv) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: welch.fft_size 4611686018427387904 ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    # psd names a file after each label.
+    @pytest.mark.parametrize("label", ["C3/x", "C3\0"], ids=["slash", "nul"])
+    def test_label_unfit_for_a_file_name_exits_2(self, tmp_path, rest_csv, capsys, label):
+        montage = tmp_path / "montage.json"
+        montage.write_text(json.dumps({"electrodes": [
+            {"label": label if e.label == "C3" else e.label, "x": e.position[0], "y": e.position[1]}
+            for e in core.standard_montage().electrodes
+        ]}))
+        recording = tmp_path / "rest.csv"  # its header names the same channels
+        recording.write_bytes(rest_csv.read_bytes().replace(b",C3,", f",{label},".encode(), 1))
+        out = tmp_path / "o"
+        out.mkdir()
+        cfg = write_config(tmp_path, {"montage": str(montage), "protocol": {"epoch_times": [0.0]}})
+        assert run("psd", "--config", str(cfg), "--input", str(recording), "--out", str(out)) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: channel label ") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
     def test_ridge_fit_reports_divergence_with_output(self, tmp_path, monkeypatch):
         # a fit that uses up its iteration budget is flagged, but the command
@@ -842,10 +869,24 @@ class TestPsdCommand:
         lines = per_channel[0].read_text().splitlines()
         assert lines[0] == "frequency_hz,epoch_0s"
         assert len(lines) == 1002
-        doc = json.loads((out / "psd.json").read_text())
-        freqs = doc["frequencies_hz"]
+        freqs = [float(ln.split(",")[0]) for ln in lines[1:]]
         assert freqs[0] == 0.0 and freqs[-1] == 250.0 and len(freqs) == 1001
-        assert len(doc["epochs"][0]["power"]) == 30
+        assert len(json.loads((out / "psd.json").read_text())["channels"]) == 30
+
+    def test_index_lists_each_csv_once_with_the_welch_settings(self, tmp_path, session_csv):
+        out = tmp_path / "o"
+        welch = {"taper": "hann", "fft_size": 4096, "overlap_fraction": 0.25}
+        cfg = write_config(tmp_path, {"welch": welch, "protocol": {"epoch_times": [0.0, 20.0]}})
+        assert run("psd", "--config", str(cfg), "--input", str(session_csv),
+                   "--out", str(out), "--quiet") == 0
+        doc = json.loads((out / "psd.json").read_text())
+        assert doc["schema_version"] == cli.SCHEMA_VERSION and doc["epochs"] == [0.0, 20.0]
+        listed = [ch["file"] for ch in doc["channels"]]
+        labels = [e.label for e in core.standard_montage().electrodes]
+        assert [ch["label"] for ch in doc["channels"]] == labels
+        assert listed == [f"psd_{label}.csv" for label in labels]
+        assert sorted(listed) == sorted(p.name for p in out.glob("psd_*.csv"))  # each file, once
+        assert doc["welch"] == {"window_len": 10.0, "segment_count": 4, **welch}
 
 
 # Edge values for the writers: zero both ways, the smallest subnormal, a
@@ -875,7 +916,8 @@ def psd_sets(draw, n_freq=st.integers(1, 5), n_epochs=st.integers(1, 3)):
 
 
 def reference_psd_files(epochs, psds):
-    """Per-value writer: repr of each float, json.dumps(indent=2) for psd.json."""
+    """Per-value writer: repr of each float in the CSVs, and psd.json their
+    index as json.dumps(indent=2) writes it."""
     channels = epochs[0].channels
     header = "frequency_hz," + ",".join(f"epoch_{ep.t_start:g}s" for ep in epochs)
     files = {}
@@ -887,14 +929,9 @@ def reference_psd_files(epochs, psds):
         files[f"psd_{ch.label}.csv"] = ("\n".join(lines) + "\n").encode()
     doc = {
         "schema_version": cli.SCHEMA_VERSION,
-        "frequencies_hz": [float(f) for f in psds[0].frequencies],
-        "epochs": [
-            {
-                "t_start": ep.t_start,
-                "power": {ch.label: [float(v) for v in p.power[i]] for i, ch in enumerate(channels)},
-            }
-            for ep, p in zip(epochs, psds)
-        ],
+        "epochs": [ep.t_start for ep in epochs],
+        "channels": [{"label": ch.label, "file": f"psd_{ch.label}.csv"} for ch in channels],
+        "welch": dataclasses.asdict(psds[0].config),
     }
     files["psd.json"] = json.dumps(doc, indent=2).encode()
     return files
@@ -931,7 +968,6 @@ class TestPsdWriter:
         )
         files = run_psd_writer([ep], [psd])
         assert files == reference_psd_files([ep], [psd])
-        assert b"NaN,\n" in files["psd.json"] and b"-Infinity\n" in files["psd.json"]
         assert files["psd_Cz.csv"].splitlines()[1:] == [b"0.0,nan", b"5e-324,inf", b"1e+16,-inf"]
 
 
@@ -972,7 +1008,7 @@ class TestCsvFieldsParse:
                         float(field)  # raises ValueError on text such as np.float64(0.25)
                         checked += 1
         assert checked > 30 * 1001 * 4
-        freqs = json.loads((out / "psd.json").read_text())["frequencies_hz"]
+        freqs = np.fft.rfftfreq(2000, d=1 / 500.0).tolist()  # 10 s epochs, 4 segments half overlapped
         for path in out.glob("psd_*.csv"):
             column = [float(ln.split(",", 1)[0]) for ln in path.read_text().splitlines()[1:]]
             assert column == freqs
@@ -982,35 +1018,6 @@ class TestCsvFieldsParse:
         for name in documents:
             text = (out / name).read_text()
             assert text == json.dumps(json.loads(text), indent=2), name
-
-
-# JSON trees with the scalars json.dumps spells in its own way.
-json_keys = st.text() | st.sampled_from(
-    ["", '"', "\\", "\n\t", "\x00", "\u00e9", "O\u0308z", "\u2028", "\ud800"]
-)
-json_scalars = (
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 2**64])
-)
-json_trees = st.recursive(
-    json_scalars,
-    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(json_keys, inner, max_size=4),
-    max_leaves=20,
-)
-
-
-class TestJsonWriter:
-    @settings(max_examples=300, deadline=None)
-    @given(json_trees)
-    def test_equals_json_dumps_indent2(self, doc):
-        assert cli._json_indent2(doc) == json.dumps(doc, indent=2)
-
-    @pytest.mark.parametrize(
-        "doc", [[], {}, (), [[]], {"a": {}}, ([], ()), {"k": ((1, 2.5), None)}]
-    )
-    def test_empty_and_nested_containers(self, doc):
-        assert cli._json_indent2(doc) == json.dumps(doc, indent=2)
 
 
 class TestEmit:

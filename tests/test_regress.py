@@ -1,10 +1,11 @@
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from barstress import cli, regress
+from barstress import regress
 from barstress.errors import (
     DegenerateX,
     MismatchedData,
@@ -664,4 +665,4 @@ class TestSerialization:
         d = regress.fit_result_to_dict(fit)
         assert d["exact_fit"] is True
         assert d["aic"] is None
-        assert '"aic": null' in cli._json_indent2(d)
+        assert '"aic": null' in json.dumps(d, indent=2)
